@@ -1,11 +1,10 @@
 """Exact-arithmetic link invariants and 4-manifold fold-map combinatorics."""
 
-from .laurent import LaurentPoly, TruncatedSeries
+from .laurent import LaurentPoly
 from .diagram import (
     PDDiagram,
     PDError,
     parse_pd,
-    render_pd,
     cancel_adjacent_r2,
     FrontDiagram,
     tb_from_front,

@@ -24,7 +24,6 @@ __all__ = [
     "PDDiagram",
     "FrontDiagram",
     "parse_pd",
-    "render_pd",
     "tb_from_front",
     "cancel_adjacent_r2",
 ]
@@ -69,33 +68,22 @@ def _infer_runs(crossings: Sequence[tuple[int, int, int, int]]) -> list[tuple[in
         extra = sorted(set(seen) - set(range(1, n_edges + 1)))
         raise PDError(f"labels outside 1..{n_edges}: {extra}")
 
-    def adjacent(e: int) -> bool:
-        # is e+1 the successor of e along some strand?
-        for a, b, c, d in crossings:
-            if a == e and c == e + 1:
-                return True
-            if {b, d} == {e, e + 1}:
-                return True
-        return False
+    # (x, y) is a step when some strand runs from edge x straight to edge y
+    steps = set()
+    for a, b, c, d in crossings:
+        steps.update(((a, c), (b, d), (d, b)))
 
     runs = []
     lo = 1
     for e in range(1, n_edges + 1):
-        if e == n_edges or not adjacent(e):
+        if e == n_edges or (e, e + 1) not in steps:
+            if (e, lo) not in steps:
+                raise PDError(
+                    f"labels {lo}..{e} do not close up into a component "
+                    f"(no crossing joins {e} back to {lo})"
+                )
             runs.append((lo, e))
             lo = e + 1
-    # validate the cyclic wrap of every run
-    for lo, hi in runs:
-        ok = False
-        for a, b, c, d in crossings:
-            if (a == hi and c == lo) or {b, d} == {hi, lo}:
-                ok = True
-                break
-        if not ok:
-            raise PDError(
-                f"labels {lo}..{hi} do not close up into a component "
-                f"(no crossing joins {hi} back to {lo})"
-            )
     return runs
 
 
@@ -193,16 +181,8 @@ class PDDiagram:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    @property
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        return self._runs
-
     def component_count(self) -> int:
         return len(self._runs) + self.free_loops
-
-    @property
-    def is_knot(self) -> bool:
-        return self.component_count() == 1
 
     def crossing_sign(self, index: int) -> int:
         if not 0 <= index < len(self.crossings):
@@ -484,10 +464,6 @@ def parse_pd(text: str) -> PDDiagram:
         return PDDiagram(crossings, loops)
     except PDError as exc:
         raise PDError(f"invalid PD code: {exc}") from None
-
-
-def render_pd(d: PDDiagram) -> str:
-    return d.render()
 
 
 # -- Legendrian front bookkeeping -------------------------------------------

@@ -43,7 +43,6 @@ V_L0 = LaurentPoly.from_exponents(
 TILDE_V = LaurentPoly.from_exponents(
     {-1: 2, -2: -3, -3: 3, -4: -3, -5: 2, -6: -2, -7: 1})
 
-_T2_INV = LaurentPoly.monomial(1, -2)
 _T_INV = LaurentPoly.monomial(1, -1)
 _DELTA = LaurentPoly.from_exponents({Fraction(1, 2): 1, Fraction(-1, 2): -1})
 
@@ -131,19 +130,18 @@ def jones_family(n: int) -> LaurentPoly:
     return partial * TILDE_V + LaurentPoly.monomial(1, -2 * n) * V_L0
 
 
-def _anchored_jones(table: KnotTable, name: str, expected: LaurentPoly,
-                    budget: int = skein.DEFAULT_CROSSING_BUDGET):
-    """Jones value of a table diagram, mirroring once if chirality is flipped.
+def _anchored(poly, d: PDDiagram, expected: LaurentPoly,
+              budget: int = skein.DEFAULT_CROSSING_BUDGET):
+    """``poly(d)``, mirroring once if chirality is flipped.
 
     Returns (value, mirrored).  Published tables disagree on chirality
-    conventions, so a diagram whose Jones value is the t <-> 1/t image of
-    the expected one is accepted after mirroring (and flagged).
+    conventions, so a diagram whose mirror gives the expected value is
+    accepted after mirroring (and flagged).
     """
-    d = table.diagram(name)
-    value = skein.jones(d, budget=budget)
+    value = poly(d, budget=budget)
     if value == expected:
         return value, False
-    mirrored = skein.jones(d.mirror(), budget=budget)
+    mirrored = poly(d.mirror(), budget=budget)
     if mirrored == expected:
         return mirrored, True
     return value, False
@@ -152,7 +150,8 @@ def _anchored_jones(table: KnotTable, name: str, expected: LaurentPoly,
 def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
     """Vt computed from the L7n2 diagram; asserts the published 7-term value."""
     table = table if table is not None else load_table()
-    v_j0, _ = _anchored_jones(table, "L7n2", _to_jones_j0_expected())
+    v_j0, _ = _anchored(skein.jones, table.diagram("L7n2"),
+                        _to_jones_j0_expected())
     computed = _T_INV * _DELTA * v_j0
     if computed != TILDE_V:
         raise AssertionError(
@@ -194,13 +193,9 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
     for n, entry in anchors.items():
         try:
             d = table.diagram(entry)
-            nabla = skein.conway(d)
+            nabla, _ = _anchored(skein.conway, d, conway_family(n))
             expected_v = jones_family(n)
-            vee, mirrored = _anchored_jones(table, entry, expected_v)
-            if nabla != conway_family(n):
-                nabla_m = skein.conway(d.mirror())
-                if nabla_m == conway_family(n):
-                    nabla = nabla_m
+            vee, mirrored = _anchored(skein.jones, d, expected_v)
             check(f"conway[{entry}]", nabla == conway_family(n),
                   nabla.render("z"))
             check(f"jones[{entry}]", vee == expected_v,

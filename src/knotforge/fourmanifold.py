@@ -336,9 +336,6 @@ def total_defect(m: ManifoldData, sigma0: SurfaceConfig,
     return TotalDefect(d=d, h=h)
 
 
-_LATTICE_GENS = ((0, 4), (-1, 2))
-
-
 def _in_coset(t: TotalDefect, mu: int) -> bool:
     # solve (d, h - mu) = s*(-1, 2) + r*(0, 4) over the integers
     s = -t.d

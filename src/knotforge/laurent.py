@@ -10,8 +10,7 @@ when every stored key is even.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -93,9 +92,6 @@ class LaurentPoly:
     def is_integral(self) -> bool:
         """True when every exponent is an integer (all doubled keys even)."""
         return all(k % 2 == 0 for k in self._terms)
-
-    def exponents(self) -> list[Fraction]:
-        return sorted(Fraction(k, 2) for k in self._terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -186,19 +182,6 @@ class LaurentPoly:
             total += c * Fraction(k, 2) ** i
         return total
 
-    def substitute_exp(self, order: int) -> "TruncatedSeries":
-        """Truncated Taylor expansion of p(e**h) about h = 0, through h**order."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        coeffs = [Fraction(0)] * (order + 1)
-        for k, c in self._terms.items():
-            e = Fraction(k, 2)
-            power = Fraction(1)
-            for i in range(order + 1):
-                coeffs[i] += c * power / factorial(i)
-                power *= e
-        return TruncatedSeries(order, coeffs)
-
     # -- rendering ---------------------------------------------------------
 
     def render(self, variable: str = "t") -> str:
@@ -228,71 +211,3 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r})"
-
-
-class TruncatedSeries:
-    """A Taylor polynomial in h, truncated at a fixed order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[Rat]):
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        self.order = order
-        self.coeffs = coeffs
-
-    def derivative_at_zero(self, i: int) -> Fraction:
-        """i! times the h**i coefficient."""
-        if not 0 <= i <= self.order:
-            raise ValueError(f"derivative order {i} outside truncation order {self.order}")
-        return self.coeffs[i] * factorial(i)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"({c})*h^{i}" for i, c in enumerate(self.coeffs))
-        return f"TruncatedSeries({body})"
-
-
-# Functional aliases mirroring the operation names used by callers that
-# prefer free functions over methods.
-
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def lp_coeff(p: LaurentPoly, exponent) -> Fraction:
-    return p.coeff(exponent)
-
-
-def lp_moment(p: LaurentPoly, i: int) -> Fraction:
-    return p.moment(i)
-
-
-def lp_substitute_exp(p: LaurentPoly, order: int) -> "TruncatedSeries":
-    return p.substitute_exp(order)
-
-
-# Convenience monomials for building polynomials in the two variables used
-# throughout: z (Conway) and t / t^(1/2) (Jones).
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-
-
-def var(exponent=1) -> LaurentPoly:
-    """The monomial t**exponent with coefficient 1."""
-    return LaurentPoly.monomial(1, exponent if isinstance(exponent, Fraction) else int(exponent))
-
-
-T = var(1)
-T_HALF = LaurentPoly.monomial(1, Fraction(1, 2))
-T_INV = var(-1)
-Z = var(1)

@@ -10,7 +10,8 @@ crossing reached on its under-strand before its over-strand is resolved by
 the skein relation (switch + smooth).  Diagrams surviving the walk are
 descending, hence unlinks.  Switching strictly advances the walk and
 smoothing drops a crossing, so the recursion terminates with depth bounded
-by the crossing count.
+by the crossing count.  Resolved diagrams are memoised under their PD code
+as given, not under a canonical relabelling (see canonical_code).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class CrossingBudgetExceeded(RuntimeError):
 
 
 class SkeinMemo:
-    """Memo table keyed by canonical diagram codes.
+    """Memo table keyed by PD code (see canonical_code), not by a relabelling.
 
     Entries are never overwritten with different values; concurrent
     last-writer-wins insertion is therefore benign.
@@ -75,46 +76,16 @@ class SkeinMemo:
     def put(self, key, value):
         old = self.table.setdefault(key, value)
         if old != value:
-            raise AssertionError("memo value collision for equal canonical keys")
-
-
-_CANONICAL_COMBO_CAP = 4096
+            raise AssertionError("memo value collision for equal memo keys")
 
 
 def canonical_code(d: PDDiagram):
-    """A relabeling-stable key: the least PD code over base-edge rotations.
+    """The memo key of a diagram: its PD code and free-loop count as given.
 
-    Oversized diagrams fall back to the identity labeling, which only costs
-    memo hits, never correctness.
+    Diagrams that differ only by a relabelling get different keys, which
+    costs memo hits, never correctness.
     """
-    runs = d.runs
-    n_combos = 1
-    for lo, hi in runs:
-        n_combos *= hi - lo + 1
-    if not runs or n_combos > _CANONICAL_COMBO_CAP:
-        return (d.crossings, d.free_loops)
-    best = None
-    offsets = [0] * len(runs)
-    while True:
-        relab = {}
-        base = 1
-        for (lo, hi), r in zip(runs, offsets):
-            length = hi - lo + 1
-            for j in range(length):
-                relab[lo + (r + j) % length] = base + j
-            base += length
-        code = tuple(sorted(tuple(relab[e] for e in x) for x in d.crossings))
-        if best is None or code < best:
-            best = code
-        # odometer over rotation offsets
-        for k in range(len(offsets)):
-            offsets[k] += 1
-            if offsets[k] <= runs[k][1] - runs[k][0]:
-                break
-            offsets[k] = 0
-        else:
-            break
-    return (best, d.free_loops)
+    return (d.crossings, d.free_loops)
 
 
 def _first_violation(d: PDDiagram):

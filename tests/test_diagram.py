@@ -8,7 +8,6 @@ from knotforge.diagram import (
     PDError,
     cancel_adjacent_r2,
     parse_pd,
-    render_pd,
     tb_from_front,
 )
 from knotforge import skein
@@ -62,6 +61,10 @@ class TestParse:
         with pytest.raises(PDError, match="occurs 1 time"):
             parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,7)")
 
+    def test_component_not_closing_up(self):
+        with pytest.raises(PDError, match="do not close up"):
+            parse_pd("X(1,2,3,4) X(1,2,3,4)")
+
     def test_inconsistent_orientation(self):
         # under-strand must run a -> a+1 cyclically
         with pytest.raises(PDError):
@@ -70,11 +73,11 @@ class TestParse:
     def test_round_trip_on_table(self, table):
         for name in table.names():
             d = table.diagram(name)
-            assert parse_pd(render_pd(d)) == d
+            assert parse_pd(d.render()) == d
 
     def test_round_trip_on_random(self):
         for d in random_planar_diagrams(seed=7, count=100, max_crossings=12):
-            assert parse_pd(render_pd(d)) == d
+            assert parse_pd(d.render()) == d
 
 
 class TestSigns:

@@ -1,19 +1,12 @@
 """Exact Laurent polynomial arithmetic."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from knotforge.laurent import (
-    LaurentPoly,
-    TruncatedSeries,
-    lp_add,
-    lp_coeff,
-    lp_moment,
-    lp_mul,
-    lp_substitute_exp,
-)
+from knotforge.laurent import LaurentPoly
 
 F = Fraction
 
@@ -31,87 +24,66 @@ V_J0 = LaurentPoly.from_exponents({
 
 class TestAdd:
     def test_additive_inverse_is_zero(self):
-        assert lp_add(Z2, -Z2) == LaurentPoly.zero()
-        assert lp_add(Z2, -Z2).is_zero
+        assert Z2 + -Z2 == LaurentPoly.zero()
+        assert (Z2 + -Z2).is_zero
 
     def test_conway_family_shape(self):
         a = LaurentPoly.from_exponents({0: 1, 2: 2})
         b = LaurentPoly.from_exponents({4: -3})
-        assert lp_add(a, b) == LaurentPoly.from_exponents({0: 1, 2: 2, 4: -3})
+        assert a + b == LaurentPoly.from_exponents({0: 1, 2: 2, 4: -3})
 
     def test_doubling_a_term(self):
         t_inv = LaurentPoly.monomial(1, -1)
-        assert lp_add(t_inv, t_inv) == LaurentPoly.monomial(2, -1)
+        assert t_inv + t_inv == LaurentPoly.monomial(2, -1)
 
 
 class TestMul:
     def test_half_exponents_multiply(self):
-        assert lp_mul(T_HALF, T_HALF) == LaurentPoly.monomial(1, 1)
+        assert T_HALF * T_HALF == LaurentPoly.monomial(1, 1)
 
     def test_tilde_v_identity(self):
         t_inv = LaurentPoly.monomial(1, -1)
         delta = LaurentPoly.from_exponents({F(1, 2): 1, F(-1, 2): -1})
-        assert lp_mul(lp_mul(t_inv, delta), V_J0) == TILDE_V
+        assert t_inv * delta * V_J0 == TILDE_V
 
     def test_sign_and_degree(self):
         neg_z = LaurentPoly.monomial(-1, 1)
         z3 = LaurentPoly.monomial(1, 3)
-        assert lp_mul(neg_z, z3) == LaurentPoly.monomial(-1, 4)
+        assert neg_z * z3 == LaurentPoly.monomial(-1, 4)
 
 
 class TestCoeff:
     def test_family_z4_coefficient(self):
         p = LaurentPoly.from_exponents({0: 1, 2: 2, 4: -2})
-        assert lp_coeff(p, 4) == -2
+        assert p.coeff(4) == -2
 
     def test_absent_exponent_is_zero(self):
         p = LaurentPoly.from_exponents({0: 1, 2: 2})
-        assert lp_coeff(p, 4) == 0
+        assert p.coeff(4) == 0
 
     def test_monomial(self):
-        assert lp_coeff(LaurentPoly.monomial(1, 3), 3) == 1
+        assert LaurentPoly.monomial(1, 3).coeff(3) == 1
 
     def test_half_integer_lookup(self):
-        assert lp_coeff(V_J0, F(-3, 2)) == -1
+        assert V_J0.coeff(F(-3, 2)) == -1
 
 
 class TestMoment:
     def test_tilde_v_moments(self):
-        assert tuple(lp_moment(TILDE_V, i) for i in range(4)) == (0, 2, -4, -28)
+        assert tuple(TILDE_V.moment(i) for i in range(4)) == (0, 2, -4, -28)
 
     def test_v_l0_second_moment(self):
-        assert lp_moment(V_L0, 2) == -12
+        assert V_L0.moment(2) == -12
 
     def test_constant_polynomial(self):
         one = LaurentPoly.one()
-        assert lp_moment(one, 0) == 1
+        assert one.moment(0) == 1
         for i in range(1, 5):
-            assert lp_moment(one, i) == 0
+            assert one.moment(i) == 0
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            lp_moment(V_L0, -1)
-
-
-class TestSubstituteExp:
-    def test_exponential_series_of_t(self):
-        t = LaurentPoly.monomial(1, 1)
-        s = lp_substitute_exp(t, 2)
-        assert s == TruncatedSeries(2, [1, 1, F(1, 2)])
-
-    def test_v_l0_second_derivative(self):
-        s = lp_substitute_exp(V_L0, 3)
-        assert s.coeffs[2] * 2 == -12
-        assert s.derivative_at_zero(2) == -12
-
-    def test_odd_function_first_order(self):
-        delta = LaurentPoly.from_exponents({F(1, 2): 1, F(-1, 2): -1})
-        assert lp_substitute_exp(delta, 1) == TruncatedSeries(1, [0, 1])
-
-    def test_derivative_outside_order_rejected(self):
-        s = lp_substitute_exp(V_L0, 2)
-        with pytest.raises(ValueError):
-            s.derivative_at_zero(3)
+            V_L0.moment(-1)
 
 
 # -- randomized ring laws and cross-path agreement ---------------------------
@@ -123,28 +95,33 @@ polys = st.dictionaries(st.integers(-8, 8), coeffs, max_size=6).map(LaurentPoly)
 
 @given(polys, polys)
 def test_add_commutes(a, b):
-    assert lp_add(a, b) == lp_add(b, a)
+    assert a + b == b + a
 
 
 @given(polys, polys)
 def test_mul_commutes(a, b):
-    assert lp_mul(a, b) == lp_mul(b, a)
+    assert a * b == b * a
 
 
 @given(polys, polys, polys)
 def test_mul_associates(a, b, c):
-    assert lp_mul(lp_mul(a, b), c) == lp_mul(a, lp_mul(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 @given(polys, polys, polys)
 def test_distributivity(a, b, c):
-    assert lp_mul(a, lp_add(b, c)) == lp_add(lp_mul(a, b), lp_mul(a, c))
+    assert a * (b + c) == a * b + a * c
+
+
+def _taylor_coeff(p: LaurentPoly, i: int) -> Fraction:
+    """The h**i coefficient of p(e**h), summed term by term from e**(eh)."""
+    return sum((c * F(k, 2) ** i / factorial(i)
+                for k, c in p.doubled_terms().items()), F(0))
 
 
 @given(polys, st.integers(0, 5))
 def test_moment_agrees_with_series_derivative(p, i):
-    series = lp_substitute_exp(p, 5)
-    assert series.derivative_at_zero(i) == lp_moment(p, i)
+    assert _taylor_coeff(p, i) * factorial(i) == p.moment(i)
 
 
 @given(polys)
@@ -157,10 +134,10 @@ def test_no_floats_anywhere(p):
 
 def test_equality_and_hash_by_terms():
     a = LaurentPoly.from_exponents({1: 2, -3: F(1, 2)})
-    b = lp_add(LaurentPoly.from_exponents({1: 2}),
-               LaurentPoly.from_exponents({-3: F(1, 2)}))
+    b = (LaurentPoly.from_exponents({1: 2})
+         + LaurentPoly.from_exponents({-3: F(1, 2)}))
     assert a == b and hash(a) == hash(b)
-    assert a != lp_add(a, LaurentPoly.one())
+    assert a != a + LaurentPoly.one()
 
 
 def test_render_deterministic_descending():
