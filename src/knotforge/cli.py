@@ -18,7 +18,7 @@ from math import inf
 
 from .diagram import PDError, parse_pd, FrontDiagram, tb_from_front
 from . import skein
-from .invariants import surgery_invariants, distinguish
+from .invariants import _invariants_from, distinguish
 from . import family as family_mod
 from . import fourmanifold as fm
 
@@ -113,13 +113,11 @@ def cmd_invariants(args) -> tuple[RunReport, int]:
     d = _load_diagram(args)
     rep.result("components", d.component_count())
     rep.result("writhe", d.writhe())
-    nabla = skein.conway(d)
-    vee = skein.jones(d)
+    nabla, vee = skein.conway_jones(d)
     rep.result("conway", nabla.render("z"))
     rep.result("jones", vee.render("t"))
     if d.component_count() == 1:
-        inv = surgery_invariants(d)
-        for key, val in inv.as_dict().items():
+        for key, val in _invariants_from(nabla, vee).as_dict().items():
             rep.result(key, val)
     return rep, EXIT_OK
 

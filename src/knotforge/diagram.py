@@ -93,7 +93,8 @@ class PDDiagram:
     Immutable; every operation returns a new diagram.
     """
 
-    __slots__ = ("crossings", "free_loops", "_runs", "_over_slot", "_signs")
+    __slots__ = ("crossings", "free_loops", "_runs", "_over_slot", "_signs",
+                 "_records")
 
     def __init__(self, crossings: Iterable[Sequence[int]], free_loops: int = 0):
         crossings = tuple(tuple(x) for x in crossings)
@@ -106,74 +107,80 @@ class PDDiagram:
         self.free_loops = int(free_loops)
         self._runs = tuple(_infer_runs(crossings))
         self._over_slot, self._signs = self._resolve_over_strands()
+        self._records: tuple[_Rec, ...] | None = None
 
     # -- orientation bookkeeping ------------------------------------------
 
-    def _succ(self, e: int) -> int:
-        for lo, hi in self._runs:
-            if lo <= e <= hi:
-                return e + 1 if e < hi else lo
-        raise PDError(f"label {e} not in any component run")
-
     def _resolve_over_strands(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Decide for each crossing whether the over-strand enters at b or d."""
-        succ = self._succ
-        over_slot: list[int | None] = [None] * len(self.crossings)
-        used_heads: set[int] = set()
+        crossings = self.crossings
+        n_edges = 2 * len(crossings)
+        # succ[e] is the label after e along its component; the runs cover
+        # 1..n_edges exactly (checked by _infer_runs)
+        succ = list(range(1, n_edges + 2))
+        for lo, hi in self._runs:
+            succ[hi] = lo
+        over_slot: list[int] = [0] * len(crossings)
+        is_head = [False] * (n_edges + 1)
 
-        for i, (a, b, c, d) in enumerate(self.crossings):
-            if succ(a) != c:
+        for i, (a, b, c, d) in enumerate(crossings):
+            if succ[a] != c:
                 raise PDError(
-                    f"crossing {i} {self.crossings[i]}: under-strand must run "
-                    f"{a} -> succ({a}) = {succ(a)}, not {c}"
+                    f"crossing {i} {crossings[i]}: under-strand must run "
+                    f"{a} -> succ({a}) = {succ[a]}, not {c}"
                 )
-            used_heads.add(a)
+            is_head[a] = True
 
         ambiguous = []
-        for i, (a, b, c, d) in enumerate(self.crossings):
-            cand = []
-            if succ(b) == d:
-                cand.append(1)
-            if succ(d) == b:
-                cand.append(3)
-            if not cand:
+        for i, (a, b, c, d) in enumerate(crossings):
+            forward = succ[b] == d
+            if succ[d] == b:
+                if forward:
+                    ambiguous.append(i)
+                    continue
+                over_slot[i] = 3
+                is_head[d] = True
+            elif forward:
+                over_slot[i] = 1
+                is_head[b] = True
+            else:
                 raise PDError(
-                    f"crossing {i} {self.crossings[i]}: over-strand slots {b},{d} "
+                    f"crossing {i} {crossings[i]}: over-strand slots {b},{d} "
                     f"are not consecutive along any component"
                 )
-            if len(cand) == 1:
-                over_slot[i] = cand[0]
-                used_heads.add(self.crossings[i][cand[0]])
-            else:
-                ambiguous.append(i)
 
         # two-edge components satisfy both directions; pick the one that keeps
-        # every edge entering exactly one crossing (verified globally below)
+        # every edge entering exactly one crossing (verified globally below).
+        # The pick can run such a component against the orientation of the
+        # records it was rebuilt from.  Only a component that is over at
+        # every crossing it passes is left ambiguous here, so it has linking
+        # number 0 and is split, and Conway and Jones do not depend on its
+        # orientation; a rebuild that trusts its records must keep theirs.
         for i in ambiguous:
-            _, b, _, d = self.crossings[i]
-            pick = 1 if b not in used_heads else 3
+            pick = 3 if is_head[crossings[i][1]] else 1
             over_slot[i] = pick
-            used_heads.add(self.crossings[i][pick])
+            is_head[crossings[i][pick]] = True
 
         # final degree check: every edge has one head and one tail occurrence
-        head_count: dict[int, int] = {}
-        tail_count: dict[int, int] = {}
-        for i, (a, b, c, d) in enumerate(self.crossings):
-            slot = over_slot[i]
-            o_in = self.crossings[i][slot]
-            o_out = self.crossings[i][4 - slot]
-            for e in (a, o_in):
-                head_count[e] = head_count.get(e, 0) + 1
-            for e in (c, o_out):
-                tail_count[e] = tail_count.get(e, 0) + 1
-        for e in range(1, 2 * len(self.crossings) + 1):
-            if head_count.get(e, 0) != 1 or tail_count.get(e, 0) != 1:
+        heads = [0] * (n_edges + 1)
+        tails = [0] * (n_edges + 1)
+        for (a, b, c, d), slot in zip(crossings, over_slot):
+            heads[a] += 1
+            tails[c] += 1
+            if slot == 1:
+                heads[b] += 1
+                tails[d] += 1
+            else:
+                heads[d] += 1
+                tails[b] += 1
+        for e in range(1, n_edges + 1):
+            if heads[e] != 1 or tails[e] != 1:
                 raise PDError(
-                    f"edge {e} is consumed {head_count.get(e, 0)} times and produced "
-                    f"{tail_count.get(e, 0)} times; orientations are inconsistent"
+                    f"edge {e} is consumed {heads[e]} times and produced "
+                    f"{tails[e]} times; orientations are inconsistent"
                 )
         signs = tuple(1 if s == 1 else -1 for s in over_slot)
-        return tuple(over_slot), signs  # type: ignore[arg-type]
+        return tuple(over_slot), signs
 
     # -- basic queries ------------------------------------------------------
 
@@ -195,14 +202,13 @@ class PDDiagram:
     def writhe(self) -> int:
         return sum(self._signs)
 
-    def record(self, index: int) -> _Rec:
-        a, b, c, d = self.crossings[index]
-        slot = self._over_slot[index]
-        return _Rec(a, self.crossings[index][slot], c, self.crossings[index][4 - slot],
-                    self._signs[index])
-
     def records(self) -> list[_Rec]:
-        return [self.record(i) for i in range(len(self.crossings))]
+        """The crossings in strand form, as a fresh list the caller may edit."""
+        if self._records is None:
+            self._records = tuple(
+                _Rec(x[0], x[slot], x[2], x[4 - slot], sign)
+                for x, slot, sign in zip(self.crossings, self._over_slot, self._signs))
+        return list(self._records)
 
     # -- crossing surgeries -------------------------------------------------
 

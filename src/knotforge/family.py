@@ -20,6 +20,7 @@ from importlib import resources
 from .diagram import PDDiagram, parse_pd
 from .laurent import LaurentPoly
 from . import skein
+from .skein import _DELTA, _T_INV
 from .invariants import ohtsuki_lambda2
 
 __all__ = [
@@ -42,9 +43,6 @@ V_L0 = LaurentPoly.from_exponents(
     {-1: 1, -2: -1, -3: 2, -4: -1, -5: 1, -6: -1})
 TILDE_V = LaurentPoly.from_exponents(
     {-1: 2, -2: -3, -3: 3, -4: -3, -5: 2, -6: -2, -7: 1})
-
-_T_INV = LaurentPoly.monomial(1, -1)
-_DELTA = LaurentPoly.from_exponents({Fraction(1, 2): 1, Fraction(-1, 2): -1})
 
 # expected component count per entry name (knot vs. link)
 _EXPECTED_COMPONENTS = {

@@ -94,13 +94,8 @@ def ohtsuki_lambda2(v2, v3, c4_value) -> Fraction:
     return v2 / 2 + v3 / 3 + Fraction(5, 3) * v2 * v2 - 60 * Fraction(c4_value)
 
 
-def surgery_invariants(d: PDDiagram,
-                       budget: int = skein.DEFAULT_CROSSING_BUDGET) -> SurgeryInvariants:
-    """Full invariant record of (-1)-surgery on the knot d."""
-    if d.component_count() != 1:
-        raise ValueError("surgery invariants are defined for knots only")
-    nabla = skein.conway(d, budget=budget)
-    vee = skein.jones(d, budget=budget)
+def _invariants_from(nabla: LaurentPoly, vee: LaurentPoly) -> SurgeryInvariants:
+    """The invariant record of a knot with Conway polynomial nabla and Jones vee."""
     if not vee.is_integral:
         raise AssertionError("Jones polynomial of a knot must have integer exponents")
     a2_val = a2(nabla)
@@ -118,6 +113,14 @@ def surgery_invariants(d: PDDiagram,
         lambda1=casson_minus_one_surgery(a2_val),
         lambda2=ohtsuki_lambda2(v2, v3, c4_val),
     )
+
+
+def surgery_invariants(d: PDDiagram,
+                       budget: int = skein.DEFAULT_CROSSING_BUDGET) -> SurgeryInvariants:
+    """Full invariant record of (-1)-surgery on the knot d."""
+    if d.component_count() != 1:
+        raise ValueError("surgery invariants are defined for knots only")
+    return _invariants_from(*skein.conway_jones(d, budget=budget))
 
 
 def distinguish(d1: PDDiagram, d2: PDDiagram,

@@ -12,6 +12,10 @@ descending, hence unlinks.  Switching strictly advances the walk and
 smoothing drops a crossing, so the recursion terminates with depth bounded
 by the crossing count.  Resolved diagrams are memoised under their PD code
 as given, not under a canonical relabelling (see canonical_code).
+
+conway_jones walks the tree once and combines (nabla, V) pairs; it is the
+call to make when both polynomials of one diagram are needed.  A memo
+serves one kind of value: conway, jones or conway_jones.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "SkeinMemo",
     "conway",
     "jones",
+    "conway_jones",
     "jones_bracket_oracle",
     "DEFAULT_CROSSING_BUDGET",
     "BRACKET_ORACLE_BUDGET",
@@ -105,7 +110,7 @@ def _first_violation(d: PDDiagram):
     return None
 
 
-def _skein_eval(d: PDDiagram, memo: SkeinMemo, unlink, combine) -> LaurentPoly:
+def _skein_eval(d: PDDiagram, memo: SkeinMemo, unlink, combine):
     d = d.reduce_r1()
     if d.n_crossings == 0:
         return unlink(d.component_count())
@@ -131,22 +136,43 @@ def _check_budget(d: PDDiagram, budget: int) -> None:
         )
 
 
+def _conway_unlink(c: int) -> LaurentPoly:
+    return LaurentPoly.one() if c == 1 else LaurentPoly.zero()
+
+
+def _conway_combine(sign: int, switched: LaurentPoly, smoothed: LaurentPoly) -> LaurentPoly:
+    # nabla(K+) = nabla(K-) - z*nabla(K0) and the reverse for K-
+    if sign > 0:
+        return switched - _Z * smoothed
+    return switched + _Z * smoothed
+
+
+def _jones_unlink(c: int) -> LaurentPoly:
+    return _LOOP ** max(c - 1, 0)
+
+
+def _jones_combine(sign: int, switched: LaurentPoly, smoothed: LaurentPoly) -> LaurentPoly:
+    # V(K+) = t^-2 V(K-) + t^-1 (t^(1/2)-t^(-1/2)) V(K0), and conversely
+    if sign > 0:
+        return _T2_INV * switched + _T_INV * _DELTA * smoothed
+    return _T2 * switched - _T * _DELTA * smoothed
+
+
+def _pair_unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
+    return _conway_unlink(c), _jones_unlink(c)
+
+
+def _pair_combine(sign: int, switched, smoothed) -> tuple[LaurentPoly, LaurentPoly]:
+    return (_conway_combine(sign, switched[0], smoothed[0]),
+            _jones_combine(sign, switched[1], smoothed[1]))
+
+
 def conway(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
            memo: SkeinMemo | None = None) -> LaurentPoly:
     """Conway polynomial (variable z); split links give 0."""
     _check_budget(d, budget)
     memo = memo if memo is not None else SkeinMemo()
-
-    def unlink(c: int) -> LaurentPoly:
-        return LaurentPoly.one() if c == 1 else LaurentPoly.zero()
-
-    def combine(sign: int, switched: LaurentPoly, smoothed: LaurentPoly) -> LaurentPoly:
-        # nabla(K+) = nabla(K-) - z*nabla(K0) and the reverse for K-
-        if sign > 0:
-            return switched - _Z * smoothed
-        return switched + _Z * smoothed
-
-    return _skein_eval(d, memo, unlink, combine)
+    return _skein_eval(d, memo, _conway_unlink, _conway_combine)
 
 
 def jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
@@ -154,17 +180,19 @@ def jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
     """Jones polynomial (variable t^(1/2)); knots give integral exponents."""
     _check_budget(d, budget)
     memo = memo if memo is not None else SkeinMemo()
+    return _skein_eval(d, memo, _jones_unlink, _jones_combine)
 
-    def unlink(c: int) -> LaurentPoly:
-        return _LOOP ** max(c - 1, 0)
 
-    def combine(sign: int, switched: LaurentPoly, smoothed: LaurentPoly) -> LaurentPoly:
-        # V(K+) = t^-2 V(K-) + t^-1 (t^(1/2)-t^(-1/2)) V(K0), and conversely
-        if sign > 0:
-            return _T2_INV * switched + _T_INV * _DELTA * smoothed
-        return _T2 * switched - _T * _DELTA * smoothed
+def conway_jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
+                 memo: SkeinMemo | None = None) -> tuple[LaurentPoly, LaurentPoly]:
+    """(conway(d), jones(d)) from one skein walk; the memo stores the pairs.
 
-    return _skein_eval(d, memo, unlink, combine)
+    Both polynomials resolve the same crossings of the same diagrams, so
+    the walk, its rebuilds and its memo keys are shared.
+    """
+    _check_budget(d, budget)
+    memo = memo if memo is not None else SkeinMemo()
+    return _skein_eval(d, memo, _pair_unlink, _pair_combine)
 
 
 def jones_bracket_oracle(d: PDDiagram, budget: int = BRACKET_ORACLE_BUDGET) -> LaurentPoly:

@@ -65,6 +65,14 @@ class TestParse:
         with pytest.raises(PDError, match="do not close up"):
             parse_pd("X(1,2,3,4) X(1,2,3,4)")
 
+    def test_under_strand_not_following_orientation(self):
+        with pytest.raises(PDError, match="under-strand must run"):
+            parse_pd("X(3,2,2,1) X(1,3,4,4)")
+
+    def test_over_strand_not_consecutive(self):
+        with pytest.raises(PDError, match="not consecutive along any component"):
+            parse_pd("X(6,8,5,1) X(3,2,3,7) X(4,7,4,8) X(5,2,6,1)")
+
     def test_inconsistent_orientation(self):
         # under-strand must run a -> a+1 cyclically
         with pytest.raises(PDError):
@@ -108,6 +116,25 @@ class TestSigns:
         d = PDDiagram((), free_loops=2)
         assert d.component_count() == 2
         assert d.writhe() == 0
+
+    def test_two_edge_tie_break(self):
+        # components 5..6 and 7..8 have two edges each, so both over-strand
+        # directions run along them; the validator picks b unless b is
+        # already a head
+        d = parse_pd("X(9,8,10,7) X(10,4,11,1) X(11,4,12,3) X(12,8,9,7) "
+                     "X(5,1,6,2) X(6,3,5,2)")
+        assert d.signs() == (1, 1, -1, -1, 1, -1)
+        assert skein.conway(d).is_zero
+        assert skein.jones(d) == skein.jones_bracket_oracle(d)
+
+
+class TestRecords:
+    def test_records_are_a_fresh_list(self, table):
+        d = table.diagram("5_2")
+        before = d.records()
+        d.records().pop()
+        assert d.records() == before
+        assert len(before) == d.n_crossings
 
 
 class TestSwitch:

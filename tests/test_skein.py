@@ -11,6 +11,7 @@ from knotforge.skein import (
     CrossingBudgetExceeded,
     SkeinMemo,
     conway,
+    conway_jones,
     jones,
     jones_bracket_oracle,
 )
@@ -122,6 +123,35 @@ class TestSkeinIdentities:
             rotated = PDDiagram(relab)
             assert conway(rotated) == conway(d)
             assert jones(rotated) == jones(d)
+
+
+class TestConwayJones:
+    """One walk for both polynomials gives what two separate walks give."""
+
+    def test_every_table_entry(self, table):
+        for name in table.names():
+            d = table.diagram(name)
+            assert conway_jones(d) == (conway(d), jones(d)), name
+
+    def test_twist_family(self, table):
+        base = table.diagram("11n63")
+        for n in range(6):
+            d = base.insert_full_twists((3, 25), n - 2)
+            assert conway_jones(d) == (conway(d), jones(d)), n
+
+    def test_random_diagrams(self):
+        for d in random_planar_diagrams(seed=53, count=100, max_crossings=10):
+            assert conway_jones(d) == (conway(d), jones(d)), d.render()
+
+    def test_shared_memo_hits_without_collision(self, table):
+        memo = SkeinMemo()
+        first = conway_jones(table.diagram("9_45"), memo=memo)
+        misses_first = memo.misses
+        assert conway_jones(table.diagram("9_45"), memo=memo) == first
+        assert memo.hits > 0
+        assert memo.misses == misses_first  # second run fully cached
+        d = table.diagram("11n63")
+        assert conway_jones(d, memo=memo) == conway_jones(d)
 
 
 class TestOracle:
