@@ -128,19 +128,18 @@ def jones_family(n: int) -> LaurentPoly:
     return partial * TILDE_V + LaurentPoly.monomial(1, -2 * n) * V_L0
 
 
-def _anchored(poly, d: PDDiagram, expected: LaurentPoly,
-              budget: int = skein.DEFAULT_CROSSING_BUDGET):
-    """``poly(d)``, mirroring once if chirality is flipped.
+def _anchored(value_of, d: PDDiagram, matches):
+    """``value_of(d)``, mirroring once if chirality is flipped.
 
     Returns (value, mirrored).  Published tables disagree on chirality
-    conventions, so a diagram whose mirror gives the expected value is
-    accepted after mirroring (and flagged).
+    conventions, so a diagram whose mirror gives a value that ``matches``
+    is accepted after mirroring (and flagged).
     """
-    value = poly(d, budget=budget)
-    if value == expected:
+    value = value_of(d)
+    if matches(value):
         return value, False
-    mirrored = poly(d.mirror(), budget=budget)
-    if mirrored == expected:
+    mirrored = value_of(d.mirror())
+    if matches(mirrored):
         return mirrored, True
     return value, False
 
@@ -148,22 +147,13 @@ def _anchored(poly, d: PDDiagram, expected: LaurentPoly,
 def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
     """Vt computed from the L7n2 diagram; asserts the published 7-term value."""
     table = table if table is not None else load_table()
-    v_j0, _ = _anchored(skein.jones, table.diagram("L7n2"),
-                        _to_jones_j0_expected())
-    computed = _T_INV * _DELTA * v_j0
+    computed, _ = _anchored(lambda d: _T_INV * _DELTA * skein.jones(d),
+                            table.diagram("L7n2"), lambda vt: vt == TILDE_V)
     if computed != TILDE_V:
         raise AssertionError(
             "Vt from the table diagram does not match the published polynomial "
             "(convention bug): " + computed.render())
     return computed
-
-
-def _to_jones_j0_expected() -> LaurentPoly:
-    # V(J_0) = t * Vt / (t^(1/2) - t^(-1/2)); expanded once here to keep
-    # the mirror-retry comparison exact
-    return LaurentPoly.from_exponents({
-        Fraction(-1, 2): 2, Fraction(-3, 2): -1, Fraction(-5, 2): 2,
-        Fraction(-7, 2): -1, Fraction(-9, 2): 1, Fraction(-11, 2): -1})
 
 
 def lambda2_family(n: int) -> Fraction:
@@ -191,9 +181,11 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
     for n, entry in anchors.items():
         try:
             d = table.diagram(entry)
-            nabla, _ = _anchored(skein.conway, d, conway_family(n))
             expected_v = jones_family(n)
-            vee, mirrored = _anchored(skein.jones, d, expected_v)
+            # one walk gives both; a knot's nabla is mirror-invariant, so
+            # only V decides the mirror retry
+            (nabla, vee), mirrored = _anchored(
+                skein.conway_jones, d, lambda nv: nv[1] == expected_v)
             check(f"conway[{entry}]", nabla == conway_family(n),
                   nabla.render("z"))
             check(f"jones[{entry}]", vee == expected_v,

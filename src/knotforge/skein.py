@@ -94,20 +94,13 @@ def canonical_code(d: PDDiagram):
 
 
 def _first_violation(d: PDDiagram):
-    """Index of the first crossing met on its under-strand first, else None."""
-    heads: dict[int, tuple[int, str]] = {}
-    for i, r in enumerate(d.records()):
-        heads[r.u_in] = (i, "u")
-        heads[r.o_in] = (i, "o")
-    seen = set()
-    for e in range(1, 2 * d.n_crossings + 1):
-        i, kind = heads[e]
-        if i in seen:
-            continue
-        seen.add(i)
-        if kind == "u":
-            return i
-    return None
+    """Index of the first crossing met on its under-strand first, else None.
+
+    Walking labels 1..2N meets a crossing first at min(u_in, o_in), so this
+    is the crossing with the smallest u_in among those with u_in < o_in.
+    """
+    found = [(r.u_in, i) for i, r in enumerate(d.records()) if r.u_in < r.o_in]
+    return min(found)[1] if found else None
 
 
 def _skein_eval(d: PDDiagram, memo: SkeinMemo, unlink, combine):

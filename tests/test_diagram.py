@@ -74,8 +74,9 @@ class TestParse:
             parse_pd("X(6,8,5,1) X(3,2,3,7) X(4,7,4,8) X(5,2,6,1)")
 
     def test_inconsistent_orientation(self):
-        # under-strand must run a -> a+1 cyclically
-        with pytest.raises(PDError):
+        # no crossing carries a strand from edge 1 to edge 2 or back to 1,
+        # so the labels cannot be read as one oriented component run
+        with pytest.raises(PDError, match="do not close up"):
             parse_pd("X(1,4,3,5) X(2,6,4,1) X(5,2,6,3)")
 
     def test_round_trip_on_table(self, table):
@@ -94,10 +95,13 @@ class TestSigns:
         assert d.signs() == (1, 1, 1)
         assert d.writhe() == 3
 
-    def test_mirror_negates(self):
+    def test_mirror_negates(self, table):
         d = parse_pd(TREFOIL).mirror()
         assert d.signs() == (-1, -1, -1)
         assert d.writhe() == -3
+        hopf = table.diagram("hopf+").mirror()
+        assert hopf.signs() == (-1, -1)
+        assert hopf.writhe() == -2
 
     def test_curl_sign_is_writhe(self):
         d = parse_pd("X(1,1,2,2)")

@@ -10,6 +10,7 @@ from knotforge.skein import (
     BRACKET_ORACLE_BUDGET,
     CrossingBudgetExceeded,
     SkeinMemo,
+    _first_violation,
     conway,
     conway_jones,
     jones,
@@ -215,6 +216,43 @@ class TestBudgetAndMemo:
             memo.put("k", Z)
 
     def test_mirror_conjugates_jones(self, table):
-        for name in ("trefoil", "5_2", "9_45"):
-            d = table.diagram(name)
-            assert jones(d.mirror()) == jones(d).reciprocal_variable()
+        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams += random_planar_diagrams(seed=59, count=200, max_crossings=10)
+        for d in diagrams:
+            m = d.mirror()
+            nabla, v = conway_jones(d)
+            m_nabla, m_v = conway_jones(m)
+            # nabla(m)(z) = nabla(d)(-z), whose powers of z have the parity
+            # of c - 1, so it flips sign exactly when c is even
+            flips = d.component_count() % 2 == 0
+            assert m.writhe() == -d.writhe(), d.render()
+            assert m_v == v.reciprocal_variable(), d.render()
+            assert m_nabla == (-nabla if flips else nabla), d.render()
+
+
+def _first_violation_by_walk(d):
+    """Reference: walk labels 1..2N and return the first crossing whose
+    first visit is on its under-strand, else None."""
+    heads = {}
+    for i, r in enumerate(d.records()):
+        heads[r.u_in] = (i, "u")
+        heads[r.o_in] = (i, "o")
+    seen = set()
+    for e in range(1, 2 * d.n_crossings + 1):
+        i, kind = heads[e]
+        if i in seen:
+            continue
+        seen.add(i)
+        if kind == "u":
+            return i
+    return None
+
+
+def test_first_violation_matches_label_walk(table):
+    diagrams = [table.diagram(name) for name in table.names()]
+    base = table.diagram("11n63")
+    diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
+    diagrams += random_planar_diagrams(seed=61, count=300, max_crossings=10)
+    for d in diagrams:
+        d = d.reduce_r1()
+        assert _first_violation(d) == _first_violation_by_walk(d), d.render()
