@@ -5,7 +5,6 @@ from .diagram import (
     PDDiagram,
     PDError,
     parse_pd,
-    cancel_adjacent_r2,
     FrontDiagram,
     tb_from_front,
 )

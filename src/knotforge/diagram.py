@@ -25,7 +25,6 @@ __all__ = [
     "FrontDiagram",
     "parse_pd",
     "tb_from_front",
-    "cancel_adjacent_r2",
 ]
 
 
@@ -68,9 +67,8 @@ def _infer_runs(crossings: Sequence[tuple[int, int, int, int]]) -> list[tuple[in
                 f"edge label {lab} occurs {seen.get(lab, 0)} times, expected exactly 2 "
                 f"(labels must cover 1..{n_edges})"
             )
-    if set(seen) != set(range(1, n_edges + 1)):
-        extra = sorted(set(seen) - set(range(1, n_edges + 1)))
-        raise PDError(f"labels outside 1..{n_edges}: {extra}")
+    # each of 1..n_edges occurring twice accounts for all 4N labels, so
+    # no label lies outside 1..n_edges
 
     # (x, y) is a step when some strand runs from edge x straight to edge y
     steps = set()
@@ -108,6 +106,8 @@ class PDDiagram:
             raise PDError("free_loops must be non-negative")
         self.crossings = crossings
         self.free_loops = int(free_loops)
+        if not crossings and not self.free_loops:
+            raise PDError("a diagram needs at least one crossing or free loop")
         self._runs = tuple(_infer_runs(crossings))
         self._records = self._resolve_over_strands()
 
@@ -216,13 +216,11 @@ class PDDiagram:
         if not 0 <= index < len(self.crossings):
             raise IndexError(f"crossing index {index} out of range")
         recs = self.records()
-        target = recs.pop(index)
+        t = recs.pop(index)
         # the oriented smoothing joins under-in with over-out and over-in
         # with under-out, for either sign
-        uf = _UnionFind(range(1, 2 * len(self.crossings) + 1))
-        uf.union(target.u_in, target.o_out)
-        uf.union(target.o_in, target.u_out)
-        return _rebuild_from_records(recs, uf, self.free_loops)
+        return _rebuild(recs, self.free_loops,
+                        ((t.u_in, t.o_out), (t.o_in, t.u_out)))
 
     def mirror(self) -> "PDDiagram":
         """Switch every crossing (the mirror-image diagram)."""
@@ -239,12 +237,8 @@ class PDDiagram:
             else:
                 return d
             recs = d.records()
-            target = recs.pop(i)
-            uf = _UnionFind(range(1, 2 * len(d.crossings) + 1))
-            uf.union(target.u_in, target.o_in)
-            uf.union(target.u_in, target.u_out)
-            uf.union(target.u_in, target.o_out)
-            d = _rebuild_from_records(recs, uf, d.free_loops)
+            t = recs.pop(i)
+            d = _rebuild(recs, d.free_loops, ((t.u_in, t.o_in, t.u_out, t.o_out),))
 
     def insert_full_twists(self, site: tuple[int, int], n: int) -> "PDDiagram":
         """Insert n full twists of the two strands carrying the given edges.
@@ -289,8 +283,7 @@ class PDDiagram:
             else:
                 recs.append(_Rec(xs[j], ys[k - 1 - j], xs[j + 1], ys[k - j],
                                  twist_sign))
-        uf = _UnionFind(range(1, n_edges + 2 * k + 1))
-        return _rebuild_from_records(recs, uf, self.free_loops)
+        return _rebuild(recs, self.free_loops)
 
     # -- rendering ----------------------------------------------------------
 
@@ -313,34 +306,26 @@ class PDDiagram:
         return f"PDDiagram({self.render()!r})"
 
 
-class _UnionFind:
-    def __init__(self, ids: Iterable[int]):
-        self.parent = {i: i for i in ids}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller id as representative for determinism
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _rebuild_from_records(recs: list[_Rec], uf: _UnionFind, free_loops: int) -> PDDiagram:
+def _rebuild(recs: list[_Rec], free_loops: int,
+             glue: Iterable[tuple[int, ...]] = ()) -> PDDiagram:
     """Relabel an abstract crossing list into a valid PDDiagram.
 
-    Edge ids are first collapsed through the union-find (gluing), strands
-    are then traced to assign fresh consecutive labels per component.
-    Glued classes that touch no crossing become free loops.
+    Each group in ``glue`` is a tuple of edge ids that become one edge;
+    groups that share an id merge, and a glued class is named by its
+    smallest id.  A glued class that touches no crossing becomes a free
+    loop.  Strands are then traced to assign fresh consecutive labels per
+    component.
     """
-    mapped = [_Rec(uf.find(r.u_in), uf.find(r.o_in), uf.find(r.u_out), uf.find(r.o_out), r.sign)
+    classes: list[set[int]] = []
+    for group in glue:
+        merged = set(group)
+        for c in [c for c in classes if c & merged]:
+            merged |= c
+            classes.remove(c)
+        classes.append(merged)
+    name = {e: min(c) for c in classes for e in c}
+    mapped = [_Rec(name.get(r.u_in, r.u_in), name.get(r.o_in, r.o_in),
+                   name.get(r.u_out, r.u_out), name.get(r.o_out, r.o_out), r.sign)
               for r in recs]
     # strand_next[e] is the edge a strand leaves by after entering on e
     strand_next: dict[int, int] = {}
@@ -350,8 +335,7 @@ def _rebuild_from_records(recs: list[_Rec], uf: _UnionFind, free_loops: int) -> 
                 raise PDError(f"internal rebuild error: edge id {e_in} consumed twice")
             strand_next[e_in] = e_out
     used = strand_next.keys() | strand_next.values()
-    all_reps = {uf.find(i) for i in uf.parent}
-    free_loops += len(all_reps - used)
+    free_loops += len(set(name.values()) - used)
 
     label: dict[int, int] = {}
     nxt = 1
@@ -369,43 +353,6 @@ def _rebuild_from_records(recs: list[_Rec], uf: _UnionFind, free_loops: int) -> 
         relabeled = _Rec(label[r.u_in], label[r.o_in], label[r.u_out], label[r.o_out], r.sign)
         tuples.append(relabeled.tuple4())
     return PDDiagram(tuples, free_loops)
-
-
-def cancel_adjacent_r2(d: PDDiagram) -> PDDiagram:
-    """Cancel immediately adjacent opposite-sign crossing pairs, to a fixpoint.
-
-    Detects pairs where one strand passes under the other at two consecutive
-    crossings with opposite signs (a Reidemeister-II bigon) and removes them.
-    """
-    while True:
-        recs = d.records()
-        hit = None
-        for i, ri in enumerate(recs):
-            for j, rj in enumerate(recs):
-                if i == j or ri.sign == rj.sign:
-                    continue
-                if ri.u_out != rj.u_in:
-                    continue
-                if ri.o_out == rj.o_in or rj.o_out == ri.o_in:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return d
-        i, j = hit
-        ri, rj = recs[i], recs[j]
-        keep = [r for k, r in enumerate(recs) if k not in (i, j)]
-        uf = _UnionFind(range(1, 2 * len(d.crossings) + 1))
-        uf.union(ri.u_in, ri.u_out)          # under strand: in, shared edge, out
-        uf.union(ri.u_in, rj.u_out)
-        if ri.o_out == rj.o_in:              # over strand runs the same way
-            uf.union(ri.o_in, ri.o_out)
-            uf.union(ri.o_in, rj.o_out)
-        else:                                # over strand runs the other way
-            uf.union(rj.o_in, rj.o_out)
-            uf.union(rj.o_in, ri.o_out)
-        d = _rebuild_from_records(keep, uf, d.free_loops)
 
 
 # -- text format ------------------------------------------------------------

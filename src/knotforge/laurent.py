@@ -38,8 +38,7 @@ def _as_doubled_exponent(e) -> int:
 class LaurentPoly:
     """A Laurent polynomial in one formal variable, with half-integer exponents.
 
-    Instances are immutable and hashable; all arithmetic returns new values,
-    so they can be shared freely between threads.
+    Instances are immutable and hashable; all arithmetic returns new values.
     """
 
     __slots__ = ("_terms",)

@@ -61,8 +61,8 @@ class CrossingBudgetExceeded(RuntimeError):
 class SkeinMemo:
     """Memo table keyed by PD code (see canonical_code), not by a relabelling.
 
-    Entries are never overwritten with different values; concurrent
-    last-writer-wins insertion is therefore benign.
+    ``put`` raises AssertionError when a key is stored again with a
+    different value.
     """
 
     def __init__(self):
@@ -122,11 +122,12 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo, unlink, combine):
     return val
 
 
-def _check_budget(d: PDDiagram, budget: int) -> None:
+def _walk(d: PDDiagram, budget: int, memo: SkeinMemo | None, unlink, combine):
     if d.n_crossings > budget:
         raise CrossingBudgetExceeded(
             f"diagram has {d.n_crossings} crossings, budget is {budget}"
         )
+    return _skein_eval(d, memo if memo is not None else SkeinMemo(), unlink, combine)
 
 
 def _conway_unlink(c: int) -> LaurentPoly:
@@ -163,17 +164,13 @@ def _pair_combine(sign: int, switched, smoothed) -> tuple[LaurentPoly, LaurentPo
 def conway(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
            memo: SkeinMemo | None = None) -> LaurentPoly:
     """Conway polynomial (variable z); split links give 0."""
-    _check_budget(d, budget)
-    memo = memo if memo is not None else SkeinMemo()
-    return _skein_eval(d, memo, _conway_unlink, _conway_combine)
+    return _walk(d, budget, memo, _conway_unlink, _conway_combine)
 
 
 def jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
           memo: SkeinMemo | None = None) -> LaurentPoly:
     """Jones polynomial (variable t^(1/2)); knots give integral exponents."""
-    _check_budget(d, budget)
-    memo = memo if memo is not None else SkeinMemo()
-    return _skein_eval(d, memo, _jones_unlink, _jones_combine)
+    return _walk(d, budget, memo, _jones_unlink, _jones_combine)
 
 
 def conway_jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
@@ -183,9 +180,7 @@ def conway_jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
     Both polynomials resolve the same crossings of the same diagrams, so
     the walk, its rebuilds and its memo keys are shared.
     """
-    _check_budget(d, budget)
-    memo = memo if memo is not None else SkeinMemo()
-    return _skein_eval(d, memo, _pair_unlink, _pair_combine)
+    return _walk(d, budget, memo, _pair_unlink, _pair_combine)
 
 
 def jones_bracket_oracle(d: PDDiagram, budget: int = BRACKET_ORACLE_BUDGET) -> LaurentPoly:

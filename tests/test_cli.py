@@ -29,6 +29,11 @@ class TestExitCodes:
         bad.write_text("X(1,2,3)")
         assert cli.main(["invariants", "--pd", str(bad)]) == 2
 
+    def test_input_error_on_empty_pd_file(self, tmp_path):
+        empty = tmp_path / "empty.pd"
+        empty.write_text("# no crossings, no loops\n")
+        assert cli.main(["invariants", "--pd", str(empty)]) == 2
+
     def test_input_error_on_missing_file(self):
         assert cli.main(["invariants", "--pd", "/nonexistent.pd"]) == 2
 

@@ -6,7 +6,7 @@ from knotforge.diagram import (
     FrontDiagram,
     PDDiagram,
     PDError,
-    cancel_adjacent_r2,
+    _rebuild,
     parse_pd,
     tb_from_front,
 )
@@ -15,6 +15,39 @@ from knotforge import skein
 from conftest import is_planar, random_planar_diagrams
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+
+
+def cancel_adjacent_r2(d: PDDiagram) -> PDDiagram:
+    """Cancel immediately adjacent opposite-sign crossing pairs, to a fixpoint.
+
+    Detects pairs where one strand passes under the other at two consecutive
+    crossings with opposite signs (a Reidemeister-II bigon) and removes them.
+    """
+    while True:
+        recs = d.records()
+        hit = None
+        for i, ri in enumerate(recs):
+            for j, rj in enumerate(recs):
+                if i == j or ri.sign == rj.sign:
+                    continue
+                if ri.u_out != rj.u_in:
+                    continue
+                if ri.o_out == rj.o_in or rj.o_out == ri.o_in:
+                    hit = (i, j)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return d
+        i, j = hit
+        ri, rj = recs[i], recs[j]
+        keep = [r for k, r in enumerate(recs) if k not in (i, j)]
+        under = (ri.u_in, ri.u_out, rj.u_out)       # in, shared edge, out
+        if ri.o_out == rj.o_in:                     # over strand runs the same way
+            over = (ri.o_in, ri.o_out, rj.o_out)
+        else:                                       # over strand runs the other way
+            over = (rj.o_in, rj.o_out, ri.o_out)
+        d = _rebuild(keep, d.free_loops, (under, over))
 
 
 def full_reduce(d: PDDiagram) -> PDDiagram:
@@ -44,6 +77,12 @@ class TestParse:
     def test_comments_and_whitespace(self):
         text = "# a trefoil\nX(1,4,2,5)  X(3,6,4,1) # mid\n X(5,2,6,3)\n"
         assert parse_pd(text) == parse_pd(TREFOIL)
+
+    @pytest.mark.parametrize("text", ["", "# nothing here\n   # nor here\n"])
+    def test_empty_text_rejected(self, text):
+        # no crossings and no loops: there is no diagram to give a value to
+        with pytest.raises(PDError, match="at least one crossing or free loop"):
+            parse_pd(text)
 
     def test_malformed_token_reports_position(self):
         with pytest.raises(PDError, match=r"line 1, token 2"):
@@ -197,6 +236,11 @@ class TestSmooth:
         assert skein.conway(smoothed) == LaurentPoly.monomial(1, 3)
         assert skein.jones(smoothed) == skein.jones(table.diagram("L7n2"))
 
+    def test_overlapping_glue_groups_merge(self):
+        # both smoothing groups (1, 2) and (2, 1) name the same two edges,
+        # which become one loop
+        assert PDDiagram([(1, 2, 1, 2)]).smooth_crossing(0) == PDDiagram((), 1)
+
     def test_component_count_changes_by_one(self):
         for d in random_planar_diagrams(seed=17, count=100, max_crossings=10):
             if not d.n_crossings:
@@ -237,6 +281,15 @@ class TestReduceR1:
             r = d.reduce_r1()
             assert skein.conway(r) == skein.conway(d)
             assert skein.jones(r) == skein.jones(d)
+
+
+class TestCancelR2:
+    def test_under_and_over_groups_sharing_an_edge(self):
+        # the first cancellation leaves X(4,3,5,4) X(5,3,6,2) X(1,1,2,6),
+        # whose bigon has under group (4, 5, 6) and over group (2, 3, 4):
+        # they share edge 4 and merge into one class, leaving one curl
+        d = parse_pd("X(6,2,7,1) X(5,10,6,1) X(7,4,8,5) X(8,4,9,3) X(2,10,3,9)")
+        assert cancel_adjacent_r2(d) == parse_pd("X(1,1,2,2)")
 
 
 class TestInsertFullTwists:
