@@ -361,11 +361,11 @@ def _rebuild(recs: list[_Rec], free_loops: int,
 def parse_pd(text: str) -> PDDiagram:
     """Parse the PD text format.
 
-    Whitespace-separated tokens ``X(a,b,c,d)``, an optional ``loops=k``
+    Whitespace-separated tokens ``X(a,b,c,d)``, at most one ``loops=k``
     header, and ``#`` comments running to end of line.
     """
     crossings = []
-    loops = 0
+    loops = None
     lines = text.splitlines() if text else []
     tokens: list[tuple[str, int, int]] = []
     for ln, line in enumerate(lines, start=1):
@@ -375,6 +375,8 @@ def parse_pd(text: str) -> PDDiagram:
     for tok, ln, tn in tokens:
         where = f"line {ln}, token {tn}"
         if tok.startswith("loops="):
+            if loops is not None:
+                raise PDError(f"{where}: second loop-count header {tok!r}")
             try:
                 loops = int(tok[len("loops="):])
             except ValueError:
@@ -390,7 +392,7 @@ def parse_pd(text: str) -> PDDiagram:
         except ValueError:
             raise PDError(f"{where}: non-integer label in {tok!r}") from None
     try:
-        return PDDiagram(crossings, loops)
+        return PDDiagram(crossings, loops or 0)
     except PDError as exc:
         raise PDError(f"invalid PD code: {exc}") from None
 

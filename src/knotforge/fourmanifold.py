@@ -1,6 +1,6 @@
 """Intersection-form arithmetic for fold-map existence and genus invariants.
 
-Covers: exact signature by rational congruence diagonalization, the
+Covers: exact signature by fraction-free integer elimination, the
 characteristic-vector test standing in for w2, the five fold-map existence
 conditions on a closed 4-manifold, total defects (d, h) of the boundary
 framing induced by a handlebody with singular surfaces inside, coset tests
@@ -8,7 +8,7 @@ against the lattice generated by (0,4) and (-1,2), the admissible values
 of sum(k_i^2) forced by a canonical boundary framing, and the sg^k genus
 invariant as an order statistic over a catalog of candidate maps.
 
-All arithmetic is exact (integers and Fractions); no floats anywhere.
+All arithmetic is exact and in the integers; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import inf
+from operator import mul
 
 __all__ = [
     "IntersectionForm",
@@ -106,33 +106,42 @@ def parse_block_form(text: str) -> IntersectionForm:
 
 
 def signature(f: IntersectionForm) -> int:
-    """Positive minus negative diagonal entries after exact congruence reduction."""
-    n = f.rank
-    a = [[Fraction(x) for x in row] for row in f.matrix]
+    """Positive minus negative pivots of fraction-free symmetric elimination.
+
+    Bareiss elimination over the integers: after step i the pivot a[i][i]
+    is the leading principal minor D_i, so the i-th diagonal entry of a
+    rational diagonalization, D_i / D_(i-1), has the sign of D_i * D_(i-1).
+    Only the upper triangle is kept, and every division is exact.  A zero
+    pivot is repaired by adding (or, if that cancels, subtracting) row and
+    column p > i for the first p with a[p][i] != 0.  That is a unimodular
+    congruence of the indices >= i, so D_0..D_(i-1) are unchanged and every
+    later entry is still a minor of an integer matrix congruent to the
+    form.  A row and column that are zero from i on contribute 0; they are
+    skipped, and D_(i-1) stays the divisor.
+    """
+    a = [list(row) for row in f.matrix]
+    n = len(a)
     sig = 0
+    prev = 1
     for i in range(n):
-        if a[i][i] == 0:
-            # find a row to repair the pivot: prefer a nonzero a[j][i]
-            pivot_row = next((j for j in range(i + 1, n) if a[j][i] != 0), None)
-            if pivot_row is None:
-                continue  # zero row/column from i on in this column: contributes 0
-            # adding (or, if that cancels, subtracting) the repair row keeps
-            # the form congruent and makes the pivot 2c +- d nonzero
-            eps = 1 if 2 * a[pivot_row][i] + a[pivot_row][pivot_row] != 0 else -1
-            for k in range(i, n):
-                a[i][k] += eps * a[pivot_row][k]
-            for k in range(i, n):
-                a[k][i] += eps * a[k][pivot_row]
-        pivot = a[i][i]
-        sig += 1 if pivot > 0 else -1
-        for j in range(i + 1, n):
-            factor = a[j][i] / pivot
-            if factor == 0:
+        ai = a[i]
+        if ai[i] == 0:
+            p = next((j for j in range(i + 1, n) if ai[j]), None)
+            if p is None:
                 continue
-            for k in range(i, n):
-                a[j][k] -= factor * a[i][k]
-            for k in range(i, n):
-                a[k][j] -= factor * a[k][i]
+            # row p from column i on, its lower part read from column p
+            row_p = [a[k][p] for k in range(i, p)] + a[p][p:]
+            c, d = ai[p], a[p][p]
+            eps = 1 if 2 * c + d else -1
+            ai[i:] = [x + eps * y for x, y in zip(ai[i:], row_p)]
+            ai[i] = 2 * eps * c + d
+        piv = ai[i]
+        sig += 1 if piv * prev > 0 else -1
+        for j in range(i + 1, n):
+            aj = a[j]
+            c = ai[j]
+            aj[j:] = [(piv * x - c * y) // prev for x, y in zip(aj[j:], ai[j:])]
+        prev = piv
     return sig
 
 
@@ -147,18 +156,15 @@ def _check_dims(cls, f: IntersectionForm):
 def self_intersection(cls, f: IntersectionForm) -> int:
     """cls^T Q cls."""
     cls = _check_dims(cls, f)
-    return sum(cls[i] * f.matrix[i][j] * cls[j]
-               for i in range(f.rank) for j in range(f.rank))
+    return sum(x * sum(map(mul, row, cls)) for x, row in zip(cls, f.matrix) if x)
 
 
 def is_characteristic(cls, f: IntersectionForm) -> bool:
     """x . v == v . v (mod 2) for every basis vector v."""
     cls = _check_dims(cls, f)
-    for i in range(f.rank):
-        pairing = sum(cls[j] * f.matrix[j][i] for j in range(f.rank))
-        if (pairing - f.matrix[i][i]) % 2 != 0:
-            return False
-    return True
+    # row i pairs cls with basis vector i, since the form is symmetric
+    return all((sum(map(mul, row, cls)) - row[i]) % 2 == 0
+               for i, row in enumerate(f.matrix))
 
 
 def build_sigma_class(n: int, m: int, j: int):

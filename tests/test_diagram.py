@@ -88,6 +88,10 @@ class TestParse:
         with pytest.raises(PDError, match=r"line 1, token 2"):
             parse_pd("X(1,4,2,5) Y(3,6,4,1)")
 
+    def test_second_loops_header_reports_position(self):
+        with pytest.raises(PDError, match=r"line 2, token 1: second loop-count header 'loops=1'"):
+            parse_pd("loops=3 X(1,1,2,2)\nloops=1")
+
     def test_wrong_arity_reports_position(self):
         with pytest.raises(PDError, match=r"4 labels, got 3"):
             parse_pd("X(1,2,3)")

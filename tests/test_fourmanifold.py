@@ -44,6 +44,35 @@ class TestParseBlockForm:
                 parse_block_form(bad)
 
 
+def scrambled_sigma_form(rng, n, m, j, steps):
+    """build_sigma_class(n, m, j) under ``steps`` random congruences E^T Q E.
+
+    Each E adds +-1 times basis vector a to basis vector b; the class moves
+    to E^-1 cls.  Congruence keeps the signature, cls . cls and
+    characteristicness, so the expected values are known by construction.
+    """
+    cls, form, k = build_sigma_class(n, m, j)
+    q = [list(row) for row in form.matrix]
+    x = list(cls)
+    r = len(q)
+    for _ in range(steps):
+        a, b = rng.sample(range(r), 2)
+        c = rng.choice((1, -1))
+        for row in q:
+            row[b] += c * row[a]
+        q[b] = [y + c * z for y, z in zip(q[b], q[a])]
+        x[a] -= c * x[b]
+    return IntersectionForm(q), tuple(x), 4 * k
+
+
+def sigma_block_counts(rng, rank):
+    """(n, m, j) with 3 + n + m + j = rank and 4 | sigma = m - n - j - 1."""
+    sigma = rng.choice([s for s in range(2 - rank, rank - 3) if s % 4 == 0])
+    m = (rank - 2 + sigma) // 2
+    n = rng.randint(0, rank - 3 - m)
+    return n, m, rank - 3 - m - n
+
+
 class TestSignature:
     def test_negative_definite_one(self):
         assert signature(parse_block_form("<-1>")) == -1
@@ -62,11 +91,28 @@ class TestSignature:
         with pytest.raises(ValueError):
             IntersectionForm(((0, 1), (2, 0)))
 
+    @pytest.mark.parametrize("matrix, sigma", [
+        ([[0, 1], [1, -2]], 0),             # zero pivot, repair with eps = -1
+        ([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 0),  # <1> + <0> + <-1>
+        ([[0] * 3] * 3, 0),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], -1),  # H + <-1>
+    ])
+    def test_pinned_branches(self, matrix, sigma):
+        assert signature(IntersectionForm(matrix)) == sigma
+
+    def test_scrambled_sigma_forms_up_to_rank_48(self):
+        rng = random.Random(48)
+        for rank in (4, 10, 22, 22, 30, 46, 48):
+            n, m, j = sigma_block_counts(rng, rank)
+            f, _, sigma = scrambled_sigma_form(rng, n, m, j, 4 * rank)
+            assert f.rank == rank
+            assert signature(f) == sigma
+
     def test_against_numpy_eigenvalue_signs(self):
         numpy = pytest.importorskip("numpy")
         rng = random.Random(2024)
         for _ in range(120):
-            n = rng.randrange(1, 9)
+            n = rng.randrange(1, 15)
             m = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
@@ -95,6 +141,19 @@ class TestCharacteristic:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             self_intersection((1, 0), parse_block_form("<-1>"))
+
+    def test_scrambled_sigma_classes(self):
+        # the class carried through the congruences stays characteristic,
+        # with self-intersection 3 sigma; moving one coordinate by 1 breaks
+        # characteristicness, since a unimodular form has no even column
+        rng = random.Random(22)
+        for rank in (6, 14, 22, 38):
+            n, m, j = sigma_block_counts(rng, rank)
+            f, cls, sigma = scrambled_sigma_form(rng, n, m, j, 4 * rank)
+            assert self_intersection(cls, f) == 3 * sigma
+            assert is_characteristic(cls, f)
+            flipped = (cls[0] + 1,) + cls[1:]
+            assert not is_characteristic(flipped, f)
 
 
 class TestBuildSigmaClass:
