@@ -191,9 +191,6 @@ class PDDiagram:
             raise IndexError(f"crossing index {index} out of range")
         return self._records[index].sign
 
-    def signs(self) -> tuple[int, ...]:
-        return tuple(r.sign for r in self._records)
-
     def writhe(self) -> int:
         return sum(r.sign for r in self._records)
 

@@ -10,8 +10,9 @@ invariant
 
     lambda2 = v2/2 + v3/3 + (5/3)*v2^2 - 60*c4
 
-of the homology sphere obtained by (-1)-surgery.  Everything is exact
-rational arithmetic; the distinguisher compares values with no tolerance.
+of the homology sphere obtained by (-1)-surgery.  The polynomial
+coefficients are integers and the moments and invariants exact rationals;
+the distinguisher compares values with no tolerance.
 """
 
 from __future__ import annotations
@@ -54,25 +55,18 @@ class SurgeryInvariants:
         }
 
 
-def _integer_coeff(p: LaurentPoly, exponent: int) -> int:
-    c = p.coeff(exponent)
-    if c.denominator != 1:
-        raise ValueError(f"coefficient of degree {exponent} is not an integer: {c}")
-    return c.numerator
-
-
 def c4(conway_poly: LaurentPoly) -> int:
     """The z^4 coefficient of a Conway polynomial; -n on the twist family."""
     if not conway_poly.is_integral:
         raise ValueError("Conway polynomial must have integral exponents")
-    return _integer_coeff(conway_poly, 4)
+    return conway_poly.coeff(4)
 
 
 def a2(conway_poly: LaurentPoly) -> int:
     """The z^2 coefficient of a Conway polynomial."""
     if not conway_poly.is_integral:
         raise ValueError("Conway polynomial must have integral exponents")
-    return _integer_coeff(conway_poly, 2)
+    return conway_poly.coeff(2)
 
 
 def v_i(jones_poly: LaurentPoly, i: int) -> Fraction:

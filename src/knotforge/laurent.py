@@ -1,26 +1,19 @@
 """Exact Laurent polynomials with half-integer exponents.
 
-All coefficients are arbitrary-precision rationals (`fractions.Fraction`);
-no floating point is used anywhere in this module.  Exponents are stored
-internally as *doubled* integers, so ``t**Fraction(1,2)`` has stored key 1
-and an ordinary ``t**3`` has stored key 6.  A polynomial is *integral*
-when every stored key is even.
+Coefficients are arbitrary-precision integers (`int`): Conway and Jones
+polynomials and the bracket oracle's sums live in Z[t^(1/2), t^(-1/2)], and
+the constructor rejects anything else.  `fractions.Fraction` appears only for
+half-integer exponents and for `moment`, whose value is rational; no floating
+point is used anywhere in this module.  Exponents are stored internally as
+*doubled* integers, so ``t**Fraction(1,2)`` has stored key 1 and an ordinary
+``t**3`` has stored key 6.  A polynomial is *integral* when every stored key
+is even.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
-
-Rat = Union[int, Fraction]
-
-
-def _as_fraction(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+from typing import Mapping
 
 
 def _as_doubled_exponent(e) -> int:
@@ -43,13 +36,14 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, doubled_terms: Mapping[int, Rat] | None = None):
+    def __init__(self, doubled_terms: Mapping[int, int] | None = None):
         terms = {}
         if doubled_terms:
             for k, c in doubled_terms.items():
                 if not isinstance(k, int):
                     raise TypeError("doubled exponent keys must be int")
-                c = _as_fraction(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficients must be int, got {type(c).__name__}")
                 if c:
                     terms[k] = c
         self._terms = terms
@@ -65,23 +59,23 @@ class LaurentPoly:
         return cls.monomial(1, 0)
 
     @classmethod
-    def monomial(cls, coeff: Rat, exponent) -> "LaurentPoly":
+    def monomial(cls, coeff: int, exponent) -> "LaurentPoly":
         """``coeff * t**exponent`` where exponent is an int or half-integer Fraction."""
         return cls({_as_doubled_exponent(exponent): coeff})
 
     @classmethod
-    def from_exponents(cls, terms: Mapping[Rat, Rat]) -> "LaurentPoly":
+    def from_exponents(cls, terms: Mapping[int | Fraction, int]) -> "LaurentPoly":
         """Build from a map exponent -> coefficient (exponents half-integers)."""
         return cls({_as_doubled_exponent(e): c for e, c in terms.items()})
 
     # -- inspection --------------------------------------------------------
 
-    def doubled_terms(self) -> dict[int, Fraction]:
+    def doubled_terms(self) -> dict[int, int]:
         return dict(self._terms)
 
-    def coeff(self, exponent) -> Fraction:
+    def coeff(self, exponent) -> int:
         """Coefficient of ``t**exponent`` (zero when absent)."""
-        return self._terms.get(_as_doubled_exponent(exponent), Fraction(0))
+        return self._terms.get(_as_doubled_exponent(exponent), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -99,7 +93,7 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self._terms)
         for k, c in other._terms.items():
-            s = terms.get(k, Fraction(0)) + c
+            s = terms.get(k, 0) + c
             if s:
                 terms[k] = s
             else:
@@ -117,20 +111,19 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+        if isinstance(other, int):
+            if not other:
                 return LaurentPoly()
             out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {k: v * c for k, v in self._terms.items()}
+            out._terms = {k: v * other for k, v in self._terms.items()}
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 k = ka + kb
-                s = terms.get(k, Fraction(0)) + ca * cb
+                s = terms.get(k, 0) + ca * cb
                 if s:
                     terms[k] = s
                 else:
@@ -153,12 +146,6 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def reciprocal_variable(self) -> "LaurentPoly":
-        """Substitute t -> 1/t (negate every exponent)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {-k: c for k, c in self._terms.items()}
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -176,10 +163,7 @@ class LaurentPoly:
         """
         if i < 0:
             raise ValueError("moment order must be non-negative")
-        total = Fraction(0)
-        for k, c in self._terms.items():
-            total += c * Fraction(k, 2) ** i
-        return total
+        return Fraction(sum(c * k ** i for k, c in self._terms.items()), 2 ** i)
 
     # -- rendering ---------------------------------------------------------
 

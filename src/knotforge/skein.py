@@ -15,12 +15,11 @@ as given, not under a canonical relabelling (see canonical_code).
 
 conway_jones walks the tree once and combines (nabla, V) pairs; it is the
 call to make when both polynomials of one diagram are needed.  A memo
-serves one kind of value: conway, jones or conway_jones.
+serves one kind of value: conway, jones or conway_jones; reusing it for
+another kind raises ValueError.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .diagram import PDDiagram
 from .laurent import LaurentPoly
@@ -44,14 +43,12 @@ BRACKET_ORACLE_BUDGET = 20
 # oracle to reproduce the skein engine's Jones value on the 5_2 table code.
 _A_TO_T_QUARTERS = -1
 
-_Z = LaurentPoly.monomial(1, 1)
-_T = LaurentPoly.monomial(1, 1)
+_Z = LaurentPoly.monomial(1, 1)          # z in the Conway walk, t in the Jones walk
 _T_INV = LaurentPoly.monomial(1, -1)
 _T2 = LaurentPoly.monomial(1, 2)
 _T2_INV = LaurentPoly.monomial(1, -2)
-_HALF = Fraction(1, 2)
-_DELTA = LaurentPoly.from_exponents({_HALF: 1, -_HALF: -1})   # t^(1/2) - t^(-1/2)
-_LOOP = LaurentPoly.from_exponents({_HALF: 1, -_HALF: 1})     # t^(1/2) + t^(-1/2)
+_DELTA = LaurentPoly({1: 1, -1: -1})     # t^(1/2) - t^(-1/2), doubled keys
+_LOOP = LaurentPoly({1: 1, -1: 1})       # t^(1/2) + t^(-1/2)
 
 
 class CrossingBudgetExceeded(RuntimeError):
@@ -62,11 +59,14 @@ class SkeinMemo:
     """Memo table keyed by PD code (see canonical_code), not by a relabelling.
 
     ``put`` raises AssertionError when a key is stored again with a
-    different value.
+    different value.  ``kind`` is the walk that first used the memo
+    ("conway", "jones" or "conway_jones"); a walk of another kind raises
+    ValueError instead of reading values it did not store.
     """
 
     def __init__(self):
         self.table: dict = {}
+        self.kind: str | None = None
         self.hits = 0
         self.misses = 0
 
@@ -122,12 +122,18 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo, unlink, combine):
     return val
 
 
-def _walk(d: PDDiagram, budget: int, memo: SkeinMemo | None, unlink, combine):
+def _walk(d: PDDiagram, budget: int, memo: SkeinMemo | None, kind: str, unlink, combine):
     if d.n_crossings > budget:
         raise CrossingBudgetExceeded(
             f"diagram has {d.n_crossings} crossings, budget is {budget}"
         )
-    return _skein_eval(d, memo if memo is not None else SkeinMemo(), unlink, combine)
+    if memo is None:
+        memo = SkeinMemo()
+    if memo.kind is None:
+        memo.kind = kind
+    elif memo.kind != kind:
+        raise ValueError(f"memo holds {memo.kind} values; {kind} needs its own memo")
+    return _skein_eval(d, memo, unlink, combine)
 
 
 def _conway_unlink(c: int) -> LaurentPoly:
@@ -149,7 +155,7 @@ def _jones_combine(sign: int, switched: LaurentPoly, smoothed: LaurentPoly) -> L
     # V(K+) = t^-2 V(K-) + t^-1 (t^(1/2)-t^(-1/2)) V(K0), and conversely
     if sign > 0:
         return _T2_INV * switched + _T_INV * _DELTA * smoothed
-    return _T2 * switched - _T * _DELTA * smoothed
+    return _T2 * switched - _Z * _DELTA * smoothed
 
 
 def _pair_unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -164,13 +170,13 @@ def _pair_combine(sign: int, switched, smoothed) -> tuple[LaurentPoly, LaurentPo
 def conway(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
            memo: SkeinMemo | None = None) -> LaurentPoly:
     """Conway polynomial (variable z); split links give 0."""
-    return _walk(d, budget, memo, _conway_unlink, _conway_combine)
+    return _walk(d, budget, memo, "conway", _conway_unlink, _conway_combine)
 
 
 def jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
           memo: SkeinMemo | None = None) -> LaurentPoly:
     """Jones polynomial (variable t^(1/2)); knots give integral exponents."""
-    return _walk(d, budget, memo, _jones_unlink, _jones_combine)
+    return _walk(d, budget, memo, "jones", _jones_unlink, _jones_combine)
 
 
 def conway_jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
@@ -180,7 +186,7 @@ def conway_jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
     Both polynomials resolve the same crossings of the same diagrams, so
     the walk, its rebuilds and its memo keys are shared.
     """
-    return _walk(d, budget, memo, _pair_unlink, _pair_combine)
+    return _walk(d, budget, memo, "conway_jones", _pair_unlink, _pair_combine)
 
 
 def jones_bracket_oracle(d: PDDiagram, budget: int = BRACKET_ORACLE_BUDGET) -> LaurentPoly:
@@ -249,12 +255,12 @@ def jones_bracket_oracle(d: PDDiagram, budget: int = BRACKET_ORACLE_BUDGET) -> L
             terms[e + 3 * w] = norm_sign * cf
 
     # substitute A -> t^(quarters/4); doubled-exponent keys need e*quarters/2
-    doubled: dict[int, Fraction] = {}
+    doubled: dict[int, int] = {}
     for e, cf in terms.items():
         q = e * _A_TO_T_QUARTERS
         if q % 2 != 0:
             raise AssertionError("bracket produced a non-half-integer t exponent")
-        doubled[q // 2] = doubled.get(q // 2, Fraction(0)) + cf
+        doubled[q // 2] = doubled.get(q // 2, 0) + cf
 
     value = LaurentPoly(doubled)
     if d.component_count() % 2 == 0:

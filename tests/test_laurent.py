@@ -68,6 +68,30 @@ class TestCoeff:
         assert V_J0.coeff(F(-3, 2)) == -1
 
 
+class TestIntegerCoefficients:
+    """Coefficients live in Z; rationals and floats are refused at the door."""
+
+    @pytest.mark.parametrize("c", [F(1, 2), F(2), 0.5, 1.0, "1"])
+    def test_constructor_rejects_non_int(self, c):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: c})
+
+    def test_coeff_returns_int(self):
+        assert type(V_J0.coeff(F(-3, 2))) is int
+        assert type(V_J0.coeff(7)) is int
+
+    @pytest.mark.parametrize("c", [F(1, 2), F(3), 0.5])
+    def test_scalar_multiple_takes_only_int(self, c):
+        with pytest.raises(TypeError):
+            V_L0 * c
+        with pytest.raises(TypeError):
+            c * V_L0
+
+    def test_int_scalar_multiple(self):
+        assert 3 * V_L0 == V_L0 + V_L0 + V_L0 == V_L0 * 3
+        assert (V_L0 * 0).is_zero
+
+
 class TestMoment:
     def test_tilde_v_moments(self):
         assert tuple(TILDE_V.moment(i) for i in range(4)) == (0, 2, -4, -28)
@@ -88,8 +112,8 @@ class TestMoment:
 
 # -- randomized ring laws and cross-path agreement ---------------------------
 
-coeffs = st.integers(-9, 9).map(Fraction) | st.fractions(
-    min_value=-5, max_value=5, max_denominator=6)
+# small coefficients make cancellations likely; huge ones exercise bignums
+coeffs = st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
 polys = st.dictionaries(st.integers(-8, 8), coeffs, max_size=6).map(LaurentPoly)
 
 
@@ -128,14 +152,14 @@ def test_moment_agrees_with_series_derivative(p, i):
 def test_no_floats_anywhere(p):
     for k, c in p.doubled_terms().items():
         assert isinstance(k, int)
-        assert isinstance(c, Fraction)
+        assert type(c) is int
         assert c != 0
 
 
 def test_equality_and_hash_by_terms():
-    a = LaurentPoly.from_exponents({1: 2, -3: F(1, 2)})
+    a = LaurentPoly.from_exponents({1: 2, F(-3, 2): -7})
     b = (LaurentPoly.from_exponents({1: 2})
-         + LaurentPoly.from_exponents({-3: F(1, 2)}))
+         + LaurentPoly.from_exponents({F(-3, 2): -7}))
     assert a == b and hash(a) == hash(b)
     assert a != a + LaurentPoly.one()
 
@@ -146,11 +170,6 @@ def test_render_deterministic_descending():
     assert V_J0.render() == ("2*t^(-1/2) - t^(-3/2) + 2*t^(-5/2) - t^(-7/2) "
                              "+ t^(-9/2) - t^(-11/2)")
     assert LaurentPoly.zero().render() == "0"
-
-
-def test_reciprocal_variable_is_involution():
-    assert V_L0.reciprocal_variable().reciprocal_variable() == V_L0
-    assert V_L0.reciprocal_variable().coeff(1) == V_L0.coeff(-1)
 
 
 def test_power_square_and_multiply():

@@ -155,6 +155,26 @@ class TestConwayJones:
         assert conway_jones(d, memo=memo) == conway_jones(d)
 
 
+class TestIntegerCoefficients:
+    """Every polynomial the engine and the oracle return lies over Z."""
+
+    @staticmethod
+    def _int_coeffs(p):
+        return all(type(c) is int for c in p.doubled_terms().values())
+
+    def test_table_and_twist_family(self, table):
+        diagrams = [table.diagram(name) for name in table.names()]
+        base = table.diagram("11n63")
+        diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
+        for d in diagrams:
+            nabla, v = conway_jones(d)
+            assert self._int_coeffs(nabla) and self._int_coeffs(v), d.render()
+            assert self._int_coeffs(conway(d)) and self._int_coeffs(jones(d))
+            # the 2^N state sum runs on the table entries, L_2 among them
+            if d.n_crossings <= 13:
+                assert self._int_coeffs(jones_bracket_oracle(d)), d.render()
+
+
 class TestOracle:
     def test_unknot(self):
         assert jones_bracket_oracle(parse_pd("loops=1")) == ONE
@@ -208,6 +228,18 @@ class TestBudgetAndMemo:
         assert memo.hits > 0
         assert memo.misses == misses_first  # second run fully cached
 
+    def test_memo_refuses_another_kind(self, table):
+        d = table.diagram("9_45")
+        memo = SkeinMemo()
+        conway(d, memo=memo)
+        with pytest.raises(ValueError, match="conway"):
+            jones(d, memo=memo)
+        assert conway(d, memo=memo) == conway(d)     # the first kind still works
+        memo = SkeinMemo()
+        jones(d, memo=memo)
+        with pytest.raises(ValueError, match="jones"):
+            conway_jones(d, memo=memo)
+
     def test_memo_rejects_value_collision(self):
         memo = SkeinMemo()
         memo.put("k", ONE)
@@ -226,8 +258,13 @@ class TestBudgetAndMemo:
             # of c - 1, so it flips sign exactly when c is even
             flips = d.component_count() % 2 == 0
             assert m.writhe() == -d.writhe(), d.render()
-            assert m_v == v.reciprocal_variable(), d.render()
+            assert m_v == _reciprocal_variable(v), d.render()
             assert m_nabla == (-nabla if flips else nabla), d.render()
+
+
+def _reciprocal_variable(p):
+    """p(1/t): every exponent negated."""
+    return LaurentPoly({-k: c for k, c in p.doubled_terms().items()})
 
 
 def _first_violation_by_walk(d):
