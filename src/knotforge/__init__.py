@@ -10,7 +10,6 @@ from .diagram import (
 )
 from .skein import (
     CrossingBudgetExceeded,
-    SkeinMemo,
     conway,
     jones,
     jones_bracket_oracle,

@@ -102,10 +102,12 @@ class PDDiagram:
         for i, x in enumerate(crossings):
             if len(x) != 4:
                 raise PDError(f"crossing {i}: expected 4 edge labels, got {len(x)}")
+        if type(free_loops) is not int:
+            raise PDError(f"free_loops must be an integer, got {free_loops!r}")
         if free_loops < 0:
             raise PDError("free_loops must be non-negative")
         self.crossings = crossings
-        self.free_loops = int(free_loops)
+        self.free_loops = free_loops
         if not crossings and not self.free_loops:
             raise PDError("a diagram needs at least one crossing or free loop")
         self._runs = tuple(_infer_runs(crossings))

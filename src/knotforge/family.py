@@ -20,7 +20,7 @@ from importlib import resources
 from .diagram import PDDiagram, parse_pd
 from .laurent import LaurentPoly
 from . import skein
-from .skein import _DELTA, _T_INV
+from .skein import _T_INV_DELTA
 from .invariants import ohtsuki_lambda2
 
 __all__ = [
@@ -147,7 +147,7 @@ def _anchored(value_of, d: PDDiagram, matches):
 def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
     """Vt computed from the L7n2 diagram; asserts the published 7-term value."""
     table = table if table is not None else load_table()
-    computed, _ = _anchored(lambda d: _T_INV * _DELTA * skein.jones(d),
+    computed, _ = _anchored(lambda d: _T_INV_DELTA * skein.jones(d),
                             table.diagram("L7n2"), lambda vt: vt == TILDE_V)
     if computed != TILDE_V:
         raise AssertionError(

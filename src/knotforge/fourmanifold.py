@@ -42,6 +42,13 @@ __all__ = [
 ]
 
 
+def _require_int(x, what: str) -> int:
+    """x itself when it is an int; bools, floats and the like are refused."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 # -- intersection forms ------------------------------------------------------
 
 class IntersectionForm:
@@ -50,7 +57,8 @@ class IntersectionForm:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(tuple(_require_int(x, "form entry") for x in row)
+                     for row in matrix)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -146,7 +154,7 @@ def signature(f: IntersectionForm) -> int:
 
 
 def _check_dims(cls, f: IntersectionForm):
-    cls = tuple(int(x) for x in cls)
+    cls = tuple(_require_int(x, "class coordinate") for x in cls)
     if len(cls) != f.rank:
         raise ValueError(
             f"class has {len(cls)} coordinates, form has rank {f.rank}")
@@ -213,9 +221,11 @@ class ManifoldData:
     mu_coset: int | None = None
 
     def __post_init__(self):
+        _require_int(self.euler, "euler")
         if self.boundary_kind not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {self.boundary_kind!r}")
-        if self.mu_coset not in (None, 0, 2):
+        if (self.mu_coset is not None
+                and _require_int(self.mu_coset, "mu_coset") not in (0, 2)):
             raise ValueError("mu_coset must be 0, 2, or absent")
 
 
@@ -228,11 +238,14 @@ class SurfaceComponent:
     k_multiple: int | None = None
 
     def __post_init__(self):
-        if self.genus < 0:
+        if _require_int(self.genus, "genus") < 0:
             raise ValueError("genus must be non-negative")
         if self.kind not in ("definite", "indefinite"):
             raise ValueError(f"unknown singularity kind {self.kind!r}")
-        object.__setattr__(self, "cls", tuple(int(x) for x in self.cls))
+        if self.k_multiple is not None:
+            _require_int(self.k_multiple, "k_multiple")
+        object.__setattr__(self, "cls", tuple(
+            _require_int(x, "class coordinate") for x in self.cls))
 
     def euler_char(self) -> int:
         return 2 - 2 * self.genus if self.orientable else 2 - self.genus
@@ -285,7 +298,8 @@ class MapCatalog:
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
         object.__setattr__(self, "admissible_classes",
-                           frozenset(tuple(int(x) for x in c)
+                           frozenset(tuple(_require_int(x, "class coordinate")
+                                           for x in c)
                                      for c in self.admissible_classes))
         object.__setattr__(self, "allowed_singularities",
                            frozenset(self.allowed_singularities))

@@ -3,7 +3,7 @@
 From the Conway polynomial we take a2 and c4 (the z^2 and z^4
 coefficients); from the Jones polynomial the moments
 
-    v_i(K) = d^i/dh^i V(K, e^h) |_{h=0}.
+    v_i(K) = d^i/dh^i V(K, e^h) |_{h=0} = V.moment(i).
 
 These feed the Casson invariant lambda1 = -a2 and the second Ohtsuki
 invariant
@@ -27,7 +27,6 @@ from . import skein
 __all__ = [
     "SurgeryInvariants",
     "c4",
-    "v_i",
     "casson_minus_one_surgery",
     "ohtsuki_lambda2",
     "surgery_invariants",
@@ -69,13 +68,6 @@ def a2(conway_poly: LaurentPoly) -> int:
     return conway_poly.coeff(2)
 
 
-def v_i(jones_poly: LaurentPoly, i: int) -> Fraction:
-    """The i-th derivative of V(e^h) at h = 0, i.e. the i-th exponent moment."""
-    if i < 0:
-        raise ValueError("derivative order must be non-negative")
-    return jones_poly.moment(i)
-
-
 def casson_minus_one_surgery(a2_value) -> Fraction:
     """Casson invariant of (-1)-surgery on a knot with given a2."""
     return Fraction(-a2_value)
@@ -94,8 +86,8 @@ def _invariants_from(nabla: LaurentPoly, vee: LaurentPoly) -> SurgeryInvariants:
         raise AssertionError("Jones polynomial of a knot must have integer exponents")
     a2_val = a2(nabla)
     c4_val = c4(nabla)
-    v2 = v_i(vee, 2)
-    v3 = v_i(vee, 3)
+    v2 = vee.moment(2)
+    v3 = vee.moment(3)
     if v2 != -6 * a2_val:
         raise AssertionError(
             f"v2 = {v2} violates the classical identity v2 = -6*a2 = {-6 * a2_val}")
@@ -109,24 +101,22 @@ def _invariants_from(nabla: LaurentPoly, vee: LaurentPoly) -> SurgeryInvariants:
     )
 
 
-def surgery_invariants(d: PDDiagram,
-                       budget: int = skein.DEFAULT_CROSSING_BUDGET) -> SurgeryInvariants:
+def surgery_invariants(d: PDDiagram) -> SurgeryInvariants:
     """Full invariant record of (-1)-surgery on the knot d."""
     if d.component_count() != 1:
         raise ValueError("surgery invariants are defined for knots only")
-    return _invariants_from(*skein.conway_jones(d, budget=budget))
+    return _invariants_from(*skein.conway_jones(d))
 
 
-def distinguish(d1: PDDiagram, d2: PDDiagram,
-                budget: int = skein.DEFAULT_CROSSING_BUDGET) -> dict:
+def distinguish(d1: PDDiagram, d2: PDDiagram) -> dict:
     """Compare the (-1)-surgery invariants of two knots.
 
     Verdict is "distinguished" when lambda1 or lambda2 differ (the surgered
     manifolds are then not homeomorphic) and "inconclusive" otherwise —
     equality of these invariants proves nothing.
     """
-    inv1 = surgery_invariants(d1, budget=budget)
-    inv2 = surgery_invariants(d2, budget=budget)
+    inv1 = surgery_invariants(d1)
+    inv2 = surgery_invariants(d2)
     distinguished = inv1.lambda1 != inv2.lambda1 or inv1.lambda2 != inv2.lambda2
     return {
         "first": inv1.as_dict(),

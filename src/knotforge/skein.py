@@ -13,20 +13,20 @@ smoothing drops a crossing, so the recursion terminates with depth bounded
 by the crossing count.  Resolved diagrams are memoised under their PD code
 as given, not under a canonical relabelling (see canonical_code).
 
-conway_jones walks the tree once and combines (nabla, V) pairs; it is the
-call to make when both polynomials of one diagram are needed.  A memo
-serves one kind of value: conway, jones or conway_jones; reusing it for
-another kind raises ValueError.
+There is one walk: it resolves each crossing once and combines (nabla, V)
+pairs.  conway_jones returns the pair; conway and jones project it.  Each
+call starts from a fresh memo.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .diagram import PDDiagram
 from .laurent import LaurentPoly
 
 __all__ = [
     "CrossingBudgetExceeded",
-    "SkeinMemo",
     "conway",
     "jones",
     "conway_jones",
@@ -43,30 +43,28 @@ BRACKET_ORACLE_BUDGET = 20
 # oracle to reproduce the skein engine's Jones value on the 5_2 table code.
 _A_TO_T_QUARTERS = -1
 
-_Z = LaurentPoly.monomial(1, 1)          # z in the Conway walk, t in the Jones walk
-_T_INV = LaurentPoly.monomial(1, -1)
+_Z = LaurentPoly.monomial(1, 1)          # z in the Conway relation, t in the Jones one
 _T2 = LaurentPoly.monomial(1, 2)
 _T2_INV = LaurentPoly.monomial(1, -2)
 _DELTA = LaurentPoly({1: 1, -1: -1})     # t^(1/2) - t^(-1/2), doubled keys
+_T_INV_DELTA = LaurentPoly.monomial(1, -1) * _DELTA
+_T_DELTA = _Z * _DELTA
 _LOOP = LaurentPoly({1: 1, -1: 1})       # t^(1/2) + t^(-1/2)
 
 
 class CrossingBudgetExceeded(RuntimeError):
-    """The diagram exceeds the configured crossing budget."""
+    """The diagram has more crossings than the computation's budget."""
 
 
 class SkeinMemo:
     """Memo table keyed by PD code (see canonical_code), not by a relabelling.
 
-    ``put`` raises AssertionError when a key is stored again with a
-    different value.  ``kind`` is the walk that first used the memo
-    ("conway", "jones" or "conway_jones"); a walk of another kind raises
-    ValueError instead of reading values it did not store.
+    Values are (nabla, V) pairs.  ``put`` raises AssertionError when a key
+    is stored again with a different value.
     """
 
     def __init__(self):
         self.table: dict = {}
-        self.kind: str | None = None
         self.hits = 0
         self.misses = 0
 
@@ -103,93 +101,60 @@ def _first_violation(d: PDDiagram):
     return min(found)[1] if found else None
 
 
-def _skein_eval(d: PDDiagram, memo: SkeinMemo, unlink, combine):
+def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(nabla, V) of the c-component unlink."""
+    return (LaurentPoly.one() if c == 1 else LaurentPoly.zero(),
+            _LOOP ** max(c - 1, 0))
+
+
+def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
     d = d.reduce_r1()
     if d.n_crossings == 0:
-        return unlink(d.component_count())
+        return _unlink(d.component_count())
     key = canonical_code(d)
     cached = memo.get(key)
     if cached is not None:
         return cached
     i = _first_violation(d)
     if i is None:
-        val = unlink(d.component_count())
+        val = _unlink(d.component_count())
     else:
-        switched = _skein_eval(d.switch_crossing(i), memo, unlink, combine)
-        smoothed = _skein_eval(d.smooth_crossing(i), memo, unlink, combine)
-        val = combine(d.crossing_sign(i), switched, smoothed)
+        nabla_sw, v_sw = _skein_eval(d.switch_crossing(i), memo)
+        nabla_0, v_0 = _skein_eval(d.smooth_crossing(i), memo)
+        # nabla(K+) = nabla(K-) - z nabla(K0) and
+        # V(K+) = t^-2 V(K-) + t^-1 (t^(1/2) - t^(-1/2)) V(K0); conversely for K-
+        if d.crossing_sign(i) > 0:
+            val = (nabla_sw - _Z * nabla_0, _T2_INV * v_sw + _T_INV_DELTA * v_0)
+        else:
+            val = (nabla_sw + _Z * nabla_0, _T2 * v_sw - _T_DELTA * v_0)
     memo.put(key, val)
     return val
 
 
-def _walk(d: PDDiagram, budget: int, memo: SkeinMemo | None, kind: str, unlink, combine):
-    if d.n_crossings > budget:
-        raise CrossingBudgetExceeded(
-            f"diagram has {d.n_crossings} crossings, budget is {budget}"
-        )
-    if memo is None:
-        memo = SkeinMemo()
-    if memo.kind is None:
-        memo.kind = kind
-    elif memo.kind != kind:
-        raise ValueError(f"memo holds {memo.kind} values; {kind} needs its own memo")
-    return _skein_eval(d, memo, unlink, combine)
+def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
+    """(nabla, V) of d from one skein walk with a fresh memo.
 
-
-def _conway_unlink(c: int) -> LaurentPoly:
-    return LaurentPoly.one() if c == 1 else LaurentPoly.zero()
-
-
-def _conway_combine(sign: int, switched: LaurentPoly, smoothed: LaurentPoly) -> LaurentPoly:
-    # nabla(K+) = nabla(K-) - z*nabla(K0) and the reverse for K-
-    if sign > 0:
-        return switched - _Z * smoothed
-    return switched + _Z * smoothed
-
-
-def _jones_unlink(c: int) -> LaurentPoly:
-    return _LOOP ** max(c - 1, 0)
-
-
-def _jones_combine(sign: int, switched: LaurentPoly, smoothed: LaurentPoly) -> LaurentPoly:
-    # V(K+) = t^-2 V(K-) + t^-1 (t^(1/2)-t^(-1/2)) V(K0), and conversely
-    if sign > 0:
-        return _T2_INV * switched + _T_INV * _DELTA * smoothed
-    return _T2 * switched - _Z * _DELTA * smoothed
-
-
-def _pair_unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
-    return _conway_unlink(c), _jones_unlink(c)
-
-
-def _pair_combine(sign: int, switched, smoothed) -> tuple[LaurentPoly, LaurentPoly]:
-    return (_conway_combine(sign, switched[0], smoothed[0]),
-            _jones_combine(sign, switched[1], smoothed[1]))
-
-
-def conway(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
-           memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Conway polynomial (variable z); split links give 0."""
-    return _walk(d, budget, memo, "conway", _conway_unlink, _conway_combine)
-
-
-def jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
-          memo: SkeinMemo | None = None) -> LaurentPoly:
-    """Jones polynomial (variable t^(1/2)); knots give integral exponents."""
-    return _walk(d, budget, memo, "jones", _jones_unlink, _jones_combine)
-
-
-def conway_jones(d: PDDiagram, budget: int = DEFAULT_CROSSING_BUDGET,
-                 memo: SkeinMemo | None = None) -> tuple[LaurentPoly, LaurentPoly]:
-    """(conway(d), jones(d)) from one skein walk; the memo stores the pairs.
-
-    Both polynomials resolve the same crossings of the same diagrams, so
-    the walk, its rebuilds and its memo keys are shared.
+    Raises CrossingBudgetExceeded above DEFAULT_CROSSING_BUDGET crossings.
     """
-    return _walk(d, budget, memo, "conway_jones", _pair_unlink, _pair_combine)
+    if d.n_crossings > DEFAULT_CROSSING_BUDGET:
+        raise CrossingBudgetExceeded(
+            f"diagram has {d.n_crossings} crossings, "
+            f"budget is {DEFAULT_CROSSING_BUDGET}"
+        )
+    return _skein_eval(d, SkeinMemo())
 
 
-def jones_bracket_oracle(d: PDDiagram, budget: int = BRACKET_ORACLE_BUDGET) -> LaurentPoly:
+def conway(d: PDDiagram) -> LaurentPoly:
+    """Conway polynomial (variable z); split links give 0."""
+    return conway_jones(d)[0]
+
+
+def jones(d: PDDiagram) -> LaurentPoly:
+    """Jones polynomial (variable t^(1/2)); knots give integral exponents."""
+    return conway_jones(d)[1]
+
+
+def jones_bracket_oracle(d: PDDiagram) -> LaurentPoly:
     """Jones polynomial via the Kauffman bracket state sum over 2^N smoothings.
 
     Independent of the skein recursion; used to cross-validate it.  The
@@ -197,25 +162,18 @@ def jones_bracket_oracle(d: PDDiagram, budget: int = BRACKET_ORACLE_BUDGET) -> L
     a-d and b-c; the bracket is writhe-normalized and A is substituted by
     a quarter power of t (see _A_TO_T_QUARTERS).
     """
-    if d.n_crossings > budget:
+    if d.n_crossings > BRACKET_ORACLE_BUDGET:
         raise CrossingBudgetExceeded(
-            f"bracket oracle limited to {budget} crossings, got {d.n_crossings}"
+            f"bracket oracle limited to {BRACKET_ORACLE_BUDGET} crossings, "
+            f"got {d.n_crossings}"
         )
     n = d.n_crossings
     n_edges = 2 * n
     crossings = d.crossings
 
-    # delta^k for loop counts, in the bracket variable A
-    delta = {2: -1, -2: -1}
-    max_loops = n_edges + d.free_loops + 1
-    delta_pows = [{0: 1}]
-    for _ in range(max_loops):
-        prev = delta_pows[-1]
-        nxt: dict[int, int] = {}
-        for e1, c1 in prev.items():
-            for e2, c2 in delta.items():
-                nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
-        delta_pows.append({e: c for e, c in nxt.items() if c})
+    # delta^k = (-A^2 - A^-2)^k for loop counts k, in the bracket variable A
+    delta_pows = [{2 * k - 4 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
+                  for k in range(n_edges + d.free_loops + 1)]
 
     bracket: dict[int, int] = {}
     parent = list(range(n_edges + 1))
@@ -246,23 +204,15 @@ def jones_bracket_oracle(d: PDDiagram, budget: int = BRACKET_ORACLE_BUDGET) -> L
             bracket[e + a_minus_b] = bracket.get(e + a_minus_b, 0) + cf
 
     # writhe normalization (-A^3)^(-w) in the standard convention equals
-    # (-1)^w A^(3w) with this package's sign convention
+    # (-1)^w A^(3w) with this package's sign convention; the skein's unlink
+    # normalization adds a factor (-1)^(c-1) for c components
     w = d.writhe()
-    norm_sign = -1 if w % 2 else 1
-    terms: dict[int, int] = {}
-    for e, cf in bracket.items():
-        if cf:
-            terms[e + 3 * w] = norm_sign * cf
-
+    sign = -1 if (w + d.component_count() - 1) % 2 else 1
     # substitute A -> t^(quarters/4); doubled-exponent keys need e*quarters/2
     doubled: dict[int, int] = {}
-    for e, cf in terms.items():
-        q = e * _A_TO_T_QUARTERS
+    for e, cf in bracket.items():
+        q = (e + 3 * w) * _A_TO_T_QUARTERS
         if q % 2 != 0:
             raise AssertionError("bracket produced a non-half-integer t exponent")
-        doubled[q // 2] = doubled.get(q // 2, 0) + cf
-
-    value = LaurentPoly(doubled)
-    if d.component_count() % 2 == 0:
-        value = -value
-    return value
+        doubled[q // 2] = sign * cf
+    return LaurentPoly(doubled)

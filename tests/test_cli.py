@@ -55,6 +55,17 @@ class TestExitCodes:
                          "boundary_kind": "closed"}}))
         assert cli.main(["saeki", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("form", [[[1.5]], [[True]], "<-1>"])
+    def test_input_error_on_non_integer_config(self, tmp_path, form):
+        # a fractional form entry, a boolean entry, a fractional genus
+        genus = 0.5 if form == "<-1>" else 0
+        cfg = tmp_path / "frac.json"
+        cfg.write_text(json.dumps({
+            "manifold": {"form": form, "euler": 2, "boundary_kind": "closed"},
+            "f0": {"components": [{"genus": genus, "cls": [1]}]},
+            "f1": {"components": []}}))
+        assert cli.main(["saeki", "--config", str(cfg)]) == 2
+
     def test_budget_exceeded(self, tmp_path):
         d = load_table().diagram("5_2").insert_full_twists((1, 4), 10)
         assert d.n_crossings == 25

@@ -122,6 +122,11 @@ class TestParse:
         with pytest.raises(PDError, match="do not close up"):
             parse_pd("X(1,4,3,5) X(2,6,4,1) X(5,2,6,3)")
 
+    @pytest.mark.parametrize("loops", [1.5, 2.0, True, "2"])
+    def test_non_integer_free_loops_rejected(self, loops):
+        with pytest.raises(PDError, match="free_loops must be an integer"):
+            PDDiagram([], loops)
+
     def test_round_trip_on_table(self, table):
         for name in table.names():
             d = table.diagram(name)

@@ -27,6 +27,57 @@ from knotforge.fourmanifold import (
 )
 
 
+class TestIntegerInput:
+    """Non-integer input is refused, never truncated."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
+    def test_form_entry(self, bad):
+        with pytest.raises(ValueError, match="form entry must be an integer"):
+            IntersectionForm([[bad]])
+
+    def test_class_coordinates(self):
+        f = parse_block_form("<1> + <-1>")
+        for cls in ((0.5, 1.9), (1, 1.0), (True, 0)):
+            with pytest.raises(ValueError, match="class coordinate"):
+                self_intersection(cls, f)
+            with pytest.raises(ValueError, match="class coordinate"):
+                is_characteristic(cls, f)
+            with pytest.raises(ValueError, match="class coordinate"):
+                SurfaceComponent(genus=1, cls=cls)
+            with pytest.raises(ValueError, match="class coordinate"):
+                MapCatalog(admissible_classes=(cls,))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, False])
+    def test_genus(self, bad):
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            SurfaceComponent(genus=bad)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
+    def test_k_multiple(self, bad):
+        with pytest.raises(ValueError, match="k_multiple must be an integer"):
+            SurfaceComponent(genus=0, k_multiple=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_euler(self, bad):
+        with pytest.raises(ValueError, match="euler must be an integer"):
+            ManifoldData(form=parse_block_form("<-1>"), euler=bad,
+                         boundary_kind="other-boundary")
+
+    @pytest.mark.parametrize("bad", [0.0, 2.0, False])
+    def test_mu_coset(self, bad):
+        with pytest.raises(ValueError, match="mu_coset must be an integer"):
+            ManifoldData(form=parse_block_form("<-1>"), euler=2,
+                         boundary_kind="homology-sphere-boundary", mu_coset=bad)
+
+    def test_integers_still_accepted(self):
+        f = IntersectionForm([[1, 0], [0, -1]])
+        assert self_intersection((1, 1), f) == 0
+        c = SurfaceComponent(genus=1, cls=[1, 0], k_multiple=None)
+        assert c.cls == (1, 0) and c.euler_char() == 0
+        assert SurfaceComponent(genus=0, k_multiple=-2).homology_class(
+            parse_block_form("<1>")) == (-2,)
+
+
 class TestParseBlockForm:
     def test_single_block(self):
         assert parse_block_form("<-1>").matrix == ((-1,),)
