@@ -1,5 +1,8 @@
 """PD diagrams: parsing, crossing surgeries, twist insertion, fronts."""
 
+import hashlib
+import random
+
 import pytest
 
 from knotforge.diagram import (
@@ -191,6 +194,45 @@ class TestRecords:
         d.records().pop()
         assert d.records() == before
         assert len(before) == d.n_crossings
+
+
+class TestValidatorOutcomes:
+    # SHA-256 of the outcomes below, pinned before the validator was
+    # rewritten as one pass; any change to a check, a message, the order of
+    # the checks or the records of an accepted code changes it
+    DIGEST = "47147951442bf51a57c311cac37d843b83fb72726737654b90f59292f01e1efe"
+
+    def test_one_edit_fuzz_digest(self, table):
+        bases = [table.diagram(name) for name in table.names()]
+        bases += random_planar_diagrams(seed=3, count=300, max_crossings=10)
+        bases = [d for d in bases if d.n_crossings]
+        rng = random.Random(2014)
+        outcomes = []
+        accepted = 0
+        for _ in range(20000):
+            base = rng.choice(bases)
+            xs = [list(x) for x in base.crossings]
+            n = len(xs)
+            i, j = rng.randrange(n), rng.randrange(4)
+            op = rng.randrange(3)
+            if op < 2:
+                # swap two slots, within crossing i (op 0) or anywhere (op 1)
+                k = i if op == 0 else rng.randrange(n)
+                l = rng.randrange(4)
+                xs[i][j], xs[k][l] = xs[k][l], xs[i][j]
+            else:
+                # label edit, 0 and 2N + 1 included
+                xs[i][j] = rng.randrange(2 * n + 2)
+            try:
+                d = PDDiagram(xs, base.free_loops)
+            except PDError as exc:
+                outcomes.append(str(exc))
+            else:
+                accepted += 1
+                outcomes.append(f"{d.component_count()} {d.records()}")
+        assert accepted == 8221
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestSwitch:
