@@ -52,41 +52,91 @@ class _Rec(NamedTuple):
         return _Rec(self.o_in, self.u_in, self.o_out, self.u_out, -self.sign)
 
 
-def _infer_runs(crossings: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
-    """Partition labels 1..2N into cyclic component runs."""
+def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
+              ) -> tuple[tuple[tuple[int, int], ...], tuple[_Rec, ...]]:
+    """Check a PD code in one pass; return its runs and strand records.
+
+    A run ``(lo, hi)`` is a component labelled lo..hi.  A two-edge component
+    that is over at every crossing it meets has no orientation in its PD
+    code, because both directions increase cyclically.  It is entered at
+    slot b of its first such crossing, unless that edge already has a head.
+    Such a component is split, so Conway and Jones do not depend on the
+    pick, but a diagram rebuilt from records can come out with it reversed
+    against them.  switch_crossing and mirror keep the pick.
+    """
+    for i, x in enumerate(crossings):
+        if len(x) != 4:
+            raise PDError(f"crossing {i}: expected 4 edge labels, got {len(x)}")
+    if type(free_loops) is not int:
+        raise PDError(f"free_loops must be an integer, got {free_loops!r}")
+    if free_loops < 0:
+        raise PDError("free_loops must be non-negative")
+    if not crossings and not free_loops:
+        raise PDError("a diagram needs at least one crossing or free loop")
+
     n_edges = 2 * len(crossings)
-    labels = [lab for x in crossings for lab in x]
-    seen: dict[int, int] = {}
-    for lab in labels:
-        if not isinstance(lab, int) or lab < 1:
-            raise PDError(f"edge labels must be positive integers, got {lab!r}")
-        seen[lab] = seen.get(lab, 0) + 1
+    # count[e] is the number of slots labelled e.  Labels above n_edges are
+    # not counted: the 4N slots then leave some label of 1..n_edges short.
+    count = [0] * (n_edges + 1)
+    for x in crossings:
+        for lab in x:
+            if type(lab) is not int or lab < 1:
+                raise PDError(f"edge labels must be positive integers, got {lab!r}")
+            if lab <= n_edges:
+                count[lab] += 1
     for lab in range(1, n_edges + 1):
-        if seen.get(lab, 0) != 2:
-            raise PDError(
-                f"edge label {lab} occurs {seen.get(lab, 0)} times, expected exactly 2 "
-                f"(labels must cover 1..{n_edges})"
-            )
-    # each of 1..n_edges occurring twice accounts for all 4N labels, so
-    # no label lies outside 1..n_edges
+        if count[lab] != 2:
+            raise PDError(f"edge label {lab} occurs {count[lab]} times, expected "
+                          f"exactly 2 (labels must cover 1..{n_edges})")
 
     # (x, y) is a step when some strand runs from edge x straight to edge y
     steps = set()
     for a, b, c, d in crossings:
         steps.update(((a, c), (b, d), (d, b)))
-
+    # succ[e] is the label after e along its component
+    succ = list(range(1, n_edges + 2))
     runs = []
     lo = 1
     for e in range(1, n_edges + 1):
         if e == n_edges or (e, e + 1) not in steps:
             if (e, lo) not in steps:
-                raise PDError(
-                    f"labels {lo}..{e} do not close up into a component "
-                    f"(no crossing joins {e} back to {lo})"
-                )
+                raise PDError(f"labels {lo}..{e} do not close up into a component "
+                              f"(no crossing joins {e} back to {lo})")
             runs.append((lo, e))
+            succ[e] = lo
             lo = e + 1
-    return runs
+
+    # heads[e] counts the crossings that edge e enters
+    heads = [0] * (n_edges + 1)
+    for i, (a, b, c, d) in enumerate(crossings):
+        if succ[a] != c:
+            raise PDError(f"crossing {i} {crossings[i]}: under-strand must run "
+                          f"{a} -> succ({a}) = {succ[a]}, not {c}")
+        heads[a] += 1
+
+    records = []
+    for i, (a, b, c, d) in enumerate(crossings):
+        # b and d read both ways only when they make up a whole run, whose
+        # labels no other over pair holds; there the over-strand enters at b
+        # unless b already has a head
+        if succ[b] == d and (succ[d] != b or not heads[b]):
+            heads[b] += 1
+            records.append(_Rec(a, b, c, d, 1))
+        elif succ[d] == b:
+            heads[d] += 1
+            records.append(_Rec(a, d, c, b, -1))
+        else:
+            raise PDError(f"crossing {i} {crossings[i]}: over-strand slots {b},{d} "
+                          f"are not consecutive along any component")
+
+    # final degree check: every edge enters one crossing and, as each label
+    # occurs twice, leaves one.  A guard for outside input: 502,526 fuzzed
+    # label lists never reached it past the checks above.
+    for e in range(1, n_edges + 1):
+        if heads[e] != 1:
+            raise PDError(f"edge {e} is consumed {heads[e]} times and produced "
+                          f"{2 - heads[e]} times; orientations are inconsistent")
+    return tuple(runs), tuple(records)
 
 
 class PDDiagram:
@@ -99,85 +149,9 @@ class PDDiagram:
 
     def __init__(self, crossings: Iterable[Sequence[int]], free_loops: int = 0):
         crossings = tuple(tuple(x) for x in crossings)
-        for i, x in enumerate(crossings):
-            if len(x) != 4:
-                raise PDError(f"crossing {i}: expected 4 edge labels, got {len(x)}")
-        if type(free_loops) is not int:
-            raise PDError(f"free_loops must be an integer, got {free_loops!r}")
-        if free_loops < 0:
-            raise PDError("free_loops must be non-negative")
+        self._runs, self._records = _validate(crossings, free_loops)
         self.crossings = crossings
         self.free_loops = free_loops
-        if not crossings and not self.free_loops:
-            raise PDError("a diagram needs at least one crossing or free loop")
-        self._runs = tuple(_infer_runs(crossings))
-        self._records = self._resolve_over_strands()
-
-    # -- orientation bookkeeping ------------------------------------------
-
-    def _resolve_over_strands(self) -> tuple[_Rec, ...]:
-        """The crossings in strand form, with the over-strand entering at b or d."""
-        crossings = self.crossings
-        n_edges = 2 * len(crossings)
-        # succ[e] is the label after e along its component; the runs cover
-        # 1..n_edges exactly (checked by _infer_runs)
-        succ = list(range(1, n_edges + 2))
-        for lo, hi in self._runs:
-            succ[hi] = lo
-        over_slot: list[int] = [0] * len(crossings)
-        # heads[e] counts the crossings that edge e enters
-        heads = [0] * (n_edges + 1)
-
-        for i, (a, b, c, d) in enumerate(crossings):
-            if succ[a] != c:
-                raise PDError(
-                    f"crossing {i} {crossings[i]}: under-strand must run "
-                    f"{a} -> succ({a}) = {succ[a]}, not {c}"
-                )
-            heads[a] += 1
-
-        ambiguous = []
-        for i, (a, b, c, d) in enumerate(crossings):
-            forward = succ[b] == d
-            if succ[d] == b:
-                if forward:
-                    ambiguous.append(i)
-                    continue
-                over_slot[i] = 3
-            elif forward:
-                over_slot[i] = 1
-            else:
-                raise PDError(
-                    f"crossing {i} {crossings[i]}: over-strand slots {b},{d} "
-                    f"are not consecutive along any component"
-                )
-            heads[crossings[i][over_slot[i]]] += 1
-
-        # two-edge components satisfy both directions; pick the one that keeps
-        # every edge entering exactly one crossing (verified globally below).
-        # Only a component that is over at every crossing it passes is left
-        # ambiguous here, so it has linking number 0 and is split, and Conway
-        # and Jones do not depend on its orientation.  The pick can still run
-        # such a component against the orientation of the records a diagram
-        # was rebuilt from.  switch_crossing and mirror build their codes from
-        # the records returned here, so they keep the pick; a rebuild that
-        # trusts its records must keep theirs.
-        for i in ambiguous:
-            pick = 3 if heads[crossings[i][1]] else 1
-            over_slot[i] = pick
-            heads[crossings[i][pick]] += 1
-
-        # final degree check: every edge enters one crossing and, as each
-        # label occurs twice, leaves one.  A guard: 502,526 fuzzed label
-        # lists never reached it past the checks above.
-        for e in range(1, n_edges + 1):
-            if heads[e] != 1:
-                raise PDError(
-                    f"edge {e} is consumed {heads[e]} times and produced "
-                    f"{2 - heads[e]} times; orientations are inconsistent"
-                )
-        return tuple(_Rec(x[0], x[slot], x[2], x[4 - slot], 1 if slot == 1 else -1)
-                     for x, slot in zip(crossings, over_slot))
 
     # -- basic queries ------------------------------------------------------
 
