@@ -224,6 +224,9 @@ class PDDiagram:
         at the same site cancels by Reidemeister-II moves.
         """
         x, y = site
+        for v in (x, y, n):
+            if type(v) is not int:
+                raise PDError(f"twist site edges and count must be integers, got {v!r}")
         if x == y:
             raise PDError("twist site edges must be distinct")
         n_edges = 2 * len(self.crossings)

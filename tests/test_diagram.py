@@ -130,6 +130,16 @@ class TestParse:
         with pytest.raises(PDError, match="free_loops must be an integer"):
             PDDiagram([], loops)
 
+    @pytest.mark.parametrize("crossings", [
+        [(True, 4, 2, 5), (3, 6, 4, True), (5, 2, 6, 3)],
+        [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3.0)],
+    ])
+    def test_non_integer_label_rejected(self, crossings):
+        # True == 1 and 3.0 == 3, but the diagram could not be rendered as
+        # PD text that parses back
+        with pytest.raises(PDError, match="edge labels must be positive integers"):
+            PDDiagram(crossings)
+
     def test_round_trip_on_table(self, table):
         for name in table.names():
             d = table.diagram(name)
@@ -355,6 +365,14 @@ class TestInsertFullTwists:
     def test_coinciding_edges_rejected(self):
         with pytest.raises(PDError):
             parse_pd(TREFOIL).insert_full_twists((2, 2), 1)
+
+    @pytest.mark.parametrize("site, n", [
+        ((1, 4), 1.5), ((1, 4), True), ((1, 4), 1.0),
+        ((True, 4), 1), ((1, 4.0), 1),
+    ])
+    def test_non_integer_site_or_count_rejected(self, site, n):
+        with pytest.raises(PDError, match="must be integers"):
+            parse_pd(TREFOIL).insert_full_twists(site, n)
 
     def test_adds_two_n_crossings_and_stays_planar(self):
         d = parse_pd(TREFOIL)
