@@ -40,9 +40,9 @@ class LaurentPoly:
         terms = {}
         if doubled_terms:
             for k, c in doubled_terms.items():
-                if not isinstance(k, int):
+                if type(k) is not int:
                     raise TypeError("doubled exponent keys must be int")
-                if not isinstance(c, int):
+                if type(c) is not int:
                     raise TypeError(f"coefficients must be int, got {type(c).__name__}")
                 if c:
                     terms[k] = c

@@ -71,10 +71,15 @@ class TestCoeff:
 class TestIntegerCoefficients:
     """Coefficients live in Z; rationals and floats are refused at the door."""
 
-    @pytest.mark.parametrize("c", [F(1, 2), F(2), 0.5, 1.0, "1"])
+    @pytest.mark.parametrize("c", [F(1, 2), F(2), 0.5, 1.0, "1", True])
     def test_constructor_rejects_non_int(self, c):
         with pytest.raises(TypeError):
             LaurentPoly({0: c})
+
+    @pytest.mark.parametrize("k", [True, False, 1.0, F(2)])
+    def test_constructor_rejects_non_int_key(self, k):
+        with pytest.raises(TypeError):
+            LaurentPoly({k: 1})
 
     def test_coeff_returns_int(self):
         assert type(V_J0.coeff(F(-3, 2))) is int
