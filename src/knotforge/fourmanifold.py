@@ -441,7 +441,29 @@ def _form_from_json(obj) -> IntersectionForm:
     return IntersectionForm(obj)
 
 
-def _component_from_json(obj) -> SurfaceComponent:
+_MANIFOLD_KEYS = ("form", "euler", "boundary_kind", "mu_coset")
+_SURFACE_CONFIG_KEYS = ("components",)
+_COMPONENT_KEYS = ("genus", "orientable", "kind", "cls", "k_multiple")
+_CATALOG_KEYS = ("maps", "admissible_classes", "allowed_singularities")
+_SURFACE_CONFIGS = ("f0", "f1", "sigma0", "sigma1")
+
+
+def _check_keys(obj, allowed: tuple[str, ...], what: str):
+    """obj itself when it is a JSON object whose keys all lie in allowed.
+
+    A misspelt key would otherwise be ignored and its default used.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {what} "
+                             f"(allowed: {', '.join(allowed)})")
+    return obj
+
+
+def _component_from_json(obj, what: str) -> SurfaceComponent:
+    _check_keys(obj, _COMPONENT_KEYS, what)
     return SurfaceComponent(
         genus=obj["genus"],
         orientable=obj.get("orientable", True),
@@ -451,20 +473,23 @@ def _component_from_json(obj) -> SurfaceComponent:
     )
 
 
-def _config_from_json(obj) -> SurfaceConfig:
-    return SurfaceConfig(tuple(_component_from_json(c)
-                               for c in obj.get("components", ())))
+def _config_from_json(obj, what: str) -> SurfaceConfig:
+    _check_keys(obj, _SURFACE_CONFIG_KEYS, what)
+    return SurfaceConfig(tuple(_component_from_json(c, f"component {i} of {what}")
+                               for i, c in enumerate(obj.get("components", ()))))
 
 
 def load_manifold_config(path: str) -> dict:
     """Load {"manifold": ..., surface configs ...} from a JSON file.
 
     Returns a dict with keys "manifold" (ManifoldData) and every surface
-    configuration present among "f0", "f1", "sigma0", "sigma1".
+    configuration present among "f0", "f1", "sigma0", "sigma1".  An
+    unknown key anywhere in the file is a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    mobj = raw["manifold"]
+    _check_keys(raw, ("manifold", *_SURFACE_CONFIGS, "comment"), "config")
+    mobj = _check_keys(raw["manifold"], _MANIFOLD_KEYS, "manifold")
     out = {
         "manifold": ManifoldData(
             form=_form_from_json(mobj["form"]),
@@ -473,15 +498,18 @@ def load_manifold_config(path: str) -> dict:
             mu_coset=mobj.get("mu_coset"),
         )
     }
-    for key in ("f0", "f1", "sigma0", "sigma1"):
+    for key in _SURFACE_CONFIGS:
         if key in raw:
-            out[key] = _config_from_json(raw[key])
+            out[key] = _config_from_json(raw[key], f"surface config {key!r}")
     return out
 
 
-def _catalog_from_json(raw) -> MapCatalog:
+def _catalog_from_json(raw, what: str,
+                       allowed: tuple[str, ...] = _CATALOG_KEYS) -> MapCatalog:
+    _check_keys(raw, allowed, what)
     return MapCatalog(
-        maps=tuple(_config_from_json(c) for c in raw.get("maps", ())),
+        maps=tuple(_config_from_json(c, f"map {i} of {what}")
+                   for i, c in enumerate(raw.get("maps", ()))),
         admissible_classes=raw.get("admissible_classes", ()),
         allowed_singularities=raw.get(
             "allowed_singularities", ("definite", "indefinite")),
@@ -493,9 +521,13 @@ def load_catalog_config(path: str) -> dict[str, MapCatalog]:
 
     A file may hold several catalogs under a "catalogs" mapping (one per
     manifold in a comparison) or a single anonymous catalog at top level.
+    An unknown key anywhere in the file is a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if "catalogs" in raw:
-        return {name: _catalog_from_json(c) for name, c in raw["catalogs"].items()}
-    return {"catalog": _catalog_from_json(raw)}
+    if isinstance(raw, dict) and "catalogs" in raw:
+        _check_keys(raw, ("catalogs", "comment"), "catalog file")
+        return {name: _catalog_from_json(c, f"catalog {name!r}")
+                for name, c in raw["catalogs"].items()}
+    return {"catalog": _catalog_from_json(raw, "catalog file",
+                                          (*_CATALOG_KEYS, "comment"))}

@@ -201,6 +201,81 @@ class TestShippedConfigs:
         assert results["sg^2[x2]"] == "infinity"
 
 
+def write_edited(tmp_path, filename: str, edit) -> str:
+    """A copy of a shipped config, changed by edit(raw) before it is written."""
+    raw = json.loads((resources.files("knotforge") / "data" / filename).read_text())
+    edit(raw)
+    path = tmp_path / filename
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def single_catalog(raw):
+    # thm12.json with its x1 catalog moved to the top level
+    raw.update(raw.pop("catalogs")["x1"])
+
+
+class TestConfigKeys:
+    """The config loaders refuse keys they do not read."""
+
+    def test_misspelt_component_key(self, capsys, tmp_path):
+        path = write_edited(tmp_path, "double_xk.json", lambda r: (
+            r["f0"]["components"][0].update(orientible=False)))
+        assert cli.main(["saeki", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'orientible' in component 0 of surface config 'f0'" in err
+
+    def test_spelt_key_is_read(self, capsys, tmp_path):
+        path = write_edited(tmp_path, "double_xk.json", lambda r: (
+            r["f0"]["components"][0].update(orientable=False)))
+        code, out = run(capsys, "--json", "--no-timestamp", "saeki", "--config", path)
+        assert code == 1
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert checks["f0_orientable"] is False
+
+    def test_single_catalog_with_comment(self, capsys, tmp_path):
+        path = write_edited(tmp_path, "thm12.json", single_catalog)
+        code, out = run(capsys, "--json", "--no-timestamp",
+                        "sg", "--catalog", path, "--k", "1")
+        assert code == 0
+        results = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+        assert results["sg^1[catalog]"] == "0"
+
+    @pytest.mark.parametrize("filename, edit, message", [
+        ("double_xk.json", lambda r: r.update(f2={}),
+         "unknown key 'f2' in config"),
+        ("double_xk.json", lambda r: r["manifold"].update(eular=4),
+         "unknown key 'eular' in manifold"),
+        ("double_xk.json", lambda r: r["f1"].update(component=[]),
+         "unknown key 'component' in surface config 'f1'"),
+        ("double_xk.json", lambda r: r["f0"]["components"].append([1, 0]),
+         "component 2 of surface config 'f0' must be a JSON object"),
+        ("prop44.json", lambda r: r["sigma0"]["components"][0].update(k=1),
+         "unknown key 'k' in component 0 of surface config 'sigma0'"),
+        ("prop44.json", lambda r: r["manifold"].update(comment=""),
+         "unknown key 'comment' in manifold"),
+        ("thm12.json", lambda r: r.update(catalog={}),
+         "unknown key 'catalog' in catalog file"),
+        ("thm12.json", lambda r: r["catalogs"]["x2"].update(map=[]),
+         "unknown key 'map' in catalog 'x2'"),
+        ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][1].update(genus=0),
+         "unknown key 'genus' in map 1 of catalog 'x1'"),
+        ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][0]["components"][1]
+         .update({"class": [0]}),
+         "unknown key 'class' in component 1 of map 0 of catalog 'x1'"),
+        ("thm12.json", lambda r: (single_catalog(r), r.update(admissible=[])),
+         "unknown key 'admissible' in catalog file"),
+    ])
+    def test_unknown_key_is_input_error(self, capsys, tmp_path, filename, edit, message):
+        path = write_edited(tmp_path, filename, edit)
+        if filename == "thm12.json":
+            argv = ["sg", "--catalog", path, "--k", "1"]
+        else:
+            argv = ["saeki" if filename == "double_xk.json" else "defect", "--config", path]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestReports:
     GOLDEN_TB = """\
 {
