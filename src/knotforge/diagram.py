@@ -62,7 +62,8 @@ def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
     slot b of its first such crossing, unless that edge already has a head.
     Such a component is split, so Conway and Jones do not depend on the
     pick, but a diagram rebuilt from records can come out with it reversed
-    against them.  switch_crossing and mirror keep the pick.
+    against them.  switch_crossing and mirror keep the pick; a rebuild that
+    trusts its records must keep theirs.
     """
     for i, x in enumerate(crossings):
         if len(x) != 4:
@@ -116,9 +117,8 @@ def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
 
     records = []
     for i, (a, b, c, d) in enumerate(crossings):
-        # b and d read both ways only when they make up a whole run, whose
-        # labels no other over pair holds; there the over-strand enters at b
-        # unless b already has a head
+        # b, d read both ways only when they make up a whole run, which no
+        # other over pair touches: there enter at b unless b has a head
         if succ[b] == d and (succ[d] != b or not heads[b]):
             heads[b] += 1
             records.append(_Rec(a, b, c, d, 1))
@@ -129,9 +129,8 @@ def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
             raise PDError(f"crossing {i} {crossings[i]}: over-strand slots {b},{d} "
                           f"are not consecutive along any component")
 
-    # final degree check: every edge enters one crossing and, as each label
-    # occurs twice, leaves one.  A guard for outside input: 502,526 fuzzed
-    # label lists never reached it past the checks above.
+    # every edge enters one crossing, and so leaves one; a guard for outside
+    # input, which 502,526 fuzzed label lists never reached past the above
     for e in range(1, n_edges + 1):
         if heads[e] != 1:
             raise PDError(f"edge {e} is consumed {heads[e]} times and produced "
@@ -224,15 +223,14 @@ class PDDiagram:
         at the same site cancels by Reidemeister-II moves.
         """
         x, y = site
-        for v in (x, y, n):
-            if type(v) is not int:
-                raise PDError(f"twist site edges and count must be integers, got {v!r}")
+        if type(n) is not int:
+            raise PDError(f"twist count must be an integer, got {n!r}")
         if x == y:
             raise PDError("twist site edges must be distinct")
         n_edges = 2 * len(self.crossings)
         for e in (x, y):
-            if not 1 <= e <= n_edges:
-                raise PDError(f"edge {e} not present in diagram")
+            if type(e) is not int or not 1 <= e <= n_edges:
+                raise PDError(f"edge {e!r} not present in diagram")
         if n == 0:
             return self
         twist_sign = 1 if n > 0 else -1

@@ -366,13 +366,15 @@ class TestInsertFullTwists:
         with pytest.raises(PDError):
             parse_pd(TREFOIL).insert_full_twists((2, 2), 1)
 
-    @pytest.mark.parametrize("site, n", [
-        ((1, 4), 1.5), ((1, 4), True), ((1, 4), 1.0),
-        ((True, 4), 1), ((1, 4.0), 1),
-    ])
-    def test_non_integer_site_or_count_rejected(self, site, n):
-        with pytest.raises(PDError, match="must be integers"):
-            parse_pd(TREFOIL).insert_full_twists(site, n)
+    @pytest.mark.parametrize("n", [1.5, True, 1.0])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(PDError, match="twist count must be an integer"):
+            parse_pd(TREFOIL).insert_full_twists((1, 4), n)
+
+    @pytest.mark.parametrize("site", [(True, 4), (1, 4.0)])
+    def test_non_integer_site_edge_rejected(self, site):
+        with pytest.raises(PDError, match="not present in diagram"):
+            parse_pd(TREFOIL).insert_full_twists(site, 1)
 
     def test_adds_two_n_crossings_and_stays_planar(self):
         d = parse_pd(TREFOIL)
