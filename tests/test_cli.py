@@ -268,10 +268,9 @@ class TestConfigKeys:
     ])
     def test_unknown_key_is_input_error(self, capsys, tmp_path, filename, edit, message):
         path = write_edited(tmp_path, filename, edit)
-        if filename == "thm12.json":
-            argv = ["sg", "--catalog", path, "--k", "1"]
-        else:
-            argv = ["saeki" if filename == "double_xk.json" else "defect", "--config", path]
+        argv = {"double_xk.json": ["saeki", "--config", path],
+                "prop44.json": ["defect", "--config", path],
+                "thm12.json": ["sg", "--catalog", path, "--k", "1"]}[filename]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
 

@@ -207,9 +207,8 @@ class TestRecords:
 
 
 class TestValidatorOutcomes:
-    # SHA-256 of the outcomes below, pinned before the validator was
-    # rewritten as one pass; any change to a check, a message, the order of
-    # the checks or the records of an accepted code changes it
+    # SHA-256 of the outcomes below: any change to a check, a message, the
+    # order of the checks or the records of an accepted code changes it
     DIGEST = "47147951442bf51a57c311cac37d843b83fb72726737654b90f59292f01e1efe"
 
     def test_one_edit_fuzz_digest(self, table):
