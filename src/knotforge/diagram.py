@@ -61,9 +61,9 @@ def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
     code, because both directions increase cyclically.  It is entered at
     slot b of its first such crossing, unless that edge already has a head.
     Such a component is split, so Conway and Jones do not depend on the
-    pick, but a diagram rebuilt from records can come out with it reversed
-    against them.  switch_crossing and mirror keep the pick; a rebuild that
-    trusts its records must keep theirs.
+    pick.  ``_rebuild`` hands a diagram with such a component to this
+    validator, so a rebuilt diagram's records always equal the validation
+    of its code.
     """
     for i, x in enumerate(crossings):
         if len(x) != 4:
@@ -289,6 +289,16 @@ def _rebuild(recs: list[_Rec], free_loops: int,
     smallest id.  A glued class that touches no crossing becomes a free
     loop.  Strands are then traced to assign fresh consecutive labels per
     component.
+
+    The result is not re-validated: the runs and relabelled records traced
+    here are stored as they are, and equal ``_validate`` of the new code.
+    The exception is a run of one or two edges that is under at no
+    crossing: its code does not orient it, so the diagram goes through the
+    validating constructor and takes the validator's tie-break.
+
+    Guards, each a ``PDError`` "internal rebuild error": an edge id that is
+    consumed twice, produced twice, or produced but never consumed, and a
+    traced strand that does not close on its start.
     """
     classes: list[set[int]] = []
     for group in glue:
@@ -303,30 +313,54 @@ def _rebuild(recs: list[_Rec], free_loops: int,
               for r in recs]
     # strand_next[e] is the edge a strand leaves by after entering on e
     strand_next: dict[int, int] = {}
+    produced: set[int] = set()
     for r in mapped:
         for e_in, e_out in ((r.u_in, r.u_out), (r.o_in, r.o_out)):
             if e_in in strand_next:
                 raise PDError(f"internal rebuild error: edge id {e_in} consumed twice")
+            if e_out in produced:
+                raise PDError(f"internal rebuild error: edge id {e_out} produced twice")
             strand_next[e_in] = e_out
-    used = strand_next.keys() | strand_next.values()
-    free_loops += len(set(name.values()) - used)
+            produced.add(e_out)
+    # as many ids are produced as consumed, all distinct: the sets differ
+    # exactly when some id is produced and never consumed
+    if produced != strand_next.keys():
+        e = min(produced - strand_next.keys())
+        raise PDError(f"internal rebuild error: edge id {e} produced but never consumed")
+    free_loops += len(set(name.values()) - produced)
 
     label: dict[int, int] = {}
+    runs = []
     nxt = 1
-    for start in sorted(used):
+    for start in sorted(produced):
         if start in label:
             continue
+        lo = nxt
         e = start
         while e not in label:
             label[e] = nxt
             nxt += 1
             e = strand_next[e]
+        if e != start:
+            raise PDError(f"internal rebuild error: strand from edge id {start} "
+                          f"does not close on its start")
+        runs.append((lo, nxt - 1))
 
-    tuples = []
-    for r in mapped:
-        relabeled = _Rec(label[r.u_in], label[r.o_in], label[r.u_out], label[r.o_out], r.sign)
-        tuples.append(relabeled.tuple4())
-    return PDDiagram(tuples, free_loops)
+    records = tuple(_Rec(label[r.u_in], label[r.o_in], label[r.u_out], label[r.o_out],
+                         r.sign) for r in mapped)
+    crossings = tuple(r.tuple4() for r in records)
+    # a run of one or two edges reads both ways along its over-strands
+    short = [run for run in runs if run[1] - run[0] < 2]
+    if short:
+        unders = {r.u_in for r in records}
+        if any(lo not in unders and hi not in unders for lo, hi in short):
+            return PDDiagram(crossings, free_loops)
+    d = PDDiagram.__new__(PDDiagram)
+    d.crossings = crossings
+    d.free_loops = free_loops
+    d._runs = tuple(runs)
+    d._records = records
+    return d
 
 
 # -- text format ------------------------------------------------------------

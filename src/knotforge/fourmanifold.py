@@ -240,6 +240,8 @@ class SurfaceComponent:
     def __post_init__(self):
         if _require_int(self.genus, "genus") < 0:
             raise ValueError("genus must be non-negative")
+        if type(self.orientable) is not bool:
+            raise ValueError(f"orientable must be true or false, got {self.orientable!r}")
         if self.kind not in ("definite", "indefinite"):
             raise ValueError(f"unknown singularity kind {self.kind!r}")
         if self.k_multiple is not None:
@@ -438,6 +440,9 @@ def sg_plain(cat: MapCatalog):
 def _form_from_json(obj) -> IntersectionForm:
     if isinstance(obj, str):
         return parse_block_form(obj)
+    if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj)):
+        raise ValueError(f"'form' of manifold must be a string or an array of "
+                         f"arrays, got {obj!r}")
     return IntersectionForm(obj)
 
 
@@ -462,21 +467,33 @@ def _check_keys(obj, allowed: tuple[str, ...], what: str):
     return obj
 
 
+def _array_field(obj: dict, key: str, what: str, default=()):
+    """obj[key] when it is a JSON array, default when absent."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} of {what} must be a JSON array, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def _component_from_json(obj, what: str) -> SurfaceComponent:
     _check_keys(obj, _COMPONENT_KEYS, what)
     return SurfaceComponent(
         genus=obj["genus"],
         orientable=obj.get("orientable", True),
         kind=obj.get("kind", "indefinite"),
-        cls=obj.get("cls", ()),
+        cls=_array_field(obj, "cls", what),
         k_multiple=obj.get("k_multiple"),
     )
 
 
 def _config_from_json(obj, what: str) -> SurfaceConfig:
     _check_keys(obj, _SURFACE_CONFIG_KEYS, what)
+    components = _array_field(obj, "components", what)
     return SurfaceConfig(tuple(_component_from_json(c, f"component {i} of {what}")
-                               for i, c in enumerate(obj.get("components", ()))))
+                               for i, c in enumerate(components)))
 
 
 def load_manifold_config(path: str) -> dict:
@@ -484,7 +501,8 @@ def load_manifold_config(path: str) -> dict:
 
     Returns a dict with keys "manifold" (ManifoldData) and every surface
     configuration present among "f0", "f1", "sigma0", "sigma1".  An
-    unknown key anywhere in the file is a ValueError.
+    unknown key or a field of the wrong JSON type anywhere in the file is a
+    ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -507,12 +525,20 @@ def load_manifold_config(path: str) -> dict:
 def _catalog_from_json(raw, what: str,
                        allowed: tuple[str, ...] = _CATALOG_KEYS) -> MapCatalog:
     _check_keys(raw, allowed, what)
+    classes = _array_field(raw, "admissible_classes", what)
+    if not all(isinstance(c, list) for c in classes):
+        raise ValueError(f"'admissible_classes' of {what} must be an array of "
+                         f"arrays, got {classes!r}")
+    kinds = _array_field(raw, "allowed_singularities", what,
+                         ("definite", "indefinite"))
+    if not all(isinstance(k, str) for k in kinds):
+        raise ValueError(f"'allowed_singularities' of {what} must be an array "
+                         f"of strings, got {kinds!r}")
     return MapCatalog(
         maps=tuple(_config_from_json(c, f"map {i} of {what}")
-                   for i, c in enumerate(raw.get("maps", ()))),
-        admissible_classes=raw.get("admissible_classes", ()),
-        allowed_singularities=raw.get(
-            "allowed_singularities", ("definite", "indefinite")),
+                   for i, c in enumerate(_array_field(raw, "maps", what))),
+        admissible_classes=classes,
+        allowed_singularities=kinds,
     )
 
 
@@ -521,12 +547,16 @@ def load_catalog_config(path: str) -> dict[str, MapCatalog]:
 
     A file may hold several catalogs under a "catalogs" mapping (one per
     manifold in a comparison) or a single anonymous catalog at top level.
-    An unknown key anywhere in the file is a ValueError.
+    An unknown key or a field of the wrong JSON type anywhere in the file
+    is a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict) and "catalogs" in raw:
         _check_keys(raw, ("catalogs", "comment"), "catalog file")
+        if not isinstance(raw["catalogs"], dict):
+            raise ValueError("'catalogs' of catalog file must be a JSON object, "
+                             f"got {type(raw['catalogs']).__name__}")
         return {name: _catalog_from_json(c, f"catalog {name!r}")
                 for name, c in raw["catalogs"].items()}
     return {"catalog": _catalog_from_json(raw, "catalog file",

@@ -18,7 +18,7 @@ from typing import Mapping
 
 def _as_doubled_exponent(e) -> int:
     """Convert an exponent (int, or Fraction with denominator 1 or 2) to its doubled key."""
-    if isinstance(e, int):
+    if type(e) is int:
         return 2 * e
     if isinstance(e, Fraction):
         if e.denominator == 1:
@@ -135,7 +135,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("only non-negative integer powers are supported")
         result = LaurentPoly.one()
         base = self

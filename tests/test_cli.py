@@ -216,7 +216,7 @@ def single_catalog(raw):
 
 
 class TestConfigKeys:
-    """The config loaders refuse keys they do not read."""
+    """The config loaders refuse keys they do not read and fields of the wrong type."""
 
     def test_misspelt_component_key(self, capsys, tmp_path):
         path = write_edited(tmp_path, "double_xk.json", lambda r: (
@@ -267,6 +267,44 @@ class TestConfigKeys:
          "unknown key 'admissible' in catalog file"),
     ])
     def test_unknown_key_is_input_error(self, capsys, tmp_path, filename, edit, message):
+        path = write_edited(tmp_path, filename, edit)
+        argv = {"double_xk.json": ["saeki", "--config", path],
+                "prop44.json": ["defect", "--config", path],
+                "thm12.json": ["sg", "--catalog", path, "--k", "1"]}[filename]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("filename, edit, message", [
+        ("double_xk.json", lambda r: r["f0"].update(components=5),
+         "'components' of surface config 'f0' must be a JSON array, got int"),
+        ("double_xk.json", lambda r: r["f1"].update(components={}),
+         "'components' of surface config 'f1' must be a JSON array, got dict"),
+        ("double_xk.json", lambda r: r["manifold"].update(form=5),
+         "'form' of manifold must be a string or an array of arrays, got 5"),
+        ("double_xk.json", lambda r: r["manifold"].update(form=[1, 0]),
+         "'form' of manifold must be a string or an array of arrays, got [1, 0]"),
+        ("prop44.json", lambda r: r["sigma0"].update(components="g1"),
+         "'components' of surface config 'sigma0' must be a JSON array, got str"),
+        ("thm12.json", lambda r: r.update(catalogs=[1]),
+         "'catalogs' of catalog file must be a JSON object, got list"),
+        ("thm12.json", lambda r: r["catalogs"]["x2"].update(maps=3),
+         "'maps' of catalog 'x2' must be a JSON array, got int"),
+        ("thm12.json", lambda r: (single_catalog(r), r.update(maps={})),
+         "'maps' of catalog file must be a JSON array, got dict"),
+        ("double_xk.json", lambda r: r["f0"]["components"][0].update(cls=5),
+         "'cls' of component 0 of surface config 'f0' must be a JSON array, got int"),
+        ("thm12.json", lambda r: r["catalogs"]["x2"].update(admissible_classes=5),
+         "'admissible_classes' of catalog 'x2' must be a JSON array, got int"),
+        ("thm12.json", lambda r: r["catalogs"]["x2"].update(admissible_classes=[5]),
+         "'admissible_classes' of catalog 'x2' must be an array of arrays, got [5]"),
+        ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=5),
+         "'allowed_singularities' of catalog 'x1' must be a JSON array, got int"),
+        ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=[[1]]),
+         "'allowed_singularities' of catalog 'x1' must be an array of strings"),
+        ("double_xk.json", lambda r: r["f0"]["components"][0].update(orientable="false"),
+         "orientable must be true or false, got 'false'"),
+    ])
+    def test_wrong_shape_is_input_error(self, capsys, tmp_path, filename, edit, message):
         path = write_edited(tmp_path, filename, edit)
         argv = {"double_xk.json": ["saeki", "--config", path],
                 "prop44.json": ["defect", "--config", path],

@@ -5,11 +5,14 @@ import random
 
 import pytest
 
+from knotforge import diagram as diagram_module
 from knotforge.diagram import (
     FrontDiagram,
     PDDiagram,
     PDError,
+    _Rec,
     _rebuild,
+    _validate,
     parse_pd,
     tb_from_front,
 )
@@ -244,6 +247,82 @@ class TestValidatorOutcomes:
         assert digest == self.DIGEST
 
 
+class TestTrustedRebuild:
+    """_rebuild stores the runs and records it traced without re-validating."""
+
+    def test_every_rebuild_of_the_skein_walk_matches_the_validator(
+            self, table, monkeypatch):
+        rebuilt, validated = [], []
+        validate, rebuild = diagram_module._validate, diagram_module._rebuild
+
+        def counting_validate(crossings, free_loops):
+            validated.append(crossings)
+            return validate(crossings, free_loops)
+
+        def checked_rebuild(*args):
+            before = len(validated)
+            d = rebuild(*args)
+            rebuilt.append((d, len(validated) > before))
+            return d
+
+        monkeypatch.setattr(diagram_module, "_validate", counting_validate)
+        monkeypatch.setattr(diagram_module, "_rebuild", checked_rebuild)
+        base = table.diagram("11n63")
+        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
+        diagrams += random_planar_diagrams(seed=23, count=300, max_crossings=10)
+        rebuilt.clear()
+        for d in diagrams:
+            skein.conway_jones(d)
+        assert len(rebuilt) > 1000
+        for d, _ in rebuilt:
+            assert validate(d.crossings, d.free_loops) == (d._runs, d._records)
+        # a run of two edges that is under nowhere went through the validator
+        assert any(fell_back for _, fell_back in rebuilt)
+        assert sum(fell_back for _, fell_back in rebuilt) < len(rebuilt) // 4
+
+    def test_smoothing_without_short_runs_does_not_validate(self, table, monkeypatch):
+        d = table.diagram("9_45")
+        calls = []
+        validate = diagram_module._validate
+        monkeypatch.setattr(diagram_module, "_validate",
+                            lambda *args: calls.append(args) or validate(*args))
+        smoothed = d.smooth_crossing(10)
+        assert calls == []
+        assert all(hi - lo > 1 for lo, hi in smoothed._runs)
+        assert validate(smoothed.crossings, smoothed.free_loops) == (
+            smoothed._runs, smoothed._records)
+
+    @pytest.mark.parametrize("crossings, index", [
+        # TestSigns.test_two_edge_tie_break with a curl added: smoothing the
+        # curl leaves the two-edge component 7..8, over at both its crossings
+        ([(9, 8, 10, 7), (10, 4, 11, 1), (11, 4, 12, 3), (12, 8, 9, 7),
+          (5, 1, 6, 2), (6, 3, 5, 2), (13, 13, 14, 14)], 6),
+        # a non-planar code whose smoothing is X(1,2,1,2): the one-edge
+        # component 2 is over at its only crossing
+        ([(1, 4, 2, 3), (2, 4, 3, 1)], 1),
+    ])
+    def test_short_run_over_everywhere_is_validated(self, monkeypatch, crossings, index):
+        d = PDDiagram(crossings)
+        calls = []
+        validate = diagram_module._validate
+        monkeypatch.setattr(diagram_module, "_validate",
+                            lambda *args: calls.append(args) or validate(*args))
+        s = d.smooth_crossing(index)
+        assert len(calls) == 1
+        assert (s._runs, s._records) == validate(s.crossings, s.free_loops)
+
+    @pytest.mark.parametrize("recs, message", [
+        ([_Rec(1, 2, 2, 1, 1), _Rec(1, 3, 4, 3, 1)], "edge id 1 consumed twice"),
+        ([_Rec(1, 3, 2, 4, 1), _Rec(2, 4, 2, 3, 1)], "edge id 2 produced twice"),
+        ([_Rec(1, 3, 2, 4, 1), _Rec(2, 4, 5, 3, 1)],
+         "edge id 5 produced but never consumed"),
+        ([_Rec(1, 2, 2, 3, 1)], "edge id 3 produced but never consumed"),
+    ])
+    def test_inconsistent_records_raise(self, recs, message):
+        with pytest.raises(PDError, match=f"internal rebuild error: {message}"):
+            _rebuild(recs, 0)
+
+
 class TestSwitch:
     def test_unknotting_the_trefoil(self):
         d = parse_pd(TREFOIL).switch_crossing(0)
@@ -270,7 +349,6 @@ class TestSwitch:
 
     def test_validity_on_random_diagrams(self):
         # constructor re-validates; 1000 random diagrams, random index
-        import random
         rng = random.Random(3)
         for d in random_planar_diagrams(seed=13, count=1000, max_crossings=10):
             if d.n_crossings:
@@ -313,11 +391,13 @@ class TestSmooth:
             assert abs(s.component_count() - d.component_count()) == 1
 
     def test_validity_on_random_diagrams(self):
-        import random
+        # the rebuild does not re-validate: its records must be the
+        # validator's
         rng = random.Random(5)
         for d in random_planar_diagrams(seed=19, count=1000, max_crossings=10):
             if d.n_crossings:
-                d.smooth_crossing(rng.randrange(d.n_crossings))
+                s = d.smooth_crossing(rng.randrange(d.n_crossings))
+                assert _validate(s.crossings, s.free_loops) == (s._runs, s._records)
 
 
 class TestReduceR1:
@@ -345,6 +425,11 @@ class TestReduceR1:
             r = d.reduce_r1()
             assert skein.conway(r) == skein.conway(d)
             assert skein.jones(r) == skein.jones(d)
+
+    def test_validity_on_random_diagrams(self):
+        for d in random_planar_diagrams(seed=29, count=500, max_crossings=10):
+            r = d.reduce_r1()
+            assert _validate(r.crossings, r.free_loops) == (r._runs, r._records)
 
 
 class TestCancelR2:
@@ -413,6 +498,15 @@ class TestInsertFullTwists:
         d = parse_pd(TREFOIL)
         for n in (3, -3):
             assert is_planar(d.insert_full_twists((2, 4), n))
+
+    def test_validity_on_random_diagrams(self):
+        rng = random.Random(7)
+        for d in random_planar_diagrams(seed=31, count=300, max_crossings=10):
+            if not d.n_crossings:
+                continue
+            x, y = rng.sample(range(1, 2 * d.n_crossings + 1), 2)
+            t = d.insert_full_twists((x, y), rng.choice((1, -1, 2)))
+            assert _validate(t.crossings, t.free_loops) == (t._runs, t._records)
 
 
 class TestFront:

@@ -97,6 +97,29 @@ class TestIntegerCoefficients:
         assert (V_L0 * 0).is_zero
 
 
+class TestBoolExponents:
+    """A bool is not an exponent, though Python counts it as an int."""
+
+    @pytest.mark.parametrize("e", [True, False])
+    def test_monomial_rejects_bool(self, e):
+        with pytest.raises(ValueError, match="exponent must be a half-integer"):
+            LaurentPoly.monomial(1, e)
+
+    @pytest.mark.parametrize("e", [True, False])
+    def test_from_exponents_rejects_bool(self, e):
+        with pytest.raises(ValueError, match="exponent must be a half-integer"):
+            LaurentPoly.from_exponents({e: 1})
+
+    @pytest.mark.parametrize("n", [True, False])
+    def test_power_rejects_bool(self, n):
+        with pytest.raises(ValueError, match="only non-negative integer powers"):
+            LaurentPoly.one() ** n
+
+    def test_int_exponents_still_accepted(self):
+        assert LaurentPoly.monomial(1, 1) ** 0 == LaurentPoly.one()
+        assert LaurentPoly.from_exponents({0: 1}) == LaurentPoly.one()
+
+
 class TestMoment:
     def test_tilde_v_moments(self):
         assert tuple(TILDE_V.moment(i) for i in range(4)) == (0, 2, -4, -28)
