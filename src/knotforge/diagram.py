@@ -61,9 +61,9 @@ def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
     code, because both directions increase cyclically.  It is entered at
     slot b of its first such crossing, unless that edge already has a head.
     Such a component is split, so Conway and Jones do not depend on the
-    pick.  ``_rebuild`` hands a diagram with such a component to this
-    validator, so a rebuilt diagram's records always equal the validation
-    of its code.
+    pick.  A rebuild, a switch or a mirror hands a diagram with such a
+    component to this validator (see ``_trusted``), so the records of every
+    diagram they build equal the validation of its code.
     """
     for i, x in enumerate(crossings):
         if len(x) != 4:
@@ -162,8 +162,7 @@ class PDDiagram:
         return len(self._runs) + self.free_loops
 
     def crossing_sign(self, index: int) -> int:
-        if not 0 <= index < len(self.crossings):
-            raise IndexError(f"crossing index {index} out of range")
+        self._check_index(index)
         return self._records[index].sign
 
     def writhe(self) -> int:
@@ -173,44 +172,55 @@ class PDDiagram:
         """The crossings in strand form, as a fresh list the caller may edit."""
         return list(self._records)
 
+    def _check_index(self, index) -> None:
+        if type(index) is not int:
+            raise TypeError(f"crossing index must be an integer, got {index!r}")
+        if not 0 <= index < len(self.crossings):
+            raise IndexError(f"crossing index {index} out of range")
+
     # -- crossing surgeries -------------------------------------------------
 
     def switch_crossing(self, index: int) -> "PDDiagram":
-        """Exchange over and under strands at one crossing (sign negates)."""
-        if not 0 <= index < len(self.crossings):
-            raise IndexError(f"crossing index {index} out of range")
-        new = list(self.crossings)
-        new[index] = self._records[index].switched().tuple4()
-        return PDDiagram(new, self.free_loops)
+        """Exchange over and under strands at one crossing (sign negates).
+
+        Labels and runs are kept and the record is switched in place, so the
+        result is not re-validated; it goes through the same short-run check
+        as a rebuild (see ``_trusted``).
+        """
+        self._check_index(index)
+        records = list(self._records)
+        records[index] = records[index].switched()
+        crossings = list(self.crossings)
+        crossings[index] = records[index].tuple4()
+        return _trusted(tuple(crossings), self.free_loops, self._runs, tuple(records))
 
     def smooth_crossing(self, index: int) -> "PDDiagram":
-        """Oriented resolution of one crossing; edges are relabeled from scratch."""
-        if not 0 <= index < len(self.crossings):
-            raise IndexError(f"crossing index {index} out of range")
+        """Oriented resolution of one crossing; every edge gets a fresh label.
+
+        Curls are kept; the skein walk smooths and removes them in one
+        rebuild (see ``_smooth_r1``).
+        """
+        self._check_index(index)
         recs = self.records()
-        t = recs.pop(index)
-        # the oriented smoothing joins under-in with over-out and over-in
-        # with under-out, for either sign
-        return _rebuild(recs, self.free_loops,
-                        ((t.u_in, t.o_out), (t.o_in, t.u_out)))
+        return _rebuild(recs, self.free_loops, _smoothing(recs.pop(index)))
 
     def mirror(self) -> "PDDiagram":
-        """Switch every crossing (the mirror-image diagram)."""
-        return PDDiagram([r.switched().tuple4() for r in self._records],
-                         self.free_loops)
+        """Switch every crossing (the mirror-image diagram), keeping labels and runs."""
+        records = tuple(r.switched() for r in self._records)
+        return _trusted(tuple(r.tuple4() for r in records), self.free_loops,
+                        self._runs, records)
 
     def reduce_r1(self) -> "PDDiagram":
-        """Remove Reidemeister-I curls, iterated to a fixpoint."""
-        d = self
-        while True:
-            for i, r in enumerate(d._records):
-                if r.u_out == r.o_in or r.u_in == r.o_out:
-                    break
-            else:
-                return d
-            recs = d.records()
-            t = recs.pop(i)
-            d = _rebuild(recs, d.free_loops, ((t.u_in, t.o_in, t.u_out, t.o_out),))
+        """Remove Reidemeister-I curls, iterated to a fixpoint, in one rebuild.
+
+        The curls are found and glued away on the strand records (see
+        ``_uncurl``); a diagram without curls is returned as it is.
+        """
+        parent: dict[int, int] = {}
+        recs = _uncurl(self.records(), parent)
+        if len(recs) == len(self._records):
+            return self
+        return _rebuild(recs, self.free_loops, parent)
 
     def insert_full_twists(self, site: tuple[int, int], n: int) -> "PDDiagram":
         """Insert n full twists of the two strands carrying the given edges.
@@ -280,34 +290,84 @@ class PDDiagram:
         return f"PDDiagram({self.render()!r})"
 
 
+def _find(parent: dict[int, int], e: int) -> int:
+    """The name of e's glued class: its smallest id (see ``_glue``)."""
+    while parent.get(e, e) != e:
+        e = parent[e]
+    return e
+
+
+def _glue(parent: dict[int, int], ids: Iterable[int]) -> None:
+    """Merge the classes of ids into one, named by its smallest id.
+
+    ``parent`` is a union-find over edge ids in which every root is the
+    smallest id of its class; an id that was never glued is its own class.
+    """
+    roots = {_find(parent, e) for e in ids}
+    low = min(roots)
+    for root in roots:
+        parent[root] = low
+
+
+def _smoothing(t: _Rec) -> dict[int, int]:
+    """The glue of the oriented smoothing of t, for either sign: under-in
+    with over-out and over-in with under-out."""
+    parent: dict[int, int] = {}
+    _glue(parent, (t.u_in, t.o_out))
+    _glue(parent, (t.o_in, t.u_out))
+    return parent
+
+
+def _uncurl(recs: list[_Rec], parent: dict[int, int]) -> list[_Rec]:
+    """recs without their Reidemeister-I curls, each glued away in parent.
+
+    A curl is a crossing where the strand leaving under comes back over, or
+    the strand leaving over comes back under.  Removing one glues its four
+    edge ids, which can make further crossings curls, so the scan repeats
+    until a pass removes nothing.  Gluing only merges classes, so a curl
+    stays a curl: the crossings left do not depend on the order of removal.
+    """
+    while True:
+        keep = []
+        for r in recs:
+            if (_find(parent, r.u_out) == _find(parent, r.o_in)
+                    or _find(parent, r.u_in) == _find(parent, r.o_out)):
+                _glue(parent, (r.u_in, r.o_in, r.u_out, r.o_out))
+            else:
+                keep.append(r)
+        if len(keep) == len(recs):
+            return keep
+        recs = keep
+
+
+def _smooth_r1(d: PDDiagram, index: int) -> PDDiagram:
+    """``d.smooth_crossing(index).reduce_r1()`` with one rebuild: the skein
+    walk's smoothing child.  The smoothing and its curls share one glue."""
+    recs = d.records()
+    parent = _smoothing(recs.pop(index))
+    return _rebuild(_uncurl(recs, parent), d.free_loops, parent)
+
+
 def _rebuild(recs: list[_Rec], free_loops: int,
-             glue: Iterable[tuple[int, ...]] = ()) -> PDDiagram:
+             parent: dict[int, int] | None = None) -> PDDiagram:
     """Relabel an abstract crossing list into a valid PDDiagram.
 
-    Each group in ``glue`` is a tuple of edge ids that become one edge;
-    groups that share an id merge, and a glued class is named by its
-    smallest id.  A glued class that touches no crossing becomes a free
-    loop.  Strands are then traced to assign fresh consecutive labels per
-    component.
+    ``parent`` is a union-find over edge ids (see ``_glue``): each glued
+    class becomes one edge, named by its smallest id.  A glued class that
+    touches no crossing becomes a free loop.  Strands are then traced to
+    assign fresh consecutive labels per component.
 
     The result is not re-validated: the runs and relabelled records traced
-    here are stored as they are, and equal ``_validate`` of the new code.
-    The exception is a run of one or two edges that is under at no
-    crossing: its code does not orient it, so the diagram goes through the
-    validating constructor and takes the validator's tie-break.
+    here go through ``_trusted``, which validates only a diagram with a run
+    of one or two edges that is under at no crossing.  So the records equal
+    ``_validate`` of the new code.  Smoothing, R1 reduction (every curl in
+    one rebuild) and twist insertion come through here.
 
     Guards, each a ``PDError`` "internal rebuild error": an edge id that is
     consumed twice, produced twice, or produced but never consumed, and a
     traced strand that does not close on its start.
     """
-    classes: list[set[int]] = []
-    for group in glue:
-        merged = set(group)
-        for c in [c for c in classes if c & merged]:
-            merged |= c
-            classes.remove(c)
-        classes.append(merged)
-    name = {e: min(c) for c in classes for e in c}
+    name = {e: _find(parent, e) for e in parent} if parent else {}
     mapped = [_Rec(name.get(r.u_in, r.u_in), name.get(r.o_in, r.o_in),
                    name.get(r.u_out, r.u_out), name.get(r.o_out, r.o_out), r.sign)
               for r in recs]
@@ -348,8 +408,20 @@ def _rebuild(recs: list[_Rec], free_loops: int,
 
     records = tuple(_Rec(label[r.u_in], label[r.o_in], label[r.u_out], label[r.o_out],
                          r.sign) for r in mapped)
-    crossings = tuple(r.tuple4() for r in records)
-    # a run of one or two edges reads both ways along its over-strands
+    return _trusted(tuple(r.tuple4() for r in records), free_loops, tuple(runs), records)
+
+
+def _trusted(crossings: tuple[tuple[int, int, int, int], ...], free_loops: int,
+             runs: tuple[tuple[int, int], ...], records: tuple[_Rec, ...]
+             ) -> PDDiagram:
+    """A diagram from runs and records its caller traced or kept, unchecked.
+
+    The one exception is a run of one or two edges that is under at no
+    crossing: it reads both ways along its over-strands, so its code does
+    not orient it.  A diagram with one goes through the validating
+    constructor and takes the validator's tie-break.  ``_rebuild``,
+    ``switch_crossing`` and ``mirror`` share this check.
+    """
     short = [run for run in runs if run[1] - run[0] < 2]
     if short:
         unders = {r.u_in for r in records}
@@ -358,7 +430,7 @@ def _rebuild(recs: list[_Rec], free_loops: int,
     d = PDDiagram.__new__(PDDiagram)
     d.crossings = crossings
     d.free_loops = free_loops
-    d._runs = tuple(runs)
+    d._runs = runs
     d._records = records
     return d
 

@@ -453,8 +453,10 @@ _CATALOG_KEYS = ("maps", "admissible_classes", "allowed_singularities")
 _SURFACE_CONFIGS = ("f0", "f1", "sigma0", "sigma1")
 
 
-def _check_keys(obj, allowed: tuple[str, ...], what: str):
-    """obj itself when it is a JSON object whose keys all lie in allowed.
+def _check_keys(obj, allowed: tuple[str, ...], what: str,
+                required: tuple[str, ...] = ()):
+    """obj itself when it is a JSON object whose keys all lie in allowed
+    and which holds every key in required.
 
     A misspelt key would otherwise be ignored and its default used.
     """
@@ -464,6 +466,9 @@ def _check_keys(obj, allowed: tuple[str, ...], what: str):
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {what} "
                              f"(allowed: {', '.join(allowed)})")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing key {key!r} in {what}")
     return obj
 
 
@@ -479,7 +484,7 @@ def _array_field(obj: dict, key: str, what: str, default=()):
 
 
 def _component_from_json(obj, what: str) -> SurfaceComponent:
-    _check_keys(obj, _COMPONENT_KEYS, what)
+    _check_keys(obj, _COMPONENT_KEYS, what, ("genus",))
     return SurfaceComponent(
         genus=obj["genus"],
         orientable=obj.get("orientable", True),
@@ -501,13 +506,16 @@ def load_manifold_config(path: str) -> dict:
 
     Returns a dict with keys "manifold" (ManifoldData) and every surface
     configuration present among "f0", "f1", "sigma0", "sigma1".  An
-    unknown key or a field of the wrong JSON type anywhere in the file is a
-    ValueError.
+    unknown key, a missing required key ("manifold"; "form", "euler" and
+    "boundary_kind" of the manifold; "genus" of a component) or a field of
+    the wrong JSON type anywhere in the file is a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    _check_keys(raw, ("manifold", *_SURFACE_CONFIGS, "comment"), "config")
-    mobj = _check_keys(raw["manifold"], _MANIFOLD_KEYS, "manifold")
+    _check_keys(raw, ("manifold", *_SURFACE_CONFIGS, "comment"), "config",
+                ("manifold",))
+    mobj = _check_keys(raw["manifold"], _MANIFOLD_KEYS, "manifold",
+                       ("form", "euler", "boundary_kind"))
     out = {
         "manifold": ManifoldData(
             form=_form_from_json(mobj["form"]),

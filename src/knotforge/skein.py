@@ -13,6 +13,13 @@ smoothing drops a crossing, so the recursion terminates with depth bounded
 by the crossing count.  Resolved diagrams are memoised under their PD code
 as given, not under a canonical relabelling (see canonical_code).
 
+Reidemeister-I curls are removed once, on entry.  A switch keeps the curl
+test (under-out is over-in, or under-in is over-out), so the switch child
+of a curl-free diagram is curl-free; it keeps labels and runs and switches
+one record, without a rebuild.  The smoothing child glues the smoothing and
+every curl it leaves in one union-find and is rebuilt once.  Only a run of
+one or two edges that is under at no crossing goes back to the validator.
+
 There is one walk: it resolves each crossing once and combines (nabla, V)
 pairs.  conway_jones returns the pair; conway and jones project it.  Each
 call starts from a fresh memo.
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .diagram import PDDiagram
+from .diagram import PDDiagram, _smooth_r1
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -108,7 +115,7 @@ def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
-    d = d.reduce_r1()
+    """(nabla, V) of d, which has no Reidemeister-I curl."""
     if d.n_crossings == 0:
         return _unlink(d.component_count())
     key = canonical_code(d)
@@ -120,7 +127,7 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
         val = _unlink(d.component_count())
     else:
         nabla_sw, v_sw = _skein_eval(d.switch_crossing(i), memo)
-        nabla_0, v_0 = _skein_eval(d.smooth_crossing(i), memo)
+        nabla_0, v_0 = _skein_eval(_smooth_r1(d, i), memo)
         # nabla(K+) = nabla(K-) - z nabla(K0) and
         # V(K+) = t^-2 V(K-) + t^-1 (t^(1/2) - t^(-1/2)) V(K0); conversely for K-
         if d.crossing_sign(i) > 0:
@@ -141,7 +148,7 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
             f"diagram has {d.n_crossings} crossings, "
             f"budget is {DEFAULT_CROSSING_BUDGET}"
         )
-    return _skein_eval(d, SkeinMemo())
+    return _skein_eval(d.reduce_r1(), SkeinMemo())
 
 
 def conway(d: PDDiagram) -> LaurentPoly:

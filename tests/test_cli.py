@@ -312,6 +312,31 @@ class TestConfigKeys:
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("filename, edit, message", [
+        ("double_xk.json", lambda r: r["manifold"].pop("form"),
+         "missing key 'form' in manifold"),
+        ("double_xk.json", lambda r: r["manifold"].pop("euler"),
+         "missing key 'euler' in manifold"),
+        ("prop44.json", lambda r: r["manifold"].pop("boundary_kind"),
+         "missing key 'boundary_kind' in manifold"),
+        ("prop44.json", lambda r: r.pop("manifold"),
+         "missing key 'manifold' in config"),
+        ("double_xk.json", lambda r: r["f0"]["components"][0].pop("genus"),
+         "missing key 'genus' in component 0 of surface config 'f0'"),
+        ("prop44.json", lambda r: r["sigma1"]["components"][0].pop("genus"),
+         "missing key 'genus' in component 0 of surface config 'sigma1'"),
+        ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][0]["components"][1]
+         .pop("genus"),
+         "missing key 'genus' in component 1 of map 0 of catalog 'x1'"),
+    ])
+    def test_missing_key_is_input_error(self, capsys, tmp_path, filename, edit, message):
+        path = write_edited(tmp_path, filename, edit)
+        argv = {"double_xk.json": ["saeki", "--config", path],
+                "prop44.json": ["defect", "--config", path],
+                "thm12.json": ["sg", "--catalog", path, "--k", "1"]}[filename]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestReports:
     GOLDEN_TB = """\

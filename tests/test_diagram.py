@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from knotforge.diagram import (
     PDDiagram,
     PDError,
     _Rec,
+    _glue,
     _rebuild,
     _validate,
     parse_pd,
@@ -21,6 +23,9 @@ from knotforge import skein
 from conftest import is_planar, random_planar_diagrams
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+# trefoil with an extra positive curl spliced into edge 1 (edge 1 split
+# into arcs 1, 2, 3; old labels >= 2 shifted by 2)
+STACKED_CURL = "X(1,2,2,3) X(3,6,4,7) X(5,8,6,1) X(7,4,8,5)"
 
 
 def cancel_adjacent_r2(d: PDDiagram) -> PDDiagram:
@@ -53,7 +58,25 @@ def cancel_adjacent_r2(d: PDDiagram) -> PDDiagram:
             over = (ri.o_in, ri.o_out, rj.o_out)
         else:                                       # over strand runs the other way
             over = (rj.o_in, rj.o_out, ri.o_out)
-        d = _rebuild(keep, d.free_loops, (under, over))
+        parent = {}
+        _glue(parent, under)
+        _glue(parent, over)
+        d = _rebuild(keep, d.free_loops, parent)
+
+
+def reduce_r1_curl_by_curl(d: PDDiagram) -> PDDiagram:
+    """Reference R1 reduction: remove the first curl, rebuild, repeat."""
+    while True:
+        for i, r in enumerate(d.records()):
+            if r.u_out == r.o_in or r.u_in == r.o_out:
+                break
+        else:
+            return d
+        recs = d.records()
+        t = recs.pop(i)
+        parent = {}
+        _glue(parent, (t.u_in, t.o_in, t.u_out, t.o_out))
+        d = _rebuild(recs, d.free_loops, parent)
 
 
 def full_reduce(d: PDDiagram) -> PDDiagram:
@@ -200,6 +223,23 @@ class TestSigns:
         assert skein.jones(d) == skein.jones_bracket_oracle(d)
 
 
+class TestCrossingIndex:
+    @pytest.mark.parametrize("method", ["switch_crossing", "smooth_crossing",
+                                        "crossing_sign"])
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+    def test_non_integer_index_rejected(self, method, index):
+        d = parse_pd(TREFOIL)
+        with pytest.raises(TypeError, match=f"got {re.escape(repr(index))}$"):
+            getattr(d, method)(index)
+
+    @pytest.mark.parametrize("method", ["switch_crossing", "smooth_crossing",
+                                        "crossing_sign"])
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_out_of_range(self, method, index):
+        with pytest.raises(IndexError, match="out of range"):
+            getattr(parse_pd(TREFOIL), method)(index)
+
+
 class TestRecords:
     def test_records_are_a_fresh_list(self, table):
         d = table.diagram("5_2")
@@ -248,37 +288,56 @@ class TestValidatorOutcomes:
 
 
 class TestTrustedRebuild:
-    """_rebuild stores the runs and records it traced without re-validating."""
+    """Rebuilds, switches and mirrors keep the runs and records they traced
+    or switched without re-validating."""
 
     def test_every_rebuild_of_the_skein_walk_matches_the_validator(
             self, table, monkeypatch):
-        rebuilt, validated = [], []
-        validate, rebuild = diagram_module._validate, diagram_module._rebuild
+        built, validated, switched = [], [], []
+        validate, trusted = diagram_module._validate, diagram_module._trusted
+        switch = PDDiagram.switch_crossing
 
         def counting_validate(crossings, free_loops):
             validated.append(crossings)
             return validate(crossings, free_loops)
 
-        def checked_rebuild(*args):
+        def checked_trusted(*args):
             before = len(validated)
-            d = rebuild(*args)
-            rebuilt.append((d, len(validated) > before))
+            d = trusted(*args)
+            built.append((d, len(validated) > before))
             return d
 
+        def recorded_switch(d, index):
+            switched.append(switch(d, index))
+            return switched[-1]
+
         monkeypatch.setattr(diagram_module, "_validate", counting_validate)
-        monkeypatch.setattr(diagram_module, "_rebuild", checked_rebuild)
+        monkeypatch.setattr(diagram_module, "_trusted", checked_trusted)
+        monkeypatch.setattr(PDDiagram, "switch_crossing", recorded_switch)
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
         diagrams += random_planar_diagrams(seed=23, count=300, max_crossings=10)
-        rebuilt.clear()
+        built.clear()
+        switched.clear()
         for d in diagrams:
             skein.conway_jones(d)
-        assert len(rebuilt) > 1000
-        for d, _ in rebuilt:
+        walked = len(built)
+        mirrors = [d.mirror() for d in diagrams]
+        # every diagram the walk builds, rebuilt or switched, and every
+        # mirror comes through the shared short-run check
+        assert walked > 1000
+        assert len(built) == walked + len(mirrors)
+        assert len(switched) > 500
+        assert {id(d) for d in switched} <= {id(d) for d, _ in built[:walked]}
+        assert {id(d) for d in mirrors} == {id(d) for d, _ in built[walked:]}
+        for d, _ in built:
             assert validate(d.crossings, d.free_loops) == (d._runs, d._records)
         # a run of two edges that is under nowhere went through the validator
-        assert any(fell_back for _, fell_back in rebuilt)
-        assert sum(fell_back for _, fell_back in rebuilt) < len(rebuilt) // 4
+        assert any(fell_back for _, fell_back in built[:walked])
+        assert any(fell_back for _, fell_back in built[walked:])
+        assert sum(fell_back for _, fell_back in built) < len(built) // 4
+        assert all(m.writhe() == -d.writhe() and m._runs == d._runs
+                   for m, d in zip(mirrors, diagrams))
 
     def test_smoothing_without_short_runs_does_not_validate(self, table, monkeypatch):
         d = table.diagram("9_45")
@@ -411,9 +470,7 @@ class TestReduceR1:
         assert d.reduce_r1() == d
 
     def test_curl_stacked_on_trefoil(self):
-        # 4-crossing code: trefoil with an extra positive curl spliced into
-        # edge 1 (edge 1 split into arcs 1, 2, 3; old labels >= 2 shifted by 2)
-        stacked = parse_pd("X(1,2,2,3) X(3,6,4,7) X(5,8,6,1) X(7,4,8,5)")
+        stacked = parse_pd(STACKED_CURL)
         assert stacked.component_count() == 1
         reduced = stacked.reduce_r1()
         assert reduced.n_crossings == 3
@@ -430,6 +487,39 @@ class TestReduceR1:
         for d in random_planar_diagrams(seed=29, count=500, max_crossings=10):
             r = d.reduce_r1()
             assert _validate(r.crossings, r.free_loops) == (r._runs, r._records)
+
+    def test_matches_curl_by_curl_reference(self):
+        rng = random.Random(31)
+        grown = []
+        # grown from the stacked curl and the lone curl by twists and switches
+        for _ in range(60):
+            d = parse_pd(rng.choice((STACKED_CURL, "X(1,1,2,2)")))
+            for _ in range(rng.randrange(1, 4)):
+                n_edges = 2 * d.n_crossings
+                x, y = rng.sample(range(1, n_edges + 1), 2)
+                cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
+                if cand.n_crossings <= 12 and is_planar(cand):
+                    d = cand
+                if rng.randrange(2):
+                    d = d.switch_crossing(rng.randrange(d.n_crossings))
+            grown.append(d)
+        bases = grown + random_planar_diagrams(seed=37, count=200, max_crossings=10)
+        # unreduced smoothings hold the curls the skein walk removes
+        inputs = list(bases)
+        for d in bases:
+            if d.n_crossings:
+                inputs.append(d.smooth_crossing(rng.randrange(d.n_crossings)))
+        stacked = 0
+        for d in inputs:
+            r, ref = d.reduce_r1(), reduce_r1_curl_by_curl(d)
+            stacked += d.n_crossings - ref.n_crossings >= 2
+            assert (r.n_crossings, r.component_count(), r.free_loops, r.writhe()) == (
+                ref.n_crossings, ref.component_count(), ref.free_loops, ref.writhe())
+            assert skein.conway_jones(r) == skein.conway_jones(ref), d.render()
+            assert _validate(r.crossings, r.free_loops) == (r._runs, r._records)
+            # the same code, so the skein memo sees the same keys
+            assert r == ref, d.render()
+        assert stacked > 30
 
 
 class TestCancelR2:

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from knotforge import diagram as diagram_module
+from knotforge import skein as skein_module
 from knotforge.diagram import PDDiagram, parse_pd
+from knotforge.family import conway_family, jones_family
 from knotforge.laurent import LaurentPoly
 from knotforge.skein import (
     BRACKET_ORACLE_BUDGET,
@@ -155,6 +158,64 @@ class TestConwayJones:
     def test_random_diagrams(self):
         for d in random_planar_diagrams(seed=53, count=100, max_crossings=10):
             self._check(d)
+
+
+class TestWalkRebuilds:
+    """Each skein child is built with at most one rebuild and no validation."""
+
+    def test_children_of_the_twist_family(self, table, monkeypatch):
+        calls = {"rebuild": 0, "fallback": 0}
+        in_trusted = []
+        per_switch, per_smoothing = [], []
+        rebuild, validate, trusted = (diagram_module._rebuild, diagram_module._validate,
+                                      diagram_module._trusted)
+        switch, smooth_r1 = PDDiagram.switch_crossing, skein_module._smooth_r1
+
+        def counting_rebuild(*args):
+            calls["rebuild"] += 1
+            return rebuild(*args)
+
+        def checked_validate(*args):
+            # the only validation left in the walk is the short-run fallback
+            assert in_trusted, "validated outside the short-run fallback"
+            calls["fallback"] += 1
+            return validate(*args)
+
+        def marked_trusted(*args):
+            in_trusted.append(True)
+            try:
+                return trusted(*args)
+            finally:
+                in_trusted.pop()
+
+        def counted(fn, log):
+            def child(*args):
+                before = calls["rebuild"]
+                d = fn(*args)
+                log.append(calls["rebuild"] - before)
+                return d
+            return child
+
+        base = table.diagram("11n63")
+        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
+        monkeypatch.setattr(diagram_module, "_rebuild", counting_rebuild)
+        monkeypatch.setattr(diagram_module, "_validate", checked_validate)
+        monkeypatch.setattr(diagram_module, "_trusted", marked_trusted)
+        monkeypatch.setattr(PDDiagram, "switch_crossing", counted(switch, per_switch))
+        monkeypatch.setattr(skein_module, "_smooth_r1", counted(smooth_r1, per_smoothing))
+        for n, d in enumerate(diagrams):
+            assert conway_jones(d) == (conway_family(n), jones_family(n))
+        assert per_switch and set(per_switch) == {0}
+        assert per_smoothing and set(per_smoothing) <= {0, 1}
+        assert calls["rebuild"] == sum(per_smoothing)
+        assert 0 < calls["fallback"] < len(per_switch) + len(per_smoothing)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_twist_family_beyond_the_crossing_budget(self, table, monkeypatch, n):
+        # L_8 .. L_14 have 25 .. 37 crossings, above DEFAULT_CROSSING_BUDGET
+        d = table.diagram("11n63").insert_full_twists((3, 25), n - 2)
+        monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", d.n_crossings)
+        assert conway_jones(d) == (conway_family(n), jones_family(n))
 
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i^0 .. i^3
