@@ -202,10 +202,18 @@ class PDDiagram:
         """
         self._check_index(index)
         recs = self.records()
-        return _rebuild(recs, self.free_loops, _smoothing(recs.pop(index)))
+        return _rebuild(recs, self.free_loops,
+                        _smoothing(recs.pop(index), 2 * len(self.crossings)))
 
     def mirror(self) -> "PDDiagram":
-        """Switch every crossing (the mirror-image diagram), keeping labels and runs."""
+        """Switch every crossing (the mirror-image diagram), keeping labels and runs.
+
+        Not an involution on codes: a run of one or two edges that the mirror
+        leaves under at no crossing goes to the validator (see ``_trusted``),
+        whose tie-break may reverse it.  Such a run is a split component, so
+        a double mirror keeps the link, its writhe, Conway and Jones, and it
+        keeps the code when neither mirror takes that fallback.
+        """
         records = tuple(r.switched() for r in self._records)
         return _trusted(tuple(r.tuple4() for r in records), self.free_loops,
                         self._runs, records)
@@ -213,10 +221,12 @@ class PDDiagram:
     def reduce_r1(self) -> "PDDiagram":
         """Remove Reidemeister-I curls, iterated to a fixpoint, in one rebuild.
 
-        The curls are found and glued away on the strand records (see
-        ``_uncurl``); a diagram without curls is returned as it is.
+        The curls are glued away on the strand records, in a union-find over
+        edge ids kept in a list: one scan, then a worklist of the crossings
+        that are both ends of a merged class (see ``_uncurl``).  A diagram
+        without curls is returned as it is.
         """
-        parent: dict[int, int] = {}
+        parent = list(range(2 * len(self.crossings) + 1))
         recs = _uncurl(self.records(), parent)
         if len(recs) == len(self._records):
             return self
@@ -290,72 +300,127 @@ class PDDiagram:
         return f"PDDiagram({self.render()!r})"
 
 
-def _find(parent: dict[int, int], e: int) -> int:
-    """The name of e's glued class: its smallest id (see ``_glue``)."""
-    while parent.get(e, e) != e:
-        e = parent[e]
+def _find(parent: list[int], e: int) -> int:
+    """The name of e's glued class: its smallest id (see ``_glue``).
+
+    Path halving: each id passed on the way is pointed at its grandparent.
+    """
+    while parent[e] != e:
+        parent[e] = e = parent[parent[e]]
     return e
 
 
-def _glue(parent: dict[int, int], ids: Iterable[int]) -> None:
-    """Merge the classes of ids into one, named by its smallest id.
+def _glue(parent: list[int], ids: Iterable[int]) -> int:
+    """Merge the classes of ids into one; return its name, its smallest id.
 
-    ``parent`` is a union-find over edge ids in which every root is the
-    smallest id of its class; an id that was never glued is its own class.
+    ``parent`` is a union-find over edge ids, a list indexed by id that
+    starts as ``list(range(max_id + 1))``.  Every root is the smallest id of
+    its class, so no id's parent lies above it.
     """
-    roots = {_find(parent, e) for e in ids}
+    roots = [_find(parent, e) for e in ids]
     low = min(roots)
     for root in roots:
         parent[root] = low
+    return low
 
 
-def _smoothing(t: _Rec) -> dict[int, int]:
-    """The glue of the oriented smoothing of t, for either sign: under-in
-    with over-out and over-in with under-out."""
-    parent: dict[int, int] = {}
+def _flatten(parent: list[int]) -> None:
+    """Point every id at its class's name, in one ascending pass: no parent
+    lies above its id, so it already points at the name when the id is met."""
+    for e in range(len(parent)):
+        parent[e] = parent[parent[e]]
+
+
+def _smoothing(t: _Rec, n_edges: int) -> list[int]:
+    """The union-find over ids 1..n_edges that glues the oriented smoothing
+    of t, for either sign: under-in with over-out and over-in with under-out."""
+    parent = list(range(n_edges + 1))
     _glue(parent, (t.u_in, t.o_out))
     _glue(parent, (t.o_in, t.u_out))
     return parent
 
 
-def _uncurl(recs: list[_Rec], parent: dict[int, int]) -> list[_Rec]:
+def _uncurl(recs: list[_Rec], parent: list[int]) -> list[_Rec]:
     """recs without their Reidemeister-I curls, each glued away in parent.
 
     A curl is a crossing where the strand leaving under comes back over, or
     the strand leaving over comes back under.  Removing one glues its four
-    edge ids, which can make further crossings curls, so the scan repeats
-    until a pass removes nothing.  Gluing only merges classes, so a curl
-    stays a curl: the crossings left do not depend on the order of removal.
+    edge ids, which can make further crossings curls.  Gluing only merges
+    classes, so a curl stays a curl: the crossings left do not depend on the
+    order of removal.
+
+    One scan removes the curls it meets.  Each class is one edge of the
+    crossings left: one of them leaves by it (its tail) and one enters on
+    it (its head), unless it has closed into a free loop.  A curl is the
+    tail and the head of one class, so a merge makes a curl only of a
+    crossing that is both ends of the merged class.  A worklist removes
+    those, after the scan and after each removal of its own.
     """
-    while True:
-        keep = []
-        for r in recs:
-            if (_find(parent, r.u_out) == _find(parent, r.o_in)
-                    or _find(parent, r.u_in) == _find(parent, r.o_out)):
-                _glue(parent, (r.u_in, r.o_in, r.u_out, r.o_out))
-            else:
-                keep.append(r)
-        if len(keep) == len(recs):
-            return keep
-        recs = keep
+    keep = []
+    merged = []
+    for r in recs:
+        u_in, o_in, u_out, o_out, _ = r
+        if (_find(parent, u_out) == _find(parent, o_in)
+                or _find(parent, u_in) == _find(parent, o_out)):
+            merged.append(_glue(parent, (u_in, o_in, u_out, o_out)))
+        else:
+            keep.append(r)
+    if not merged:
+        return keep
+    _flatten(parent)
+    head = [-1] * len(parent)
+    tail = [-1] * len(parent)
+    for i, (u_in, o_in, u_out, o_out, _) in enumerate(keep):
+        head[parent[u_in]] = head[parent[o_in]] = i
+        tail[parent[u_out]] = tail[parent[o_out]] = i
+    todo = [head[parent[e]] for e in merged if head[parent[e]] == tail[parent[e]]]
+    gone = [False] * len(keep)
+    while todo:
+        i = todo.pop()
+        if i < 0 or gone[i]:
+            continue
+        r = keep[i]
+        u_in, o_in = _find(parent, r.u_in), _find(parent, r.o_in)
+        u_out, o_out = _find(parent, r.u_out), _find(parent, r.o_out)
+        # the strand enters on edge_in, loops back and leaves on edge_out;
+        # a crossing that is a curl both ways closes into a free loop, whose
+        # tail and head are the crossing itself.  A class that leaves and
+        # comes back both under, or both over, is no curl: only a
+        # non-planar code has one.
+        if u_out == o_in:
+            edge_in, edge_out = u_in, o_out
+        elif u_in == o_out:
+            edge_in, edge_out = o_in, u_out
+        else:
+            continue
+        gone[i] = True
+        before, after = tail[edge_in], head[edge_out]
+        low = _glue(parent, (u_in, o_in, u_out, o_out))
+        tail[low], head[low] = before, after
+        if before == after:
+            todo.append(after)
+    return [r for r, removed in zip(keep, gone) if not removed]
 
 
 def _smooth_r1(d: PDDiagram, index: int) -> PDDiagram:
     """``d.smooth_crossing(index).reduce_r1()`` with one rebuild: the skein
     walk's smoothing child.  The smoothing and its curls share one glue."""
     recs = d.records()
-    parent = _smoothing(recs.pop(index))
+    parent = _smoothing(recs.pop(index), 2 * len(d.crossings))
     return _rebuild(_uncurl(recs, parent), d.free_loops, parent)
 
 
 def _rebuild(recs: list[_Rec], free_loops: int,
-             parent: dict[int, int] | None = None) -> PDDiagram:
+             parent: list[int] | None = None) -> PDDiagram:
     """Relabel an abstract crossing list into a valid PDDiagram.
 
-    ``parent`` is a union-find over edge ids (see ``_glue``): each glued
-    class becomes one edge, named by its smallest id.  A glued class that
-    touches no crossing becomes a free loop.  Strands are then traced to
-    assign fresh consecutive labels per component.
+    ``parent`` is a union-find over the edge ids 1..len(parent) - 1 of the
+    diagram being rebuilt (see ``_glue``); without one, the ids are
+    1..max(recs) and each is its own class.  Each glued class becomes one
+    edge, named by its smallest id, and a class that touches no crossing
+    becomes a free loop.  Strands are then traced from the smallest ids to
+    assign fresh consecutive labels per component.  Every table here is a
+    list indexed by edge id.
 
     The result is not re-validated: the runs and relabelled records traced
     here go through ``_trusted``, which validates only a diagram with a run
@@ -367,48 +432,57 @@ def _rebuild(recs: list[_Rec], free_loops: int,
     consumed twice, produced twice, or produced but never consumed, and a
     traced strand that does not close on its start.
     """
-    name = {e: _find(parent, e) for e in parent} if parent else {}
-    mapped = [_Rec(name.get(r.u_in, r.u_in), name.get(r.o_in, r.o_in),
-                   name.get(r.u_out, r.u_out), name.get(r.o_out, r.o_out), r.sign)
-              for r in recs]
-    # strand_next[e] is the edge a strand leaves by after entering on e
-    strand_next: dict[int, int] = {}
-    produced: set[int] = set()
-    for r in mapped:
-        for e_in, e_out in ((r.u_in, r.u_out), (r.o_in, r.o_out)):
-            if e_in in strand_next:
+    if parent is None:
+        parent = list(range(1 + max((max(r[:4]) for r in recs), default=0)))
+    size = len(parent)
+    _flatten(parent)
+    mapped = [(parent[a], parent[b], parent[c], parent[d], s) for a, b, c, d, s in recs]
+    # strand_next[e] is the edge a strand leaves by after entering on e (0: none)
+    strand_next = [0] * size
+    produced = bytearray(size)
+    for u_in, o_in, u_out, o_out, _ in mapped:
+        for e_in, e_out in ((u_in, u_out), (o_in, o_out)):
+            if strand_next[e_in]:
                 raise PDError(f"internal rebuild error: edge id {e_in} consumed twice")
-            if e_out in produced:
+            if produced[e_out]:
                 raise PDError(f"internal rebuild error: edge id {e_out} produced twice")
             strand_next[e_in] = e_out
-            produced.add(e_out)
-    # as many ids are produced as consumed, all distinct: the sets differ
+            produced[e_out] = 1
+    # as many ids are produced as consumed, all distinct: the two differ
     # exactly when some id is produced and never consumed
-    if produced != strand_next.keys():
-        e = min(produced - strand_next.keys())
-        raise PDError(f"internal rebuild error: edge id {e} produced but never consumed")
-    free_loops += len(set(name.values()) - produced)
+    for e in range(1, size):
+        if produced[e]:
+            if not strand_next[e]:
+                raise PDError(f"internal rebuild error: edge id {e} produced but "
+                              f"never consumed")
+        elif parent[e] == e:
+            free_loops += 1
 
-    label: dict[int, int] = {}
+    label = [0] * size
     runs = []
-    nxt = 1
-    for start in sorted(produced):
-        if start in label:
+    last = 0
+    for start in range(1, size):
+        if label[start] or not produced[start]:
             continue
-        lo = nxt
         e = start
-        while e not in label:
-            label[e] = nxt
-            nxt += 1
+        while not label[e]:
+            last += 1
+            label[e] = last
             e = strand_next[e]
         if e != start:
             raise PDError(f"internal rebuild error: strand from edge id {start} "
                           f"does not close on its start")
-        runs.append((lo, nxt - 1))
+        runs.append((label[start], last))
 
-    records = tuple(_Rec(label[r.u_in], label[r.o_in], label[r.u_out], label[r.o_out],
-                         r.sign) for r in mapped)
-    return _trusted(tuple(r.tuple4() for r in records), free_loops, tuple(runs), records)
+    # tuple.__new__ skips the NamedTuple constructor's argument handling
+    new = tuple.__new__
+    records, crossings = [], []
+    for a, b, c, d, s in mapped:
+        a, b, c, d = label[a], label[b], label[c], label[d]
+        records.append(new(_Rec, (a, b, c, d, s)))
+        # positive crossings have the over-strand entering at slot b
+        crossings.append((a, b, c, d) if s > 0 else (a, d, c, b))
+    return _trusted(tuple(crossings), free_loops, tuple(runs), tuple(records))
 
 
 def _trusted(crossings: tuple[tuple[int, int, int, int], ...], free_loops: int,

@@ -119,15 +119,24 @@ class LaurentPoly:
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        terms: dict[int, int] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                k = ka + kb
-                s = terms.get(k, 0) + ca * cb
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a one-term factor shifts keys and scales nonzero coefficients,
+            # so no two products meet and none vanishes
+            ((kb, cb),) = b.items()
+            terms = {ka + kb: ca * cb for ka, ca in a.items()}
+        else:
+            terms = {}
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    k = ka + kb
+                    s = terms.get(k, 0) + ca * cb
+                    if s:
+                        terms[k] = s
+                    else:
+                        terms.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = terms
         return out

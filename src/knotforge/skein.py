@@ -13,12 +13,16 @@ smoothing drops a crossing, so the recursion terminates with depth bounded
 by the crossing count.  Resolved diagrams are memoised under their PD code
 as given, not under a canonical relabelling (see canonical_code).
 
-Reidemeister-I curls are removed once, on entry.  A switch keeps the curl
-test (under-out is over-in, or under-in is over-out), so the switch child
-of a curl-free diagram is curl-free; it keeps labels and runs and switches
-one record, without a rebuild.  The smoothing child glues the smoothing and
-every curl it leaves in one union-find and is rebuilt once.  Only a run of
-one or two edges that is under at no crossing goes back to the validator.
+Reidemeister-I curls are removed once, on entry, before the crossing
+budget is checked.  A switch keeps the curl test (under-out is over-in, or
+under-in is over-out), so the switch child of a curl-free diagram is
+curl-free; it keeps labels and runs and switches one record, without a
+rebuild.  The smoothing child glues the smoothing and every curl it leaves
+in one union-find over edge ids, a list indexed by id: one scan finds the
+curls, and a worklist rechecks only the crossings next to a class that has
+just merged.  It is then relabelled once.  Only a run of one or two edges
+that is under at no crossing goes back to the validator.  Unlink leaves
+read their Jones value from a table of powers of the loop value.
 
 There is one walk: it resolves each crossing once and combines (nabla, V)
 pairs.  conway_jones returns the pair; conway and jones project it.  Each
@@ -57,6 +61,9 @@ _DELTA = LaurentPoly({1: 1, -1: -1})     # t^(1/2) - t^(-1/2), doubled keys
 _T_INV_DELTA = LaurentPoly.monomial(1, -1) * _DELTA
 _T_DELTA = _Z * _DELTA
 _LOOP = LaurentPoly({1: 1, -1: 1})       # t^(1/2) + t^(-1/2)
+# k -> _LOOP ** k, filled as walks meet larger unlinks.  The values are
+# immutable and depend on k alone, so every leaf of every walk shares them.
+_LOOP_POWERS: dict[int, LaurentPoly] = {}
 
 
 class CrossingBudgetExceeded(RuntimeError):
@@ -110,8 +117,11 @@ def _first_violation(d: PDDiagram):
 
 def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of the c-component unlink."""
-    return (LaurentPoly.one() if c == 1 else LaurentPoly.zero(),
-            _LOOP ** max(c - 1, 0))
+    k = max(c - 1, 0)
+    v = _LOOP_POWERS.get(k)
+    if v is None:
+        v = _LOOP_POWERS.setdefault(k, _LOOP ** k)
+    return (LaurentPoly.one() if c == 1 else LaurentPoly.zero(), v)
 
 
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
@@ -141,14 +151,16 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
 def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d from one skein walk with a fresh memo.
 
-    Raises CrossingBudgetExceeded above DEFAULT_CROSSING_BUDGET crossings.
+    Raises CrossingBudgetExceeded when more than DEFAULT_CROSSING_BUDGET
+    crossings are left after Reidemeister-I reduction.
     """
+    d = d.reduce_r1()
     if d.n_crossings > DEFAULT_CROSSING_BUDGET:
         raise CrossingBudgetExceeded(
-            f"diagram has {d.n_crossings} crossings, "
+            f"diagram has {d.n_crossings} crossings after R1 reduction, "
             f"budget is {DEFAULT_CROSSING_BUDGET}"
         )
-    return _skein_eval(d.reduce_r1(), SkeinMemo())
+    return _skein_eval(d, SkeinMemo())
 
 
 def conway(d: PDDiagram) -> LaurentPoly:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from knotforge.diagram import PDDiagram
+from knotforge.diagram import PDDiagram, _Rec, _rebuild
 from knotforge.family import load_table
 
 
@@ -104,3 +104,18 @@ def random_planar_diagrams(seed: int, count: int, max_crossings: int):
         if d.n_crossings <= max_crossings and is_planar(d):
             out.append(d)
     return out
+
+
+def with_curls(d: PDDiagram, count: int) -> PDDiagram:
+    """d with count positive curls spliced into edge 1, one after another."""
+    n_edges = 2 * d.n_crossings
+    ids = [1] + [n_edges + 1 + j for j in range(2 * count)]
+    # the crossing that edge 1 entered is now entered by the last new id
+    recs = [r._replace(u_in=ids[-1]) if r.u_in == 1
+            else r._replace(o_in=ids[-1]) if r.o_in == 1 else r
+            for r in d.records()]
+    # curl j: in under on ids[2j], out under and back over on ids[2j+1],
+    # out over on ids[2j+2]
+    recs += [_Rec(ids[2 * j], ids[2 * j + 1], ids[2 * j + 1], ids[2 * j + 2], 1)
+             for j in range(count)]
+    return _rebuild(recs, d.free_loops)

@@ -8,6 +8,8 @@ import pytest
 from knotforge import cli
 from knotforge.family import load_table
 
+from conftest import with_curls
+
 
 def data_path(filename: str) -> str:
     return str(resources.files("knotforge") / "data" / filename)
@@ -72,6 +74,16 @@ class TestExitCodes:
         big = tmp_path / "big.pd"
         big.write_text(d.render())
         assert cli.main(["invariants", "--pd", str(big)]) == 3
+
+    def test_budget_counts_crossings_after_r1(self, capsys, tmp_path):
+        # L_7 (23 crossings) with two curls: 25 crossings, 23 after R1
+        d = with_curls(load_table().diagram("11n63").insert_full_twists((3, 25), 5), 2)
+        assert (d.n_crossings, d.reduce_r1().n_crossings) == (25, 23)
+        curly = tmp_path / "curly.pd"
+        curly.write_text(d.render())
+        code, out = run(capsys, "invariants", "--pd", str(curly))
+        assert code == 0
+        assert "lambda2 = 774" in out
 
     def test_failed_checks(self, tmp_path):
         # corrupted table: the 9_45 stanza holds the 5_2 diagram

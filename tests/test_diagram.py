@@ -58,7 +58,7 @@ def cancel_adjacent_r2(d: PDDiagram) -> PDDiagram:
             over = (ri.o_in, ri.o_out, rj.o_out)
         else:                                       # over strand runs the other way
             over = (rj.o_in, rj.o_out, ri.o_out)
-        parent = {}
+        parent = list(range(2 * d.n_crossings + 1))
         _glue(parent, under)
         _glue(parent, over)
         d = _rebuild(keep, d.free_loops, parent)
@@ -74,7 +74,7 @@ def reduce_r1_curl_by_curl(d: PDDiagram) -> PDDiagram:
             return d
         recs = d.records()
         t = recs.pop(i)
-        parent = {}
+        parent = list(range(2 * d.n_crossings + 1))
         _glue(parent, (t.u_in, t.o_in, t.u_out, t.o_out))
         d = _rebuild(recs, d.free_loops, parent)
 
@@ -382,6 +382,42 @@ class TestTrustedRebuild:
             _rebuild(recs, 0)
 
 
+class TestDoubleMirror:
+    """A double mirror keeps the link, and keeps the code unless a mirror
+    sends a short run to the validator (see ``PDDiagram.mirror``)."""
+
+    def test_split_two_edge_component_may_reverse(self):
+        d = PDDiagram([(1, 3, 2, 4), (2, 3, 1, 4)])
+        mm = d.mirror().mirror()
+        assert mm.crossings == ((2, 4, 1, 3), (1, 4, 2, 3))
+        assert (mm.writhe(), mm.component_count()) == (d.writhe(), d.component_count())
+        assert skein.conway_jones(mm) == skein.conway_jones(d)
+
+    def test_table_twist_family_and_random(self, table, monkeypatch):
+        base = table.diagram("11n63")
+        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
+        diagrams += random_planar_diagrams(seed=23, count=300, max_crossings=10)
+        diagrams += [table.diagram(name) for name in table.names()]
+        calls = []
+        validate = diagram_module._validate
+        monkeypatch.setattr(diagram_module, "_validate",
+                            lambda *args: calls.append(args) or validate(*args))
+        fell_back = moved = 0
+        for d in diagrams:
+            calls.clear()
+            mm = d.mirror().mirror()
+            if calls:
+                fell_back += 1
+                moved += mm != d
+            else:
+                assert mm == d, d.render()
+            assert (mm.writhe(), mm.component_count()) == (
+                d.writhe(), d.component_count()), d.render()
+            assert skein.conway_jones(mm) == skein.conway_jones(d), d.render()
+        # here every mirror pair that falls back reverses its short run
+        assert (fell_back, moved) == (23, 23)
+
+
 class TestSwitch:
     def test_unknotting_the_trefoil(self):
         d = parse_pd(TREFOIL).switch_crossing(0)
@@ -520,6 +556,27 @@ class TestReduceR1:
             # the same code, so the skein memo sees the same keys
             assert r == ref, d.render()
         assert stacked > 30
+
+
+class TestSmoothR1:
+    """The walk's smoothing child is the smoothing reduced curl by curl."""
+
+    def test_matches_curl_by_curl_reference(self, table):
+        base = table.diagram("11n63")
+        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
+        diagrams += random_planar_diagrams(seed=41, count=400, max_crossings=10)
+        children = stacked = 0
+        for d in diagrams:
+            for i in range(d.n_crossings):
+                child = diagram_module._smooth_r1(d, i)
+                smoothed = d.smooth_crossing(i)
+                ref = reduce_r1_curl_by_curl(smoothed)
+                children += 1
+                stacked += smoothed.n_crossings - ref.n_crossings >= 2
+                assert (child.crossings, child.free_loops, child._runs, child._records) == (
+                    ref.crossings, ref.free_loops, ref._runs, ref._records), (d.render(), i)
+        assert children > 1000
+        assert stacked > 300
 
 
 class TestCancelR2:

@@ -1,5 +1,6 @@
 """Conway/Jones skein engine and the independent bracket oracle."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from knotforge.skein import (
     jones_bracket_oracle,
 )
 
-from conftest import random_planar_diagrams
+from conftest import random_planar_diagrams, with_curls
 
 F = Fraction
 ONE = LaurentPoly.one()
@@ -294,6 +295,32 @@ class TestOracle:
             jones_bracket_oracle(d)
 
 
+class TestMemoKeys:
+    """The labels of every skein child are pinned by the memo keys."""
+
+    # digest of the keys conway_jones stores, in order, over the 7 table
+    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 2,261 keys
+    DIGEST = "76526f1833e9a487854e05ab49ab7b299e3e0f4b9788a97e2b257b2bd449463a"
+
+    def test_memo_key_digest(self, table, monkeypatch):
+        keys = []
+        put = SkeinMemo.put
+
+        def recording_put(memo, key, value):
+            keys.append(repr(key))
+            put(memo, key, value)
+
+        monkeypatch.setattr(SkeinMemo, "put", recording_put)
+        base = table.diagram("11n63")
+        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
+        diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
+        for d in diagrams:
+            conway_jones(d)
+        assert len(keys) == 2261
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
+
+
 class TestBudgetAndMemo:
     def test_crossing_budget_exceeded(self, table):
         d = table.diagram("5_2")
@@ -303,6 +330,16 @@ class TestBudgetAndMemo:
             conway(d)
         with pytest.raises(CrossingBudgetExceeded):
             jones(d)
+
+    def test_budget_counts_crossings_after_r1(self, table):
+        # L_7 (23 crossings) with two curls: 25 crossings, 23 after R1
+        d = with_curls(table.diagram("11n63").insert_full_twists((3, 25), 5), 2)
+        assert (d.n_crossings, d.reduce_r1().n_crossings) == (25, 23)
+        assert conway_jones(d) == (conway_family(7), jones_family(7))
+        # a curl is not free when what is left is over the budget
+        big = with_curls(table.diagram("5_2").insert_full_twists((1, 4), 10), 1)
+        with pytest.raises(CrossingBudgetExceeded, match="25 crossings after R1"):
+            conway_jones(big)
 
     def test_memo_rejects_value_collision(self):
         memo = SkeinMemo()
