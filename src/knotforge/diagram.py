@@ -197,8 +197,8 @@ class PDDiagram:
     def smooth_crossing(self, index: int) -> "PDDiagram":
         """Oriented resolution of one crossing; every edge gets a fresh label.
 
-        Curls are kept; the skein walk smooths and removes them in one
-        rebuild (see ``_smooth_r1``).
+        Curls are kept; the skein walk smooths and removes them with one
+        map and one relabel (see ``_smooth_r1``).
         """
         self._check_index(index)
         recs = self.records()
@@ -219,18 +219,18 @@ class PDDiagram:
                         self._runs, records)
 
     def reduce_r1(self) -> "PDDiagram":
-        """Remove Reidemeister-I curls, iterated to a fixpoint, in one rebuild.
+        """Remove Reidemeister-I curls, iterated to a fixpoint, in one relabel.
 
         The curls are glued away on the strand records, in a union-find over
-        edge ids kept in a list: one scan, then a worklist of the crossings
-        that are both ends of a merged class (see ``_uncurl``).  A diagram
-        without curls is returned as it is.
+        edge ids kept in a list: one pass finds the curls, then a worklist
+        removes them and the crossings they turn into curls (see
+        ``_uncurl``).  A diagram without curls is returned as it is.
         """
         parent = list(range(2 * len(self.crossings) + 1))
-        recs = _uncurl(self.records(), parent)
-        if len(recs) == len(self._records):
+        named = _uncurl(self.records(), parent)
+        if len(named) == len(self._records):
             return self
-        return _rebuild(recs, self.free_loops, parent)
+        return _relabel(named, self.free_loops, parent)
 
     def insert_full_twists(self, site: tuple[int, int], n: int) -> "PDDiagram":
         """Insert n full twists of the two strands carrying the given edges.
@@ -340,48 +340,54 @@ def _smoothing(t: _Rec, n_edges: int) -> list[int]:
     return parent
 
 
-def _uncurl(recs: list[_Rec], parent: list[int]) -> list[_Rec]:
-    """recs without their Reidemeister-I curls, each glued away in parent.
+def _uncurl(recs: list[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
+    """recs without their Reidemeister-I curls, written in class names.
+
+    ``parent`` is a union-find over edge ids (see ``_glue``), flattened here
+    once.  On return its roots name the classes left, each by its smallest
+    id, and the records kept are written in those names, ready for
+    ``_relabel``.
 
     A curl is a crossing where the strand leaving under comes back over, or
     the strand leaving over comes back under.  Removing one glues its four
-    edge ids, which can make further crossings curls.  Gluing only merges
-    classes, so a curl stays a curl: the crossings left do not depend on the
-    order of removal.
+    edge classes, which can make further crossings curls.  Gluing only
+    merges classes, so a curl stays a curl: the crossings left, and the
+    classes, do not depend on the order of removal.
 
-    One scan removes the curls it meets.  Each class is one edge of the
-    crossings left: one of them leaves by it (its tail) and one enters on
-    it (its head), unless it has closed into a free loop.  A curl is the
-    tail and the head of one class, so a merge makes a curl only of a
-    crossing that is both ends of the merged class.  A worklist removes
-    those, after the scan and after each removal of its own.
+    One pass reads each record's class names by list index.  It notes for
+    each class the crossing that leaves by it (its tail) and the one that
+    enters on it (its head), and puts every crossing that is already a curl
+    on a worklist.  A curl is the tail and the head of its loop.  Removing
+    it merges the class it enters on, the loop and the class it leaves by.
+    Each class has one tail and one head, so of the crossings kept only the
+    tail of the first and the head of the last read those classes.  Only
+    those two slots are renamed, and only a crossing that is both ends of
+    the merged class becomes a curl: it goes on the worklist.
     """
-    keep = []
-    merged = []
-    for r in recs:
-        u_in, o_in, u_out, o_out, _ = r
-        if (_find(parent, u_out) == _find(parent, o_in)
-                or _find(parent, u_in) == _find(parent, o_out)):
-            merged.append(_glue(parent, (u_in, o_in, u_out, o_out)))
-        else:
-            keep.append(r)
-    if not merged:
-        return keep
     _flatten(parent)
     head = [-1] * len(parent)
     tail = [-1] * len(parent)
-    for i, (u_in, o_in, u_out, o_out, _) in enumerate(keep):
-        head[parent[u_in]] = head[parent[o_in]] = i
-        tail[parent[u_out]] = tail[parent[o_out]] = i
-    todo = [head[parent[e]] for e in merged if head[parent[e]] == tail[parent[e]]]
-    gone = [False] * len(keep)
+    named = []
+    todo = []
+    i = 0
+    for u_in, o_in, u_out, o_out, s in recs:
+        u_in = parent[u_in]
+        o_in = parent[o_in]
+        u_out = parent[u_out]
+        o_out = parent[o_out]
+        named.append((u_in, o_in, u_out, o_out, s))
+        head[u_in] = head[o_in] = tail[u_out] = tail[o_out] = i
+        if u_out == o_in or u_in == o_out:
+            todo.append(i)
+        i += 1
+    if not todo:
+        return named
+    gone = [False] * len(named)
     while todo:
         i = todo.pop()
-        if i < 0 or gone[i]:
+        if gone[i]:
             continue
-        r = keep[i]
-        u_in, o_in = _find(parent, r.u_in), _find(parent, r.o_in)
-        u_out, o_out = _find(parent, r.u_out), _find(parent, r.o_out)
+        u_in, o_in, u_out, o_out, _ = named[i]
         # the strand enters on edge_in, loops back and leaves on edge_out;
         # a crossing that is a curl both ways closes into a free loop, whose
         # tail and head are the crossing itself.  A class that leaves and
@@ -394,20 +400,27 @@ def _uncurl(recs: list[_Rec], parent: list[int]) -> list[_Rec]:
         else:
             continue
         gone[i] = True
+        low = min(u_in, o_in, u_out, o_out)
+        parent[u_in] = parent[o_in] = parent[u_out] = parent[o_out] = low
         before, after = tail[edge_in], head[edge_out]
-        low = _glue(parent, (u_in, o_in, u_out, o_out))
+        a, b, c, d, s = named[before]
+        named[before] = (a, b, low if c == edge_in else c, low if d == edge_in else d, s)
+        a, b, c, d, s = named[after]
+        named[after] = (low if a == edge_out else a, low if b == edge_out else b, c, d, s)
         tail[low], head[low] = before, after
         if before == after:
             todo.append(after)
-    return [r for r, removed in zip(keep, gone) if not removed]
+    return [r for r, removed in zip(named, gone) if not removed]
 
 
 def _smooth_r1(d: PDDiagram, index: int) -> PDDiagram:
-    """``d.smooth_crossing(index).reduce_r1()`` with one rebuild: the skein
-    walk's smoothing child.  The smoothing and its curls share one glue."""
+    """``d.smooth_crossing(index).reduce_r1()`` with one relabel: the skein
+    walk's smoothing child.  The smoothing and its curls share one glue,
+    flattened once by ``_uncurl``, which hands its records over in class
+    names."""
     recs = d.records()
     parent = _smoothing(recs.pop(index), 2 * len(d.crossings))
-    return _rebuild(_uncurl(recs, parent), d.free_loops, parent)
+    return _relabel(_uncurl(recs, parent), d.free_loops, parent)
 
 
 def _rebuild(recs: list[_Rec], free_loops: int,
@@ -416,53 +429,59 @@ def _rebuild(recs: list[_Rec], free_loops: int,
 
     ``parent`` is a union-find over the edge ids 1..len(parent) - 1 of the
     diagram being rebuilt (see ``_glue``); without one, the ids are
-    1..max(recs) and each is its own class.  Each glued class becomes one
-    edge, named by its smallest id, and a class that touches no crossing
-    becomes a free loop.  Strands are then traced from the smallest ids to
-    assign fresh consecutive labels per component.  Every table here is a
-    list indexed by edge id.
+    1..max(recs) and each is its own class.  This front flattens it, writes
+    each record in class names, and hands them to ``_relabel``.  Smoothing
+    and twist insertion come through here; the skein walk's smoothing child
+    and R1 reduction name their records in ``_uncurl`` and call
+    ``_relabel`` directly, so every child is mapped once.
+    """
+    if parent is None:
+        parent = list(range(1 + max((max(r[:4]) for r in recs), default=0)))
+    _flatten(parent)
+    return _relabel([(parent[a], parent[b], parent[c], parent[d], s)
+                     for a, b, c, d, s in recs], free_loops, parent)
+
+
+def _relabel(named: list[tuple[int, ...]], free_loops: int,
+             parent: list[int]) -> PDDiagram:
+    """The PDDiagram of records written in class names.
+
+    A class is named by its smallest id, a root of the union-find
+    ``parent``, and each becomes one edge.  A class that touches no crossing
+    becomes a free loop.  Strands are then traced from the smallest names
+    to assign fresh consecutive labels per component.  Every table here is
+    a list indexed by edge id.
 
     The result is not re-validated: the runs and relabelled records traced
     here go through ``_trusted``, which validates only a diagram with a run
     of one or two edges that is under at no crossing.  So the records equal
-    ``_validate`` of the new code.  Smoothing, R1 reduction (every curl in
-    one rebuild) and twist insertion come through here.
+    ``_validate`` of the new code.
 
     Guards, each a ``PDError`` "internal rebuild error": an edge id that is
     consumed twice, produced twice, or produced but never consumed, and a
-    traced strand that does not close on its start.
+    traced strand that does not close on its start.  The strand table is
+    filled unchecked; when it holds fewer than two entries per record, the
+    checked loop reruns and raises the first guard in record order.
     """
-    if parent is None:
-        parent = list(range(1 + max((max(r[:4]) for r in recs), default=0)))
     size = len(parent)
-    _flatten(parent)
-    mapped = [(parent[a], parent[b], parent[c], parent[d], s) for a, b, c, d, s in recs]
     # strand_next[e] is the edge a strand leaves by after entering on e (0: none)
     strand_next = [0] * size
     produced = bytearray(size)
-    for u_in, o_in, u_out, o_out, _ in mapped:
-        for e_in, e_out in ((u_in, u_out), (o_in, o_out)):
-            if strand_next[e_in]:
-                raise PDError(f"internal rebuild error: edge id {e_in} consumed twice")
-            if produced[e_out]:
-                raise PDError(f"internal rebuild error: edge id {e_out} produced twice")
-            strand_next[e_in] = e_out
-            produced[e_out] = 1
-    # as many ids are produced as consumed, all distinct: the two differ
-    # exactly when some id is produced and never consumed
-    for e in range(1, size):
-        if produced[e]:
-            if not strand_next[e]:
-                raise PDError(f"internal rebuild error: edge id {e} produced but "
-                              f"never consumed")
-        elif parent[e] == e:
-            free_loops += 1
-
+    for u_in, o_in, u_out, o_out, _ in named:
+        strand_next[u_in] = u_out
+        strand_next[o_in] = o_out
+        produced[u_out] = produced[o_out] = 1
+    if size - strand_next.count(0) != 2 * len(named) or produced.count(1) != 2 * len(named):
+        _check_strands(named, size)
     label = [0] * size
     runs = []
     last = 0
     for start in range(1, size):
-        if label[start] or not produced[start]:
+        if label[start]:
+            continue
+        if not produced[start]:
+            if parent[start] == start:
+                free_loops += 1
             continue
         e = start
         while not label[e]:
@@ -470,19 +489,39 @@ def _rebuild(recs: list[_Rec], free_loops: int,
             label[e] = last
             e = strand_next[e]
         if e != start:
+            # a strand that reaches an id produced but never consumed runs
+            # on through id 0 and ends here too; that guard is raised first
+            for e in range(1, size):
+                if produced[e] and not strand_next[e]:
+                    raise PDError(f"internal rebuild error: edge id {e} produced "
+                                  f"but never consumed")
             raise PDError(f"internal rebuild error: strand from edge id {start} "
                           f"does not close on its start")
         runs.append((label[start], last))
 
     # tuple.__new__ skips the NamedTuple constructor's argument handling
     new = tuple.__new__
-    records, crossings = [], []
-    for a, b, c, d, s in mapped:
-        a, b, c, d = label[a], label[b], label[c], label[d]
-        records.append(new(_Rec, (a, b, c, d, s)))
-        # positive crossings have the over-strand entering at slot b
-        crossings.append((a, b, c, d) if s > 0 else (a, d, c, b))
-    return _trusted(tuple(crossings), free_loops, tuple(runs), tuple(records))
+    records = tuple([new(_Rec, (label[a], label[b], label[c], label[d], s))
+                     for a, b, c, d, s in named])
+    # positive crossings have the over-strand entering at slot b
+    crossings = tuple([(a, b, c, d) if s > 0 else (a, d, c, b)
+                       for a, b, c, d, s in records])
+    return _trusted(crossings, free_loops, tuple(runs), records)
+
+
+def _check_strands(named: list[tuple[int, ...]], size: int) -> None:
+    """Fill a strand table record by record and raise at the first edge id
+    consumed twice or produced twice (see ``_relabel``)."""
+    strand_next = [0] * size
+    produced = bytearray(size)
+    for u_in, o_in, u_out, o_out, _ in named:
+        for e_in, e_out in ((u_in, u_out), (o_in, o_out)):
+            if strand_next[e_in]:
+                raise PDError(f"internal rebuild error: edge id {e_in} consumed twice")
+            if produced[e_out]:
+                raise PDError(f"internal rebuild error: edge id {e_out} produced twice")
+            strand_next[e_in] = e_out
+            produced[e_out] = 1
 
 
 def _trusted(crossings: tuple[tuple[int, int, int, int], ...], free_loops: int,
@@ -493,7 +532,7 @@ def _trusted(crossings: tuple[tuple[int, int, int, int], ...], free_loops: int,
     The one exception is a run of one or two edges that is under at no
     crossing: it reads both ways along its over-strands, so its code does
     not orient it.  A diagram with one goes through the validating
-    constructor and takes the validator's tie-break.  ``_rebuild``,
+    constructor and takes the validator's tie-break.  ``_relabel``,
     ``switch_crossing`` and ``mirror`` share this check.
     """
     short = [run for run in runs if run[1] - run[0] < 2]

@@ -111,17 +111,21 @@ def load_table(path: str | None = None) -> KnotTable:
     return KnotTable(_parse_table_text(text))
 
 
+def _check_family_index(n) -> None:
+    """Refuse an n that names no L_n: a bool, a non-int, or a negative int."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"family index must be a non-negative integer, got {n!r}")
+
+
 def conway_family(n: int) -> LaurentPoly:
     """Closed-form Conway polynomial 1 + 2z^2 - n z^4 of L_n."""
-    if n < 0:
-        raise ValueError("family index must be non-negative")
+    _check_family_index(n)
     return LaurentPoly.from_exponents({0: 1, 2: 2, 4: -n})
 
 
 def jones_family(n: int) -> LaurentPoly:
     """Closed-form Jones polynomial of L_n."""
-    if n < 0:
-        raise ValueError("family index must be non-negative")
+    _check_family_index(n)
     partial = LaurentPoly.zero()
     for k in range(n):
         partial = partial + LaurentPoly.monomial(1, -2 * k)
@@ -158,8 +162,7 @@ def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
 
 def lambda2_family(n: int) -> Fraction:
     """lambda2 of (-1)-surgery on L_n from the closed-form moments; 72n + 270."""
-    if n < 0:
-        raise ValueError("family index must be non-negative")
+    _check_family_index(n)
     value = ohtsuki_lambda2(Fraction(-12), Fraction(36 * n + 108), Fraction(-n))
     expected = Fraction(72 * n + 270)
     if value != expected:

@@ -112,6 +112,9 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
+            # a bool is no scalar, though Python counts it as an int
+            if type(other) is bool:
+                raise TypeError(f"scalar factor must be an int, got {other!r}")
             if not other:
                 return LaurentPoly()
             out = LaurentPoly.__new__(LaurentPoly)

@@ -17,11 +17,13 @@ Reidemeister-I curls are removed once, on entry, before the crossing
 budget is checked.  A switch keeps the curl test (under-out is over-in, or
 under-in is over-out), so the switch child of a curl-free diagram is
 curl-free; it keeps labels and runs and switches one record, without a
-rebuild.  The smoothing child glues the smoothing and every curl it leaves
-in one union-find over edge ids, a list indexed by id: one scan finds the
-curls, and a worklist rechecks only the crossings next to a class that has
-just merged.  It is then relabelled once.  Only a run of one or two edges
-that is under at no crossing goes back to the validator.  Unlink leaves
+rebuild.  The smoothing child glues the smoothing in a union-find over
+edge ids, a list indexed by id, and flattens it once.  One pass writes each
+record in class names and puts every curl on a worklist; removing a curl
+renames one slot on each side of it, and a crossing that holds both becomes
+a curl in turn.  The records kept go straight to the relabel, so each child
+is mapped once and relabelled once.  Only a run of one or two edges that is
+under at no crossing goes back to the validator.  Unlink leaves
 read their Jones value from a table of powers of the loop value.
 
 There is one walk: it resolves each crossing once and combines (nabla, V)

@@ -20,7 +20,7 @@ from knotforge.diagram import (
 )
 from knotforge import skein
 
-from conftest import is_planar, random_planar_diagrams
+from conftest import is_planar, random_planar_diagrams, with_curls
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
@@ -561,22 +561,41 @@ class TestReduceR1:
 class TestSmoothR1:
     """The walk's smoothing child is the smoothing reduced curl by curl."""
 
+    @staticmethod
+    def _check_children(d):
+        """Compare every smoothing child of d with the reference; return the
+        number of children and of children that lose two or more curls."""
+        stacked = 0
+        for i in range(d.n_crossings):
+            child = diagram_module._smooth_r1(d, i)
+            smoothed = d.smooth_crossing(i)
+            ref = reduce_r1_curl_by_curl(smoothed)
+            stacked += smoothed.n_crossings - ref.n_crossings >= 2
+            assert (child.crossings, child.free_loops, child._runs, child._records) == (
+                ref.crossings, ref.free_loops, ref._runs, ref._records), (d.render(), i)
+        return d.n_crossings, stacked
+
     def test_matches_curl_by_curl_reference(self, table):
+        # L_6 and L_7 are the largest twist-family inputs, with the longest
+        # curl cascades
         base = table.diagram("11n63")
-        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
+        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
         diagrams += random_planar_diagrams(seed=41, count=400, max_crossings=10)
-        children = stacked = 0
-        for d in diagrams:
-            for i in range(d.n_crossings):
-                child = diagram_module._smooth_r1(d, i)
-                smoothed = d.smooth_crossing(i)
-                ref = reduce_r1_curl_by_curl(smoothed)
-                children += 1
-                stacked += smoothed.n_crossings - ref.n_crossings >= 2
-                assert (child.crossings, child.free_loops, child._runs, child._records) == (
-                    ref.crossings, ref.free_loops, ref._runs, ref._records), (d.render(), i)
-        assert children > 1000
-        assert stacked > 300
+        counts = [self._check_children(d) for d in diagrams]
+        assert sum(c for c, _ in counts) > 1000
+        assert sum(s for _, s in counts) > 300
+
+    def test_children_of_diagrams_with_curls(self, table):
+        # curls already present before the smoothing: the walk never meets
+        # them, but callers of smooth_crossing and reduce_r1 can
+        base = table.diagram("11n63")
+        bases = [base.insert_full_twists((3, 25), n - 2) for n in range(4)]
+        # with_curls splices into edge 1, so the crossingless unknot is left out
+        bases += [d for d in map(table.diagram, table.names()) if d.n_crossings]
+        counts = [self._check_children(with_curls(d, k))
+                  for d in bases for k in range(1, 5)]
+        assert sum(c for c, _ in counts) > 500
+        assert sum(s for _, s in counts) > 400
 
 
 class TestCancelR2:

@@ -111,6 +111,14 @@ class TestClosedForms:
             with pytest.raises(ValueError):
                 fn(-1)
 
+    @pytest.mark.parametrize("n", [1.5, True, False, 1.0, F(1), "1"])
+    @pytest.mark.parametrize("fn", [conway_family, jones_family, lambda2_family])
+    def test_non_integer_n_rejected(self, fn, n):
+        # a bool or a non-int names no L_n, even where it compares equal to one
+        with pytest.raises(ValueError, match="family index must be a non-negative "
+                                             "integer, got"):
+            fn(n)
+
 
 class TestTildeV:
     def test_published_value(self, table):

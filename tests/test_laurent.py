@@ -98,7 +98,7 @@ class TestIntegerCoefficients:
 
 
 class TestBoolExponents:
-    """A bool is not an exponent, though Python counts it as an int."""
+    """A bool is not an exponent or a scalar, though Python counts it as an int."""
 
     @pytest.mark.parametrize("e", [True, False])
     def test_monomial_rejects_bool(self, e):
@@ -114,6 +114,13 @@ class TestBoolExponents:
     def test_power_rejects_bool(self, n):
         with pytest.raises(ValueError, match="only non-negative integer powers"):
             LaurentPoly.one() ** n
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_multiply_rejects_bool_scalar(self, scalar):
+        with pytest.raises(TypeError, match="scalar factor must be an int"):
+            V_L0 * scalar
+        with pytest.raises(TypeError, match="scalar factor must be an int"):
+            scalar * V_L0
 
     def test_int_exponents_still_accepted(self):
         assert LaurentPoly.monomial(1, 1) ** 0 == LaurentPoly.one()
