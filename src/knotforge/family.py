@@ -172,6 +172,8 @@ def lambda2_family(n: int) -> Fraction:
 
 def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
     """Recompute the family anchors and closed forms; report per-check results."""
+    if type(n_max) is not int:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     table = table if table is not None else load_table()

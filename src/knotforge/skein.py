@@ -29,6 +29,14 @@ read their Jones value from a table of powers of the loop value.
 There is one walk: it resolves each crossing once and combines (nabla, V)
 pairs.  conway_jones returns the pair; conway and jones project it.  Each
 call starts from a fresh memo.
+
+The oracle, jones_bracket_oracle, is the Kauffman bracket as a plain sum
+over all 2^N states, one state at a time.  A state unions the edge pairs
+of its smoothings in a fresh union-find and counts the unions that merge
+two classes; that count gives its loops.  States are tallied by (number of
+A-smoothings, merges), so the loop-value power is expanded once per class,
+not once per state.  It reads only the PD code, the free loops, the
+writhe and the component count, and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -180,8 +188,12 @@ def jones_bracket_oracle(d: PDDiagram) -> LaurentPoly:
 
     Independent of the skein recursion; used to cross-validate it.  The
     A-smoothing of X(a,b,c,d) joins a-b and c-d, the B-smoothing joins
-    a-d and b-c; the bracket is writhe-normalized and A is substituted by
-    a quarter power of t (see _A_TO_T_QUARTERS).
+    a-d and b-c.  Each state unions its 2N edge pairs in a fresh
+    union-find and counts the unions that merge two classes, so it has
+    2N - merges + free_loops loops.  States are tallied by (number of
+    A-smoothings, merges); each class adds (-A^2 - A^-2)^(loops - 1) times
+    its count, shifted by A^(#A - #B).  The bracket is writhe-normalized
+    and A is substituted by a quarter power of t (see _A_TO_T_QUARTERS).
     """
     if d.n_crossings > BRACKET_ORACLE_BUDGET:
         raise CrossingBudgetExceeded(
@@ -190,39 +202,47 @@ def jones_bracket_oracle(d: PDDiagram) -> LaurentPoly:
         )
     n = d.n_crossings
     n_edges = 2 * n
-    crossings = d.crossings
+    # (B-smoothing, A-smoothing) of each crossing, indexed by its state bit
+    smoothings = [(((a, cd), (b, c)), ((a, b), (c, cd)))
+                  for a, b, c, cd in d.crossings]
+    fresh = list(range(n_edges + 1))
 
-    # delta^k = (-A^2 - A^-2)^k for loop counts k, in the bracket variable A
-    delta_pows = [{2 * k - 4 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
-                  for k in range(n_edges + d.free_loops + 1)]
-
-    bracket: dict[int, int] = {}
-    parent = list(range(n_edges + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    tally: dict[tuple[int, int], int] = {}
     for state in range(1 << n):
-        for e in range(n_edges + 1):
-            parent[e] = e
-        a_minus_b = 0
-        for i, (a, b, c, cd) in enumerate(crossings):
-            if state >> i & 1:          # A-smoothing
-                a_minus_b += 1
-                pairs = ((a, b), (c, cd))
-            else:                       # B-smoothing
-                a_minus_b -= 1
-                pairs = ((a, cd), (b, c))
-            for x, y in pairs:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[ry] = rx
-        loops = len({find(e) for e in range(1, n_edges + 1)}) + d.free_loops
-        for e, cf in delta_pows[loops - 1].items():
-            bracket[e + a_minus_b] = bracket.get(e + a_minus_b, 0) + cf
+        parent = fresh[:]
+        merges = 0
+        bits = state
+        for pairs in smoothings:
+            (x, y), (u, v) = pairs[bits & 1]
+            bits >>= 1
+            # find with path halving; parent[x] is assigned before x moves
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[y] = x
+                merges += 1
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                merges += 1
+        key = (state.bit_count(), merges)
+        tally[key] = tally.get(key, 0) + 1
+
+    # delta^k = (-A^2 - A^-2)^k for k = loops - 1, once per class, in the
+    # bracket variable A, shifted by a - b = 2 #A - N
+    bracket: dict[int, int] = {}
+    for (n_a, merges), count in tally.items():
+        k = n_edges - merges + d.free_loops - 1
+        shift = 2 * n_a - n
+        signed = -count if k % 2 else count
+        for j in range(k + 1):
+            e = 2 * k - 4 * j + shift
+            bracket[e] = bracket.get(e, 0) + signed * comb(k, j)
 
     # writhe normalization (-A^3)^(-w) in the standard convention equals
     # (-1)^w A^(3w) with this package's sign convention; the skein's unlink

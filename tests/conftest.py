@@ -1,11 +1,14 @@
 """Shared fixtures and helpers for the test suite."""
 
 import random
+from math import comb
 
 import pytest
 
 from knotforge.diagram import PDDiagram, _Rec, _rebuild
 from knotforge.family import load_table
+from knotforge.laurent import LaurentPoly
+from knotforge.skein import _A_TO_T_QUARTERS
 
 
 @pytest.fixture(scope="session")
@@ -108,6 +111,10 @@ def random_planar_diagrams(seed: int, count: int, max_crossings: int):
 
 def with_curls(d: PDDiagram, count: int) -> PDDiagram:
     """d with count positive curls spliced into edge 1, one after another."""
+    if d.n_crossings == 0 or count < 1:
+        raise ValueError(
+            f"with_curls needs a diagram with crossings and a count of at least 1, "
+            f"got {d.render()!r} and {count!r}")
     n_edges = 2 * d.n_crossings
     ids = [1] + [n_edges + 1 + j for j in range(2 * count)]
     # the crossing that edge 1 entered is now entered by the last new id
@@ -119,3 +126,58 @@ def with_curls(d: PDDiagram, count: int) -> PDDiagram:
     recs += [_Rec(ids[2 * j], ids[2 * j + 1], ids[2 * j + 1], ids[2 * j + 2], 1)
              for j in range(count)]
     return _rebuild(recs, d.free_loops)
+
+
+def bracket_state_sum_reference(d: PDDiagram) -> LaurentPoly:
+    """Jones polynomial by the Kauffman bracket, one full state at a time.
+
+    The reference for skein.jones_bracket_oracle, kept for diagrams of at
+    most 12 crossings: every state resets the union-find, unions its
+    smoothings, counts the set of roots over all edges and expands the
+    loop-value power on its own.  The normalization is the oracle's.
+    """
+    n = d.n_crossings
+    n_edges = 2 * n
+    crossings = d.crossings
+
+    # delta^k = (-A^2 - A^-2)^k for loop counts k, in the bracket variable A
+    delta_pows = [{2 * k - 4 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
+                  for k in range(n_edges + d.free_loops + 1)]
+
+    bracket: dict[int, int] = {}
+    parent = list(range(n_edges + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for state in range(1 << n):
+        for e in range(n_edges + 1):
+            parent[e] = e
+        a_minus_b = 0
+        for i, (a, b, c, cd) in enumerate(crossings):
+            if state >> i & 1:          # A-smoothing
+                a_minus_b += 1
+                pairs = ((a, b), (c, cd))
+            else:                       # B-smoothing
+                a_minus_b -= 1
+                pairs = ((a, cd), (b, c))
+            for x, y in pairs:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[ry] = rx
+        loops = len({find(e) for e in range(1, n_edges + 1)}) + d.free_loops
+        for e, cf in delta_pows[loops - 1].items():
+            bracket[e + a_minus_b] = bracket.get(e + a_minus_b, 0) + cf
+
+    w = d.writhe()
+    sign = -1 if (w + d.component_count() - 1) % 2 else 1
+    doubled: dict[int, int] = {}
+    for e, cf in bracket.items():
+        q = (e + 3 * w) * _A_TO_T_QUARTERS
+        if q % 2 != 0:
+            raise AssertionError("bracket produced a non-half-integer t exponent")
+        doubled[q // 2] = sign * cf
+    return LaurentPoly(doubled)

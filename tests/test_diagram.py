@@ -597,6 +597,13 @@ class TestSmoothR1:
         assert sum(c for c, _ in counts) > 500
         assert sum(s for _, s in counts) > 400
 
+    @pytest.mark.parametrize("name, count", [("unknot", 1), ("trefoil", 0),
+                                             ("trefoil", -1)])
+    def test_with_curls_refuses_what_it_cannot_splice(self, table, name, count):
+        d = table.diagram(name)
+        with pytest.raises(ValueError, match=re.escape(f"got {d.render()!r} and {count}")):
+            with_curls(d, count)
+
 
 class TestCancelR2:
     def test_under_and_over_groups_sharing_an_edge(self):

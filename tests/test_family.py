@@ -1,6 +1,7 @@
 """The twist family: table anchors, closed forms, and the verifier."""
 
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,12 @@ class TestVerifyFamily:
     def test_nmax_below_2_rejected(self, table):
         with pytest.raises(ValueError):
             verify_family(1, table)
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, "3", True, None])
+    def test_non_integer_nmax_rejected(self, table, n_max):
+        with pytest.raises(ValueError, match=(
+                f"n_max must be a non-negative integer, got {re.escape(repr(n_max))}$")):
+            verify_family(n_max, table)
 
     def test_corrupted_entry_flags_specific_identity(self, table):
         entries = dict(table.entries)

@@ -1,13 +1,14 @@
 """Conway/Jones skein engine and the independent bracket oracle."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from knotforge import diagram as diagram_module
 from knotforge import skein as skein_module
-from knotforge.diagram import PDDiagram, parse_pd
+from knotforge.diagram import PDDiagram, PDError, parse_pd
 from knotforge.family import conway_family, jones_family
 from knotforge.laurent import LaurentPoly
 from knotforge.skein import (
@@ -21,7 +22,12 @@ from knotforge.skein import (
     jones_bracket_oracle,
 )
 
-from conftest import random_planar_diagrams, with_curls
+from conftest import (
+    bracket_state_sum_reference,
+    is_planar,
+    random_planar_diagrams,
+    with_curls,
+)
 
 F = Fraction
 ONE = LaurentPoly.one()
@@ -300,6 +306,70 @@ class TestOracle:
             d = d.insert_full_twists((1, 4), 1)
         with pytest.raises(CrossingBudgetExceeded):
             jones_bracket_oracle(d)
+
+    # digest of the rendered V, in order, over the 7 table entries, their
+    # mirrors, L_0 and 300 random_planar_diagrams(seed=1409), each with 0, 1
+    # and 2 extra free loops; 945 values, pinned before merge counting
+    DIGEST = "d8dc33719fe8ba5626cf7d42fe165a6a12aaa5226cf80317e064f99ac5be6850"
+
+    def test_oracle_digest(self, table):
+        bases = [table.diagram(name) for name in table.names()]
+        bases += [table.diagram(name).mirror() for name in table.names()]
+        bases.append(table.diagram("11n63").insert_full_twists((3, 25), -2))
+        bases += random_planar_diagrams(seed=1409, count=300, max_crossings=10)
+        values = [jones_bracket_oracle(PDDiagram(d.crossings, d.free_loops + k)).render()
+                  for d in bases for k in range(3)]
+        assert len(values) == 945
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() == self.DIGEST
+
+    def test_matches_reference_on_fuzzed_codes(self, table):
+        # one slot swap or label edit of a code of 2-10 crossings, kept when
+        # it validates; planar or not, with 0-2 free loops
+        rng = random.Random(1410)
+        bases = [table.diagram(name) for name in table.names()]
+        bases += random_planar_diagrams(seed=1410, count=200, max_crossings=10)
+        grown = []
+        for d in bases:
+            # full twists at random sites that keep the code planar, to
+            # bring in 9 and 10 crossings
+            for _ in range(40):
+                if not 0 < d.n_crossings <= 8:
+                    break
+                x, y = rng.sample(range(1, 2 * d.n_crossings + 1), 2)
+                cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
+                if is_planar(cand):
+                    d = cand
+            grown.append(d)
+        bases = [d for d in bases + grown if 2 <= d.n_crossings <= 10]
+        checked, planar, large = 0, 0, 0
+        while checked < 500:
+            xs = [list(x) for x in rng.choice(bases).crossings]
+            n = len(xs)
+            i, j = rng.randrange(n), rng.randrange(4)
+            if rng.randrange(2):
+                k, l = rng.randrange(n), rng.randrange(4)
+                xs[i][j], xs[k][l] = xs[k][l], xs[i][j]
+            else:
+                xs[i][j] = rng.randrange(1, 2 * n + 1)
+            try:
+                d = PDDiagram(xs, rng.randrange(3))
+            except PDError:
+                continue
+            checked += 1
+            planar += is_planar(d)
+            large += d.n_crossings >= 9
+            assert jones_bracket_oracle(d) == bracket_state_sum_reference(d), d.render()
+        # planar and non-planar codes, and codes of 9-10 crossings, were met
+        assert 0 < planar < checked and large > 50
+
+    def test_free_loops_multiply_by_the_loop_value(self, table):
+        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams += random_planar_diagrams(seed=1412, count=100, max_crossings=10)
+        for d in diagrams:
+            v = jones_bracket_oracle(d)
+            for k in (1, 2):
+                more = PDDiagram(d.crossings, d.free_loops + k)
+                assert jones_bracket_oracle(more) == v * LOOP ** k, d.render()
 
 
 class TestMemoKeys:
