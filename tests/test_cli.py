@@ -1,11 +1,13 @@
 """CLI subcommands: exit codes, golden JSON reports, determinism."""
 
+import hashlib
 import json
 from importlib import resources
 
 import pytest
 
 from knotforge import cli
+from knotforge import fourmanifold as fm
 from knotforge.family import load_table
 
 from conftest import with_curls
@@ -222,9 +224,91 @@ def write_edited(tmp_path, filename: str, edit) -> str:
     return str(path)
 
 
+def config_argv(filename: str, path: str) -> list:
+    return {"double_xk.json": ["saeki", "--config", path],
+            "prop44.json": ["defect", "--config", path],
+            "thm12.json": ["sg", "--catalog", path, "--k", "1"]}[filename]
+
+
 def single_catalog(raw):
     # thm12.json with its x1 catalog moved to the top level
     raw.update(raw.pop("catalogs")["x1"])
+
+
+UNKNOWN_KEY_EDITS = [
+    ("double_xk.json", lambda r: r.update(f2={}),
+     "unknown key 'f2' in config"),
+    ("double_xk.json", lambda r: r["manifold"].update(eular=4),
+     "unknown key 'eular' in manifold"),
+    ("double_xk.json", lambda r: r["f1"].update(component=[]),
+     "unknown key 'component' in surface config 'f1'"),
+    ("double_xk.json", lambda r: r["f0"]["components"].append([1, 0]),
+     "component 2 of surface config 'f0' must be a JSON object"),
+    ("prop44.json", lambda r: r["sigma0"]["components"][0].update(k=1),
+     "unknown key 'k' in component 0 of surface config 'sigma0'"),
+    ("prop44.json", lambda r: r["manifold"].update(comment=""),
+     "unknown key 'comment' in manifold"),
+    ("thm12.json", lambda r: r.update(catalog={}),
+     "unknown key 'catalog' in catalog file"),
+    ("thm12.json", lambda r: r["catalogs"]["x2"].update(map=[]),
+     "unknown key 'map' in catalog 'x2'"),
+    ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][1].update(genus=0),
+     "unknown key 'genus' in map 1 of catalog 'x1'"),
+    ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][0]["components"][1]
+     .update({"class": [0]}),
+     "unknown key 'class' in component 1 of map 0 of catalog 'x1'"),
+    ("thm12.json", lambda r: (single_catalog(r), r.update(admissible=[])),
+     "unknown key 'admissible' in catalog file"),
+]
+
+WRONG_SHAPE_EDITS = [
+    ("double_xk.json", lambda r: r["f0"].update(components=5),
+     "'components' of surface config 'f0' must be a JSON array, got int"),
+    ("double_xk.json", lambda r: r["f1"].update(components={}),
+     "'components' of surface config 'f1' must be a JSON array, got dict"),
+    ("double_xk.json", lambda r: r["manifold"].update(form=5),
+     "'form' of manifold must be a string or an array of arrays, got 5"),
+    ("double_xk.json", lambda r: r["manifold"].update(form=[1, 0]),
+     "'form' of manifold must be a string or an array of arrays, got [1, 0]"),
+    ("prop44.json", lambda r: r["sigma0"].update(components="g1"),
+     "'components' of surface config 'sigma0' must be a JSON array, got str"),
+    ("thm12.json", lambda r: r.update(catalogs=[1]),
+     "'catalogs' of catalog file must be a JSON object, got list"),
+    ("thm12.json", lambda r: r["catalogs"]["x2"].update(maps=3),
+     "'maps' of catalog 'x2' must be a JSON array, got int"),
+    ("thm12.json", lambda r: (single_catalog(r), r.update(maps={})),
+     "'maps' of catalog file must be a JSON array, got dict"),
+    ("double_xk.json", lambda r: r["f0"]["components"][0].update(cls=5),
+     "'cls' of component 0 of surface config 'f0' must be a JSON array, got int"),
+    ("thm12.json", lambda r: r["catalogs"]["x2"].update(admissible_classes=5),
+     "'admissible_classes' of catalog 'x2' must be a JSON array, got int"),
+    ("thm12.json", lambda r: r["catalogs"]["x2"].update(admissible_classes=[5]),
+     "'admissible_classes' of catalog 'x2' must be an array of arrays, got [5]"),
+    ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=5),
+     "'allowed_singularities' of catalog 'x1' must be a JSON array, got int"),
+    ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=[[1]]),
+     "'allowed_singularities' of catalog 'x1' must be an array of strings"),
+    ("double_xk.json", lambda r: r["f0"]["components"][0].update(orientable="false"),
+     "orientable must be true or false, got 'false'"),
+]
+
+MISSING_KEY_EDITS = [
+    ("double_xk.json", lambda r: r["manifold"].pop("form"),
+     "missing key 'form' in manifold"),
+    ("double_xk.json", lambda r: r["manifold"].pop("euler"),
+     "missing key 'euler' in manifold"),
+    ("prop44.json", lambda r: r["manifold"].pop("boundary_kind"),
+     "missing key 'boundary_kind' in manifold"),
+    ("prop44.json", lambda r: r.pop("manifold"),
+     "missing key 'manifold' in config"),
+    ("double_xk.json", lambda r: r["f0"]["components"][0].pop("genus"),
+     "missing key 'genus' in component 0 of surface config 'f0'"),
+    ("prop44.json", lambda r: r["sigma1"]["components"][0].pop("genus"),
+     "missing key 'genus' in component 0 of surface config 'sigma1'"),
+    ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][0]["components"][1]
+     .pop("genus"),
+     "missing key 'genus' in component 1 of map 0 of catalog 'x1'"),
+]
 
 
 class TestConfigKeys:
@@ -253,101 +337,85 @@ class TestConfigKeys:
         results = {r["name"]: r["value"] for r in json.loads(out)["results"]}
         assert results["sg^1[catalog]"] == "0"
 
-    @pytest.mark.parametrize("filename, edit, message", [
-        ("double_xk.json", lambda r: r.update(f2={}),
-         "unknown key 'f2' in config"),
-        ("double_xk.json", lambda r: r["manifold"].update(eular=4),
-         "unknown key 'eular' in manifold"),
-        ("double_xk.json", lambda r: r["f1"].update(component=[]),
-         "unknown key 'component' in surface config 'f1'"),
-        ("double_xk.json", lambda r: r["f0"]["components"].append([1, 0]),
-         "component 2 of surface config 'f0' must be a JSON object"),
-        ("prop44.json", lambda r: r["sigma0"]["components"][0].update(k=1),
-         "unknown key 'k' in component 0 of surface config 'sigma0'"),
-        ("prop44.json", lambda r: r["manifold"].update(comment=""),
-         "unknown key 'comment' in manifold"),
-        ("thm12.json", lambda r: r.update(catalog={}),
-         "unknown key 'catalog' in catalog file"),
-        ("thm12.json", lambda r: r["catalogs"]["x2"].update(map=[]),
-         "unknown key 'map' in catalog 'x2'"),
-        ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][1].update(genus=0),
-         "unknown key 'genus' in map 1 of catalog 'x1'"),
-        ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][0]["components"][1]
-         .update({"class": [0]}),
-         "unknown key 'class' in component 1 of map 0 of catalog 'x1'"),
-        ("thm12.json", lambda r: (single_catalog(r), r.update(admissible=[])),
-         "unknown key 'admissible' in catalog file"),
-    ])
+    @pytest.mark.parametrize("filename, edit, message", UNKNOWN_KEY_EDITS)
     def test_unknown_key_is_input_error(self, capsys, tmp_path, filename, edit, message):
         path = write_edited(tmp_path, filename, edit)
-        argv = {"double_xk.json": ["saeki", "--config", path],
-                "prop44.json": ["defect", "--config", path],
-                "thm12.json": ["sg", "--catalog", path, "--k", "1"]}[filename]
-        assert cli.main(argv) == 2
+        assert cli.main(config_argv(filename, path)) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("filename, edit, message", [
-        ("double_xk.json", lambda r: r["f0"].update(components=5),
-         "'components' of surface config 'f0' must be a JSON array, got int"),
-        ("double_xk.json", lambda r: r["f1"].update(components={}),
-         "'components' of surface config 'f1' must be a JSON array, got dict"),
-        ("double_xk.json", lambda r: r["manifold"].update(form=5),
-         "'form' of manifold must be a string or an array of arrays, got 5"),
-        ("double_xk.json", lambda r: r["manifold"].update(form=[1, 0]),
-         "'form' of manifold must be a string or an array of arrays, got [1, 0]"),
-        ("prop44.json", lambda r: r["sigma0"].update(components="g1"),
-         "'components' of surface config 'sigma0' must be a JSON array, got str"),
-        ("thm12.json", lambda r: r.update(catalogs=[1]),
-         "'catalogs' of catalog file must be a JSON object, got list"),
-        ("thm12.json", lambda r: r["catalogs"]["x2"].update(maps=3),
-         "'maps' of catalog 'x2' must be a JSON array, got int"),
-        ("thm12.json", lambda r: (single_catalog(r), r.update(maps={})),
-         "'maps' of catalog file must be a JSON array, got dict"),
-        ("double_xk.json", lambda r: r["f0"]["components"][0].update(cls=5),
-         "'cls' of component 0 of surface config 'f0' must be a JSON array, got int"),
-        ("thm12.json", lambda r: r["catalogs"]["x2"].update(admissible_classes=5),
-         "'admissible_classes' of catalog 'x2' must be a JSON array, got int"),
-        ("thm12.json", lambda r: r["catalogs"]["x2"].update(admissible_classes=[5]),
-         "'admissible_classes' of catalog 'x2' must be an array of arrays, got [5]"),
-        ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=5),
-         "'allowed_singularities' of catalog 'x1' must be a JSON array, got int"),
-        ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=[[1]]),
-         "'allowed_singularities' of catalog 'x1' must be an array of strings"),
-        ("double_xk.json", lambda r: r["f0"]["components"][0].update(orientable="false"),
-         "orientable must be true or false, got 'false'"),
-    ])
+    @pytest.mark.parametrize("filename, edit, message", WRONG_SHAPE_EDITS)
     def test_wrong_shape_is_input_error(self, capsys, tmp_path, filename, edit, message):
         path = write_edited(tmp_path, filename, edit)
-        argv = {"double_xk.json": ["saeki", "--config", path],
-                "prop44.json": ["defect", "--config", path],
-                "thm12.json": ["sg", "--catalog", path, "--k", "1"]}[filename]
-        assert cli.main(argv) == 2
+        assert cli.main(config_argv(filename, path)) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("filename, edit, message", [
-        ("double_xk.json", lambda r: r["manifold"].pop("form"),
-         "missing key 'form' in manifold"),
-        ("double_xk.json", lambda r: r["manifold"].pop("euler"),
-         "missing key 'euler' in manifold"),
-        ("prop44.json", lambda r: r["manifold"].pop("boundary_kind"),
-         "missing key 'boundary_kind' in manifold"),
-        ("prop44.json", lambda r: r.pop("manifold"),
-         "missing key 'manifold' in config"),
-        ("double_xk.json", lambda r: r["f0"]["components"][0].pop("genus"),
-         "missing key 'genus' in component 0 of surface config 'f0'"),
-        ("prop44.json", lambda r: r["sigma1"]["components"][0].pop("genus"),
-         "missing key 'genus' in component 0 of surface config 'sigma1'"),
-        ("thm12.json", lambda r: r["catalogs"]["x1"]["maps"][0]["components"][1]
-         .pop("genus"),
-         "missing key 'genus' in component 1 of map 0 of catalog 'x1'"),
-    ])
+    @pytest.mark.parametrize("filename, edit, message", MISSING_KEY_EDITS)
     def test_missing_key_is_input_error(self, capsys, tmp_path, filename, edit, message):
         path = write_edited(tmp_path, filename, edit)
-        argv = {"double_xk.json": ["saeki", "--config", path],
-                "prop44.json": ["defect", "--config", path],
-                "thm12.json": ["sg", "--catalog", path, "--k", "1"]}[filename]
-        assert cli.main(argv) == 2
+        assert cli.main(config_argv(filename, path)) == 2
         assert message in capsys.readouterr().err
+
+
+# The whole error line of each TestConfigKeys edit, keyed by the substring
+# those tests check, so that a rewrite of the loaders keeps every message.
+FULL_ERROR_TEXT = {
+    "unknown key 'orientible' in component 0 of surface config 'f0'":
+        "unknown key 'orientible' in component 0 of surface config 'f0' "
+        "(allowed: genus, orientable, kind, cls, k_multiple)",
+    "unknown key 'f2' in config":
+        "unknown key 'f2' in config (allowed: manifold, f0, f1, sigma0, sigma1, comment)",
+    "unknown key 'eular' in manifold":
+        "unknown key 'eular' in manifold (allowed: form, euler, boundary_kind, mu_coset)",
+    "unknown key 'component' in surface config 'f1'":
+        "unknown key 'component' in surface config 'f1' (allowed: components)",
+    "component 2 of surface config 'f0' must be a JSON object":
+        "component 2 of surface config 'f0' must be a JSON object, got list",
+    "unknown key 'k' in component 0 of surface config 'sigma0'":
+        "unknown key 'k' in component 0 of surface config 'sigma0' "
+        "(allowed: genus, orientable, kind, cls, k_multiple)",
+    "unknown key 'comment' in manifold":
+        "unknown key 'comment' in manifold (allowed: form, euler, boundary_kind, mu_coset)",
+    "unknown key 'catalog' in catalog file":
+        "unknown key 'catalog' in catalog file (allowed: catalogs, comment)",
+    "unknown key 'map' in catalog 'x2'":
+        "unknown key 'map' in catalog 'x2' "
+        "(allowed: maps, admissible_classes, allowed_singularities)",
+    "unknown key 'genus' in map 1 of catalog 'x1'":
+        "unknown key 'genus' in map 1 of catalog 'x1' (allowed: components)",
+    "unknown key 'class' in component 1 of map 0 of catalog 'x1'":
+        "unknown key 'class' in component 1 of map 0 of catalog 'x1' "
+        "(allowed: genus, orientable, kind, cls, k_multiple)",
+    "unknown key 'admissible' in catalog file":
+        "unknown key 'admissible' in catalog file "
+        "(allowed: maps, admissible_classes, allowed_singularities, comment)",
+    "'allowed_singularities' of catalog 'x1' must be an array of strings":
+        "'allowed_singularities' of catalog 'x1' must be an array of strings, "
+        "got [[1]]",
+}
+
+
+class TestConfigErrorText:
+    """The loaders' messages, pinned whole, and the shipped configs' loaded values."""
+
+    @pytest.mark.parametrize("filename, edit, message", [
+        ("double_xk.json", lambda r: r["f0"]["components"][0].update(orientible=False),
+         "unknown key 'orientible' in component 0 of surface config 'f0'"),
+        *UNKNOWN_KEY_EDITS, *WRONG_SHAPE_EDITS, *MISSING_KEY_EDITS])
+    def test_full_error_text(self, capsys, tmp_path, filename, edit, message):
+        # an edit missing from FULL_ERROR_TEXT is checked against its substring whole
+        path = write_edited(tmp_path, filename, edit)
+        assert cli.main(config_argv(filename, path)) == 2
+        assert capsys.readouterr().err == f"error: {FULL_ERROR_TEXT.get(message, message)}\n"
+
+    @pytest.mark.parametrize("filename, digest", [
+        ("double_xk.json", "b46d1dc9f62644df17035a1e798b605291525d2250ecaa88bc582b003c9e0bbd"),
+        ("prop44.json", "dd181bce5fbcb6f5fa00115735a5dae51e956d8c5ab0961ca9124126ddad95eb"),
+        ("thm12.json", "8032868beff8a401888b97acd3bbb969c2cf0bf3ab194a9b331acbb3f1623e17"),
+    ])
+    def test_shipped_configs_load_unchanged(self, filename, digest):
+        load = fm.load_catalog_config if filename == "thm12.json" else fm.load_manifold_config
+        loaded = repr(load(data_path(filename)))
+        assert hashlib.sha256(loaded.encode()).hexdigest() == digest
 
 
 class TestReports:
