@@ -97,6 +97,8 @@ def parse_block_form(text: str) -> IntersectionForm:
         if not m:
             raise ValueError(f"unrecognized block term: {term!r}")
         count = int(m.group(1)) if m.group(1) else 1
+        if count < 1:
+            raise ValueError(f"block count must be at least 1 in term {term!r}")
         if m.group(2) == "H":
             block = [[0, 1], [1, 0]]
         else:
@@ -211,6 +213,12 @@ def build_sigma_class(n: int, m: int, j: int):
 # -- manifold and surface data ----------------------------------------------
 
 BOUNDARY_KINDS = ("closed", "homology-sphere-boundary", "other-boundary")
+SINGULARITY_KINDS = ("definite", "indefinite")
+
+
+def _check_mu_coset(mu):
+    if mu is not None and _require_int(mu, "mu_coset") not in (0, 2):
+        raise ValueError("mu_coset must be 0, 2, or absent")
 
 
 @dataclass(frozen=True)
@@ -224,9 +232,7 @@ class ManifoldData:
         _require_int(self.euler, "euler")
         if self.boundary_kind not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {self.boundary_kind!r}")
-        if (self.mu_coset is not None
-                and _require_int(self.mu_coset, "mu_coset") not in (0, 2)):
-            raise ValueError("mu_coset must be 0, 2, or absent")
+        _check_mu_coset(self.mu_coset)
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,7 @@ class SurfaceComponent:
             raise ValueError("genus must be non-negative")
         if type(self.orientable) is not bool:
             raise ValueError(f"orientable must be true or false, got {self.orientable!r}")
-        if self.kind not in ("definite", "indefinite"):
+        if self.kind not in SINGULARITY_KINDS:
             raise ValueError(f"unknown singularity kind {self.kind!r}")
         if self.k_multiple is not None:
             _require_int(self.k_multiple, "k_multiple")
@@ -295,7 +301,7 @@ class TotalDefect:
 class MapCatalog:
     maps: tuple = ()
     admissible_classes: frozenset = frozenset()
-    allowed_singularities: frozenset = frozenset(("definite", "indefinite"))
+    allowed_singularities: frozenset = frozenset(SINGULARITY_KINDS)
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
@@ -303,8 +309,11 @@ class MapCatalog:
                            frozenset(tuple(_require_int(x, "class coordinate")
                                            for x in c)
                                      for c in self.admissible_classes))
-        object.__setattr__(self, "allowed_singularities",
-                           frozenset(self.allowed_singularities))
+        kinds = tuple(self.allowed_singularities)
+        for kind in kinds:
+            if kind not in SINGULARITY_KINDS:
+                raise ValueError(f"unknown singularity kind {kind!r}")
+        object.__setattr__(self, "allowed_singularities", frozenset(kinds))
 
 
 # -- fold-map existence (closed case) ---------------------------------------
@@ -371,6 +380,7 @@ def homology_sphere_coset_check(t: TotalDefect, mu_coset: int | None = None) -> 
     and (-1,2) translated by (0, mu); with mu unknown both translates
     (mu = 0 and mu = 2) are accepted.
     """
+    _check_mu_coset(mu_coset)
     if t.d % 2 != 0:
         return False
     cosets = (mu_coset,) if mu_coset is not None else (0, 2)
@@ -415,7 +425,7 @@ def sg_k(cat: MapCatalog, k: int):
     of the subset's max genus; infinity when no map has k admissible
     components (the minimum of the empty set).
     """
-    if k < 1:
+    if _require_int(k, "k") < 1:
         raise ValueError("k must be at least 1")
     best = inf
     for config in cat.maps:
@@ -436,69 +446,86 @@ def sg_plain(cat: MapCatalog):
 
 
 # -- JSON configuration ------------------------------------------------------
+#
+# Each kind of JSON object is one table of key -> (shapes, default), with
+# its keys in the order the unknown-key message lists them.  A present value
+# must pass each named shape in turn; a value with no shape is checked by
+# the dataclass it feeds.  Unknown keys are refused, since a misspelt key
+# would otherwise be ignored and its default used.
 
-def _form_from_json(obj) -> IntersectionForm:
-    if isinstance(obj, str):
-        return parse_block_form(obj)
-    if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj)):
-        raise ValueError(f"'form' of manifold must be a string or an array of "
-                         f"arrays, got {obj!r}")
-    return IntersectionForm(obj)
-
-
-_MANIFOLD_KEYS = ("form", "euler", "boundary_kind", "mu_coset")
-_SURFACE_CONFIG_KEYS = ("components",)
-_COMPONENT_KEYS = ("genus", "orientable", "kind", "cls", "k_multiple")
-_CATALOG_KEYS = ("maps", "admissible_classes", "allowed_singularities")
-_SURFACE_CONFIGS = ("f0", "f1", "sigma0", "sigma1")
+_REQUIRED = object()    # the key must be present
+_ABSENT = object()      # an absent key stays out of the fields
 
 
-def _check_keys(obj, allowed: tuple[str, ...], what: str,
-                required: tuple[str, ...] = ()):
-    """obj itself when it is a JSON object whose keys all lie in allowed
-    and which holds every key in required.
+# shape -> (test, the end of the message for a value that fails it)
+_SHAPES = {
+    "object": (lambda v: isinstance(v, dict), "a JSON object, got {type}"),
+    "array": (lambda v: isinstance(v, list), "a JSON array, got {type}"),
+    "arrays": (lambda v: all(isinstance(x, list) for x in v),
+               "an array of arrays, got {value!r}"),
+    "strings": (lambda v: all(isinstance(x, str) for x in v),
+                "an array of strings, got {value!r}"),
+    "form": (lambda v: isinstance(v, str) or (
+                 isinstance(v, list) and all(isinstance(row, list) for row in v)),
+             "a string or an array of arrays, got {value!r}"),
+}
 
-    A misspelt key would otherwise be ignored and its default used.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+_MANIFOLD = {"form": (("form",), _REQUIRED), "euler": ((), _REQUIRED),
+             "boundary_kind": ((), _REQUIRED), "mu_coset": ((), None)}
+_SURFACE_CONFIG = {"components": (("array",), ())}
+_COMPONENT = {"genus": ((), _REQUIRED), "orientable": ((), True),
+              "kind": ((), "indefinite"), "cls": (("array",), ()),
+              "k_multiple": ((), None)}
+_CATALOG = {"maps": (("array",), ()),
+            "admissible_classes": (("array", "arrays"), ()),
+            "allowed_singularities": (("array", "strings"), SINGULARITY_KINDS)}
+_CONFIG_FILE = {"manifold": ((), _REQUIRED), **dict.fromkeys(
+    ("f0", "f1", "sigma0", "sigma1", "comment"), ((), _ABSENT))}
+_CATALOG_FILE = {"catalogs": (("object",), _REQUIRED), "comment": ((), _ABSENT)}
+_SINGLE_CATALOG_FILE = {**_CATALOG, "comment": ((), _ABSENT)}
+
+
+def _require_shape(value, shape: str, subject: str):
+    test, phrase = _SHAPES[shape]
+    if not test(value):
+        raise ValueError(f"{subject} must be "
+                         + phrase.format(type=type(value).__name__, value=value))
+
+
+def _read(obj, table: dict, what: str) -> dict:
+    """The fields of obj, a JSON object of the kind table describes, with
+    defaults filled in; each error names the key and what."""
+    _require_shape(obj, "object", what)
     for key in obj:
-        if key not in allowed:
+        if key not in table:
             raise ValueError(f"unknown key {key!r} in {what} "
-                             f"(allowed: {', '.join(allowed)})")
-    for key in required:
-        if key not in obj:
+                             f"(allowed: {', '.join(table)})")
+    fields = {}
+    for key, (shapes, default) in table.items():
+        if key in obj:
+            fields[key] = obj[key]
+            for shape in shapes:
+                _require_shape(obj[key], shape, f"{key!r} of {what}")
+        elif default is _REQUIRED:
             raise ValueError(f"missing key {key!r} in {what}")
-    return obj
+        elif default is not _ABSENT:
+            fields[key] = default
+    return fields
 
 
-def _array_field(obj: dict, key: str, what: str, default=()):
-    """obj[key] when it is a JSON array, default when absent."""
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ValueError(f"{key!r} of {what} must be a JSON array, "
-                         f"got {type(value).__name__}")
-    return value
+def _surface_config(obj, what: str) -> SurfaceConfig:
+    components = _read(obj, _SURFACE_CONFIG, what)["components"]
+    return SurfaceConfig(tuple(
+        SurfaceComponent(**_read(c, _COMPONENT, f"component {i} of {what}"))
+        for i, c in enumerate(components)))
 
 
-def _component_from_json(obj, what: str) -> SurfaceComponent:
-    _check_keys(obj, _COMPONENT_KEYS, what, ("genus",))
-    return SurfaceComponent(
-        genus=obj["genus"],
-        orientable=obj.get("orientable", True),
-        kind=obj.get("kind", "indefinite"),
-        cls=_array_field(obj, "cls", what),
-        k_multiple=obj.get("k_multiple"),
-    )
-
-
-def _config_from_json(obj, what: str) -> SurfaceConfig:
-    _check_keys(obj, _SURFACE_CONFIG_KEYS, what)
-    components = _array_field(obj, "components", what)
-    return SurfaceConfig(tuple(_component_from_json(c, f"component {i} of {what}")
-                               for i, c in enumerate(components)))
+def _catalog(obj, what: str, table: dict = _CATALOG) -> MapCatalog:
+    fields = _read(obj, table, what)
+    fields.pop("comment", None)
+    fields["maps"] = tuple(_surface_config(c, f"map {i} of {what}")
+                           for i, c in enumerate(fields["maps"]))
+    return MapCatalog(**fields)
 
 
 def load_manifold_config(path: str) -> dict:
@@ -506,48 +533,19 @@ def load_manifold_config(path: str) -> dict:
 
     Returns a dict with keys "manifold" (ManifoldData) and every surface
     configuration present among "f0", "f1", "sigma0", "sigma1".  An
-    unknown key, a missing required key ("manifold"; "form", "euler" and
-    "boundary_kind" of the manifold; "genus" of a component) or a field of
-    the wrong JSON type anywhere in the file is a ValueError.
+    unknown key, a missing required key or a field of the wrong JSON shape
+    anywhere in the file is a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    _check_keys(raw, ("manifold", *_SURFACE_CONFIGS, "comment"), "config",
-                ("manifold",))
-    mobj = _check_keys(raw["manifold"], _MANIFOLD_KEYS, "manifold",
-                       ("form", "euler", "boundary_kind"))
-    out = {
-        "manifold": ManifoldData(
-            form=_form_from_json(mobj["form"]),
-            euler=mobj["euler"],
-            boundary_kind=mobj["boundary_kind"],
-            mu_coset=mobj.get("mu_coset"),
-        )
-    }
-    for key in _SURFACE_CONFIGS:
-        if key in raw:
-            out[key] = _config_from_json(raw[key], f"surface config {key!r}")
-    return out
-
-
-def _catalog_from_json(raw, what: str,
-                       allowed: tuple[str, ...] = _CATALOG_KEYS) -> MapCatalog:
-    _check_keys(raw, allowed, what)
-    classes = _array_field(raw, "admissible_classes", what)
-    if not all(isinstance(c, list) for c in classes):
-        raise ValueError(f"'admissible_classes' of {what} must be an array of "
-                         f"arrays, got {classes!r}")
-    kinds = _array_field(raw, "allowed_singularities", what,
-                         ("definite", "indefinite"))
-    if not all(isinstance(k, str) for k in kinds):
-        raise ValueError(f"'allowed_singularities' of {what} must be an array "
-                         f"of strings, got {kinds!r}")
-    return MapCatalog(
-        maps=tuple(_config_from_json(c, f"map {i} of {what}")
-                   for i, c in enumerate(_array_field(raw, "maps", what))),
-        admissible_classes=classes,
-        allowed_singularities=kinds,
-    )
+        fields = _read(json.load(fh), _CONFIG_FILE, "config")
+    manifold = _read(fields.pop("manifold"), _MANIFOLD, "manifold")
+    form = manifold["form"]
+    manifold["form"] = (parse_block_form(form) if isinstance(form, str)
+                        else IntersectionForm(form))
+    fields.pop("comment", None)
+    return {"manifold": ManifoldData(**manifold),
+            **{key: _surface_config(c, f"surface config {key!r}")
+               for key, c in fields.items()}}
 
 
 def load_catalog_config(path: str) -> dict[str, MapCatalog]:
@@ -555,17 +553,13 @@ def load_catalog_config(path: str) -> dict[str, MapCatalog]:
 
     A file may hold several catalogs under a "catalogs" mapping (one per
     manifold in a comparison) or a single anonymous catalog at top level.
-    An unknown key or a field of the wrong JSON type anywhere in the file
-    is a ValueError.
+    An unknown key, a missing required key or a field of the wrong JSON
+    shape anywhere in the file is a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict) and "catalogs" in raw:
-        _check_keys(raw, ("catalogs", "comment"), "catalog file")
-        if not isinstance(raw["catalogs"], dict):
-            raise ValueError("'catalogs' of catalog file must be a JSON object, "
-                             f"got {type(raw['catalogs']).__name__}")
-        return {name: _catalog_from_json(c, f"catalog {name!r}")
-                for name, c in raw["catalogs"].items()}
-    return {"catalog": _catalog_from_json(raw, "catalog file",
-                                          (*_CATALOG_KEYS, "comment"))}
+        catalogs = _read(raw, _CATALOG_FILE, "catalog file")["catalogs"]
+        return {name: _catalog(c, f"catalog {name!r}")
+                for name, c in catalogs.items()}
+    return {"catalog": _catalog(raw, "catalog file", _SINGLE_CATALOG_FILE)}

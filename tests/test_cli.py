@@ -290,6 +290,8 @@ WRONG_SHAPE_EDITS = [
      "'allowed_singularities' of catalog 'x1' must be an array of strings"),
     ("double_xk.json", lambda r: r["f0"]["components"][0].update(orientable="false"),
      "orientable must be true or false, got 'false'"),
+    ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=["defnite"]),
+     "unknown singularity kind 'defnite'"),
 ]
 
 MISSING_KEY_EDITS = [

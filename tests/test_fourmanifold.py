@@ -1,11 +1,15 @@
 """Intersection forms, fold-map conditions, defects, and genus invariants."""
 
+import dataclasses
 import itertools
+import json
 import random
+import re
 from math import inf
 
 import pytest
 
+from knotforge import fourmanifold as fm
 from knotforge.fourmanifold import (
     IntersectionForm,
     ManifoldData,
@@ -17,6 +21,8 @@ from knotforge.fourmanifold import (
     canonical_sphere_constraint,
     homology_sphere_coset_check,
     is_characteristic,
+    load_catalog_config,
+    load_manifold_config,
     parse_block_form,
     saeki_check,
     self_intersection,
@@ -93,6 +99,13 @@ class TestParseBlockForm:
         for bad in ("<1> + Q", "", "2", "<1> + "):
             with pytest.raises(ValueError):
                 parse_block_form(bad)
+
+    @pytest.mark.parametrize("text, term", [
+        ("0<1>", "0<1>"), ("0H + <1>", "0H"), ("<-1> + 00 H", "00 H")])
+    def test_zero_count_rejected(self, text, term):
+        # a zero count would drop its block and build a smaller form
+        with pytest.raises(ValueError, match=f"at least 1 in term '{term}'"):
+            parse_block_form(text)
 
 
 def scrambled_sigma_form(rng, n, m, j, steps):
@@ -400,6 +413,16 @@ class TestCosetCheck:
         assert not homology_sphere_coset_check(TotalDefect(2, 5))
         assert not homology_sphere_coset_check(TotalDefect(0, 3))
 
+    @pytest.mark.parametrize("bad", [1, 5, -2, 4])
+    def test_mu_outside_the_two_cosets_rejected(self, bad):
+        with pytest.raises(ValueError, match="mu_coset must be 0, 2, or absent"):
+            homology_sphere_coset_check(TotalDefect(2, 1), bad)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2"])
+    def test_non_integer_mu_rejected(self, bad):
+        with pytest.raises(ValueError, match="mu_coset must be an integer"):
+            homology_sphere_coset_check(TotalDefect(0, 2), bad)
+
     def test_specified_mu(self):
         # (0, 2) lies in the mu=2 translate, not in mu=0
         assert homology_sphere_coset_check(TotalDefect(0, 2), mu_coset=2)
@@ -491,6 +514,18 @@ class TestSgExamples:
         with pytest.raises(ValueError):
             sg_k(MapCatalog(), 0)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_non_integer_k_rejected(self, bad):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            sg_k(catalog_of_genera([0, 2]), bad)
+
+    @pytest.mark.parametrize("kinds", [("defnite",), ("indefinite", "Definite"), ([1],)])
+    def test_unknown_singularity_kind_rejected(self, kinds):
+        bad = next(k for k in kinds if k not in ("definite", "indefinite"))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown singularity kind {bad!r}")):
+            MapCatalog(allowed_singularities=kinds)
+
     def test_filters_by_class_and_singularity(self):
         cat = MapCatalog(
             maps=(SurfaceConfig((
@@ -548,3 +583,48 @@ class TestSgRandomized:
                 if genera:
                     expected = min(expected, max(genera))
             assert sg_plain(cat) == expected
+
+
+# -- JSON schema --------------------------------------------------------------
+
+class TestConfigSchema:
+    """The loaders' key tables and the dataclasses they feed stay in step."""
+
+    @pytest.mark.parametrize("table, cls", [
+        (fm._MANIFOLD, ManifoldData),
+        (fm._SURFACE_CONFIG, SurfaceConfig),
+        (fm._COMPONENT, SurfaceComponent),
+        (fm._CATALOG, MapCatalog),
+    ])
+    def test_table_keys_are_the_dataclass_fields(self, table, cls):
+        assert list(table) == [f.name for f in dataclasses.fields(cls)]
+
+    def test_file_tables_hold_the_top_level_keys(self):
+        surfaces = ["f0", "f1", "sigma0", "sigma1"]
+        assert list(fm._CONFIG_FILE) == ["manifold", *surfaces, "comment"]
+        assert list(fm._CATALOG_FILE) == ["catalogs", "comment"]
+        assert list(fm._SINGLE_CATALOG_FILE) == [*fm._CATALOG, "comment"]
+
+    def test_every_top_level_key_is_read(self, tmp_path):
+        # a config holding every key of its file table loads each one but the comment
+        form = {"form": "<1>", "euler": 2, "boundary_kind": "other-boundary"}
+        path = tmp_path / "all.json"
+        path.write_text(json.dumps({key: {} for key in fm._CONFIG_FILE}
+                                   | {"manifold": form, "comment": ""}))
+        assert list(load_manifold_config(str(path))) == [
+            key for key in fm._CONFIG_FILE if key != "comment"]
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        cfg, cat = tmp_path / "cfg.json", tmp_path / "cat.json"
+        cfg.write_text(json.dumps({
+            "manifold": {"form": "<1>", "euler": 2, "boundary_kind": "closed"},
+            "f0": {}, "f1": {"components": [{"genus": 0}]}}))
+        cat.write_text(json.dumps({"maps": [{}]}))
+        loaded = load_manifold_config(str(cfg))
+        assert loaded == {
+            "manifold": ManifoldData(form=parse_block_form("<1>"), euler=2,
+                                     boundary_kind="closed"),
+            "f0": SurfaceConfig(),
+            "f1": SurfaceConfig((SurfaceComponent(genus=0),))}
+        assert load_catalog_config(str(cat)) == {
+            "catalog": MapCatalog(maps=(SurfaceConfig(),))}
