@@ -17,7 +17,7 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .diagram import PDDiagram, parse_pd
+from .diagram import PDDiagram, PDError, parse_pd
 from .laurent import LaurentPoly
 from . import skein
 from .skein import _T_INV_DELTA
@@ -58,7 +58,10 @@ class KnotTable:
         self.entries = dict(entries)
         self._cache: dict[str, PDDiagram] = {}
         for name, text in self.entries.items():
-            d = parse_pd(text)
+            try:
+                d = parse_pd(text)
+            except PDError as exc:
+                raise PDError(f"table entry {name!r}: {exc}") from None
             expected = _EXPECTED_COMPONENTS.get(name)
             if expected is not None and d.component_count() != expected:
                 raise ValueError(
@@ -87,6 +90,8 @@ def _parse_table_text(text: str) -> dict[str, str]:
             if current is not None:
                 entries[current] = " ".join(lines)
             current = line.split(":", 1)[1].strip()
+            if current in entries:
+                raise ValueError(f"table entry {current!r} is given twice")
             lines = []
         elif current is None:
             raise ValueError(f"table data before first 'name:' stanza: {line!r}")

@@ -241,7 +241,6 @@ class SurfaceComponent:
     orientable: bool = True
     kind: str = "indefinite"
     cls: tuple = ()
-    k_multiple: int | None = None
 
     def __post_init__(self):
         if _require_int(self.genus, "genus") < 0:
@@ -250,8 +249,6 @@ class SurfaceComponent:
             raise ValueError(f"orientable must be true or false, got {self.orientable!r}")
         if self.kind not in SINGULARITY_KINDS:
             raise ValueError(f"unknown singularity kind {self.kind!r}")
-        if self.k_multiple is not None:
-            _require_int(self.k_multiple, "k_multiple")
         object.__setattr__(self, "cls", tuple(
             _require_int(x, "class coordinate") for x in self.cls))
 
@@ -259,10 +256,6 @@ class SurfaceComponent:
         return 2 - 2 * self.genus if self.orientable else 2 - self.genus
 
     def homology_class(self, f: IntersectionForm) -> tuple:
-        if self.k_multiple is not None:
-            if f.rank != 1:
-                raise ValueError("k_multiple shorthand needs a rank-1 form")
-            return (self.k_multiple,)
         return _check_dims(self.cls, f)
 
     def self_int(self, f: IntersectionForm) -> int:
@@ -393,7 +386,7 @@ def canonical_sphere_constraint(p: int) -> dict:
     A canonical boundary framing forces the defect h = -3p + p*s into
     {-2, 0, 2}; returns {s: h} for the integer solutions s >= 1.
     """
-    if p == 0:
+    if _require_int(p, "framing") == 0:
         raise ValueError("framing must be nonzero")
     out: dict[int, int] = {}
     for target in (-2, 0, 2):
@@ -409,12 +402,9 @@ def canonical_sphere_constraint(p: int) -> dict:
 def _admissible_genera(cat: MapCatalog, config: SurfaceConfig) -> list[int]:
     out = []
     for c in config.components:
-        if c.kind not in cat.allowed_singularities:
-            continue
-        key = tuple(c.cls) if c.k_multiple is None else (c.k_multiple,)
-        if key not in cat.admissible_classes:
-            continue
-        out.append(c.genus)
+        if (c.kind in cat.allowed_singularities
+                and c.cls in cat.admissible_classes):
+            out.append(c.genus)
     return sorted(out)
 
 
@@ -474,8 +464,7 @@ _MANIFOLD = {"form": (("form",), _REQUIRED), "euler": ((), _REQUIRED),
              "boundary_kind": ((), _REQUIRED), "mu_coset": ((), None)}
 _SURFACE_CONFIG = {"components": (("array",), ())}
 _COMPONENT = {"genus": ((), _REQUIRED), "orientable": ((), True),
-              "kind": ((), "indefinite"), "cls": (("array",), ()),
-              "k_multiple": ((), None)}
+              "kind": ((), "indefinite"), "cls": (("array",), ())}
 _CATALOG = {"maps": (("array",), ()),
             "admissible_classes": (("array", "arrays"), ()),
             "allowed_singularities": (("array", "strings"), SINGULARITY_KINDS)}
@@ -513,11 +502,20 @@ def _read(obj, table: dict, what: str) -> dict:
     return fields
 
 
+def _build(what: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with what prefixed to any ValueError it raises."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _surface_config(obj, what: str) -> SurfaceConfig:
     components = _read(obj, _SURFACE_CONFIG, what)["components"]
+    parts = [(f"component {i} of {what}", c) for i, c in enumerate(components)]
     return SurfaceConfig(tuple(
-        SurfaceComponent(**_read(c, _COMPONENT, f"component {i} of {what}"))
-        for i, c in enumerate(components)))
+        _build(part, SurfaceComponent, **_read(c, _COMPONENT, part))
+        for part, c in parts))
 
 
 def _catalog(obj, what: str, table: dict = _CATALOG) -> MapCatalog:
@@ -525,7 +523,7 @@ def _catalog(obj, what: str, table: dict = _CATALOG) -> MapCatalog:
     fields.pop("comment", None)
     fields["maps"] = tuple(_surface_config(c, f"map {i} of {what}")
                            for i, c in enumerate(fields["maps"]))
-    return MapCatalog(**fields)
+    return _build(what, MapCatalog, **fields)
 
 
 def load_manifold_config(path: str) -> dict:
@@ -533,17 +531,17 @@ def load_manifold_config(path: str) -> dict:
 
     Returns a dict with keys "manifold" (ManifoldData) and every surface
     configuration present among "f0", "f1", "sigma0", "sigma1".  An
-    unknown key, a missing required key or a field of the wrong JSON shape
-    anywhere in the file is a ValueError.
+    unknown key, a missing required key, a field of the wrong JSON shape or
+    a refused value anywhere in the file is a ValueError naming its object.
     """
     with open(path, encoding="utf-8") as fh:
         fields = _read(json.load(fh), _CONFIG_FILE, "config")
     manifold = _read(fields.pop("manifold"), _MANIFOLD, "manifold")
     form = manifold["form"]
-    manifold["form"] = (parse_block_form(form) if isinstance(form, str)
-                        else IntersectionForm(form))
+    make_form = parse_block_form if isinstance(form, str) else IntersectionForm
+    manifold["form"] = _build("'form' of manifold", make_form, form)
     fields.pop("comment", None)
-    return {"manifold": ManifoldData(**manifold),
+    return {"manifold": _build("manifold", ManifoldData, **manifold),
             **{key: _surface_config(c, f"surface config {key!r}")
                for key, c in fields.items()}}
 
@@ -553,8 +551,8 @@ def load_catalog_config(path: str) -> dict[str, MapCatalog]:
 
     A file may hold several catalogs under a "catalogs" mapping (one per
     manifold in a comparison) or a single anonymous catalog at top level.
-    An unknown key, a missing required key or a field of the wrong JSON
-    shape anywhere in the file is a ValueError.
+    An unknown key, a missing required key, a field of the wrong JSON shape
+    or a refused value anywhere in the file is a ValueError naming its object.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)

@@ -136,7 +136,7 @@ def test_criterion_8_defect_arithmetic():
     # the single-handle configuration gives (0, 2)
     m = handle_manifold(-1)
     sigma0 = SurfaceConfig((SurfaceComponent(genus=0, kind="definite",
-                                             k_multiple=1),))
+                                             cls=(1,)),))
     sigma1 = SurfaceConfig((SurfaceComponent(genus=1, cls=(0,)),))
     assert total_defect(m, sigma0, sigma1) == TotalDefect(0, 2)
     # 500-case randomized sweep: general formulas vs. sphere/torus closed form
@@ -145,7 +145,7 @@ def test_criterion_8_defect_arithmetic():
         p = rng.choice((1, -1))
         ks = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 9))]
         spheres = SurfaceConfig(tuple(
-            SurfaceComponent(genus=0, kind="definite", k_multiple=k)
+            SurfaceComponent(genus=0, kind="definite", cls=(k,))
             for k in ks))
         tori = SurfaceConfig(tuple(SurfaceComponent(genus=1, cls=(0,))
                                    for _ in range(rng.randrange(5))))

@@ -44,6 +44,19 @@ class TestExitCodes:
     def test_input_error_on_unknown_table_name(self):
         assert cli.main(["invariants", "--name", "6_1"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("name: b\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\nname: b\nX(1,2,1,2)\n",
+         "table entry 'b' is given twice"),
+        ("name: e\nname: b\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n",
+         "table entry 'e': invalid PD code: "
+         "a diagram needs at least one crossing or free loop"),
+    ])
+    def test_input_error_on_bad_table_stanza(self, capsys, tmp_path, text, message):
+        path = tmp_path / "knot_table.txt"
+        path.write_text(text)
+        assert cli.main(["invariants", "--name", "b", "--table", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_input_error_on_odd_cusps(self):
         assert cli.main(["tb", "--writhe", "0", "--cusps", "3"]) == 2
 
@@ -235,6 +248,12 @@ def single_catalog(raw):
     raw.update(raw.pop("catalogs")["x1"])
 
 
+def k_multiple_component(raw):
+    # prop44.json's sphere with its class given as "k_multiple", not a component key
+    component = raw["sigma0"]["components"][0]
+    component["k_multiple"] = component.pop("cls")[0]
+
+
 UNKNOWN_KEY_EDITS = [
     ("double_xk.json", lambda r: r.update(f2={}),
      "unknown key 'f2' in config"),
@@ -246,6 +265,8 @@ UNKNOWN_KEY_EDITS = [
      "component 2 of surface config 'f0' must be a JSON object"),
     ("prop44.json", lambda r: r["sigma0"]["components"][0].update(k=1),
      "unknown key 'k' in component 0 of surface config 'sigma0'"),
+    ("prop44.json", k_multiple_component,
+     "unknown key 'k_multiple' in component 0 of surface config 'sigma0'"),
     ("prop44.json", lambda r: r["manifold"].update(comment=""),
      "unknown key 'comment' in manifold"),
     ("thm12.json", lambda r: r.update(catalog={}),
@@ -292,6 +313,23 @@ WRONG_SHAPE_EDITS = [
      "orientable must be true or false, got 'false'"),
     ("thm12.json", lambda r: r["catalogs"]["x1"].update(allowed_singularities=["defnite"]),
      "unknown singularity kind 'defnite'"),
+]
+
+# values the dataclasses refuse, each given with the dataclass's own message
+REFUSED_VALUE_EDITS = [
+    ("double_xk.json", lambda r: r["f0"]["components"][0].update(genus=0.5),
+     "genus must be an integer, got 0.5"),
+    ("double_xk.json", lambda r: r["manifold"].update(form=[[1, 0]]),
+     "intersection form must be square"),
+    ("prop44.json", lambda r: r["manifold"].update(boundary_kind="open"),
+     "unknown boundary kind 'open'"),
+    ("prop44.json", lambda r: r["manifold"].update(mu_coset=1),
+     "mu_coset must be 0, 2, or absent"),
+    ("thm12.json", lambda r: r["catalogs"]["x2"]["maps"][1]["components"][0]
+     .update(kind="indefinit"),
+     "unknown singularity kind 'indefinit'"),
+    ("thm12.json", lambda r: r["catalogs"]["x2"].update(admissible_classes=[[0.5]]),
+     "class coordinate must be an integer, got 0.5"),
 ]
 
 MISSING_KEY_EDITS = [
@@ -358,12 +396,13 @@ class TestConfigKeys:
         assert message in capsys.readouterr().err
 
 
-# The whole error line of each TestConfigKeys edit, keyed by the substring
-# those tests check, so that a rewrite of the loaders keeps every message.
+# The whole error line of each TestConfigKeys edit and refused value, keyed by
+# the substring those tests check or the dataclass's own message, so that a
+# rewrite of the loaders keeps every message.
 FULL_ERROR_TEXT = {
     "unknown key 'orientible' in component 0 of surface config 'f0'":
         "unknown key 'orientible' in component 0 of surface config 'f0' "
-        "(allowed: genus, orientable, kind, cls, k_multiple)",
+        "(allowed: genus, orientable, kind, cls)",
     "unknown key 'f2' in config":
         "unknown key 'f2' in config (allowed: manifold, f0, f1, sigma0, sigma1, comment)",
     "unknown key 'eular' in manifold":
@@ -374,7 +413,10 @@ FULL_ERROR_TEXT = {
         "component 2 of surface config 'f0' must be a JSON object, got list",
     "unknown key 'k' in component 0 of surface config 'sigma0'":
         "unknown key 'k' in component 0 of surface config 'sigma0' "
-        "(allowed: genus, orientable, kind, cls, k_multiple)",
+        "(allowed: genus, orientable, kind, cls)",
+    "unknown key 'k_multiple' in component 0 of surface config 'sigma0'":
+        "unknown key 'k_multiple' in component 0 of surface config 'sigma0' "
+        "(allowed: genus, orientable, kind, cls)",
     "unknown key 'comment' in manifold":
         "unknown key 'comment' in manifold (allowed: form, euler, boundary_kind, mu_coset)",
     "unknown key 'catalog' in catalog file":
@@ -386,13 +428,30 @@ FULL_ERROR_TEXT = {
         "unknown key 'genus' in map 1 of catalog 'x1' (allowed: components)",
     "unknown key 'class' in component 1 of map 0 of catalog 'x1'":
         "unknown key 'class' in component 1 of map 0 of catalog 'x1' "
-        "(allowed: genus, orientable, kind, cls, k_multiple)",
+        "(allowed: genus, orientable, kind, cls)",
     "unknown key 'admissible' in catalog file":
         "unknown key 'admissible' in catalog file "
         "(allowed: maps, admissible_classes, allowed_singularities, comment)",
     "'allowed_singularities' of catalog 'x1' must be an array of strings":
         "'allowed_singularities' of catalog 'x1' must be an array of strings, "
         "got [[1]]",
+    "orientable must be true or false, got 'false'":
+        "component 0 of surface config 'f0': orientable must be true or false, "
+        "got 'false'",
+    "unknown singularity kind 'defnite'":
+        "catalog 'x1': unknown singularity kind 'defnite'",
+    "genus must be an integer, got 0.5":
+        "component 0 of surface config 'f0': genus must be an integer, got 0.5",
+    "intersection form must be square":
+        "'form' of manifold: intersection form must be square",
+    "unknown boundary kind 'open'":
+        "manifold: unknown boundary kind 'open'",
+    "mu_coset must be 0, 2, or absent":
+        "manifold: mu_coset must be 0, 2, or absent",
+    "unknown singularity kind 'indefinit'":
+        "component 0 of map 1 of catalog 'x2': unknown singularity kind 'indefinit'",
+    "class coordinate must be an integer, got 0.5":
+        "catalog 'x2': class coordinate must be an integer, got 0.5",
 }
 
 
@@ -402,7 +461,8 @@ class TestConfigErrorText:
     @pytest.mark.parametrize("filename, edit, message", [
         ("double_xk.json", lambda r: r["f0"]["components"][0].update(orientible=False),
          "unknown key 'orientible' in component 0 of surface config 'f0'"),
-        *UNKNOWN_KEY_EDITS, *WRONG_SHAPE_EDITS, *MISSING_KEY_EDITS])
+        *UNKNOWN_KEY_EDITS, *WRONG_SHAPE_EDITS, *MISSING_KEY_EDITS,
+        *REFUSED_VALUE_EDITS])
     def test_full_error_text(self, capsys, tmp_path, filename, edit, message):
         # an edit missing from FULL_ERROR_TEXT is checked against its substring whole
         path = write_edited(tmp_path, filename, edit)
@@ -410,9 +470,9 @@ class TestConfigErrorText:
         assert capsys.readouterr().err == f"error: {FULL_ERROR_TEXT.get(message, message)}\n"
 
     @pytest.mark.parametrize("filename, digest", [
-        ("double_xk.json", "b46d1dc9f62644df17035a1e798b605291525d2250ecaa88bc582b003c9e0bbd"),
-        ("prop44.json", "dd181bce5fbcb6f5fa00115735a5dae51e956d8c5ab0961ca9124126ddad95eb"),
-        ("thm12.json", "8032868beff8a401888b97acd3bbb969c2cf0bf3ab194a9b331acbb3f1623e17"),
+        ("double_xk.json", "02a16ec320e804c28adaac3b79769bc9f873db75495e6cd36ef765a57f200bb4"),
+        ("prop44.json", "d3d4c9ed6c8520d98b443c54b0a178bbd45e1f664bb8e3907c8af07d5b24d4bf"),
+        ("thm12.json", "02e8253343780cc0bab32d6dc30a7626f21e442360ab170ca6d3fec4ce615117"),
     ])
     def test_shipped_configs_load_unchanged(self, filename, digest):
         load = fm.load_catalog_config if filename == "thm12.json" else fm.load_manifold_config

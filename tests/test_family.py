@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotforge.diagram import PDError
 from knotforge.laurent import LaurentPoly
 from knotforge.family import (
     TILDE_V,
@@ -63,6 +64,22 @@ class TestTable:
         path.write_text("# comment\nname: trefoil\nX(1,4,2,5) X(3,6,4,1)\nX(5,2,6,3)\n")
         t = load_table(str(path))
         assert t.diagram("trefoil").n_crossings == 3
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path = tmp_path / "alt.txt"
+        path.write_text("name: b\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n"
+                        "name: unknot\nloops=1\nname: b\nX(1,2,1,2)\n")
+        with pytest.raises(ValueError, match=r"^table entry 'b' is given twice$"):
+            load_table(str(path))
+
+    @pytest.mark.parametrize("text, error", [
+        ("", "invalid PD code: a diagram needs at least one crossing or free loop"),
+        ("X(1,2,3)", "line 1, token 1: crossing needs 4 labels, got 3"),
+    ])
+    def test_pd_error_names_its_entry(self, text, error):
+        with pytest.raises(PDError) as info:
+            KnotTable({"trefoil": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "bad": text})
+        assert str(info.value) == f"table entry 'bad': {error}"
 
 
 class TestClosedForms:

@@ -58,11 +58,6 @@ class TestIntegerInput:
         with pytest.raises(ValueError, match="genus must be an integer"):
             SurfaceComponent(genus=bad)
 
-    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
-    def test_k_multiple(self, bad):
-        with pytest.raises(ValueError, match="k_multiple must be an integer"):
-            SurfaceComponent(genus=0, k_multiple=bad)
-
     @pytest.mark.parametrize("bad", [2.5, 2.0, True])
     def test_euler(self, bad):
         with pytest.raises(ValueError, match="euler must be an integer"):
@@ -78,9 +73,9 @@ class TestIntegerInput:
     def test_integers_still_accepted(self):
         f = IntersectionForm([[1, 0], [0, -1]])
         assert self_intersection((1, 1), f) == 0
-        c = SurfaceComponent(genus=1, cls=[1, 0], k_multiple=None)
+        c = SurfaceComponent(genus=1, cls=[1, 0])
         assert c.cls == (1, 0) and c.euler_char() == 0
-        assert SurfaceComponent(genus=0, k_multiple=-2).homology_class(
+        assert SurfaceComponent(genus=0, cls=(-2,)).homology_class(
             parse_block_form("<1>")) == (-2,)
 
 
@@ -356,13 +351,13 @@ class TestTotalDefect:
     def test_prop44_configuration(self):
         m = handle_manifold(-1)
         sigma0 = SurfaceConfig((SurfaceComponent(genus=0, kind="definite",
-                                                 k_multiple=1),))
+                                                 cls=(1,)),))
         sigma1 = SurfaceConfig((SurfaceComponent(genus=1, cls=(0,)),))
         assert total_defect(m, sigma0, sigma1) == TotalDefect(d=0, h=2)
 
     def test_sphere_without_tori(self):
         m = handle_manifold(-1)
-        sigma0 = SurfaceConfig((SurfaceComponent(genus=0, k_multiple=1),))
+        sigma0 = SurfaceConfig((SurfaceComponent(genus=0, cls=(1,)),))
         assert total_defect(m, sigma0, SurfaceConfig()) == TotalDefect(0, 2)
 
     def test_closed_rejected(self):
@@ -374,7 +369,7 @@ class TestTotalDefect:
     def test_non_orientable_rejected(self):
         m = handle_manifold(-1)
         bad = SurfaceConfig((SurfaceComponent(genus=1, orientable=False,
-                                              k_multiple=1),))
+                                              cls=(1,)),))
         with pytest.raises(ValueError):
             total_defect(m, bad, SurfaceConfig())
 
@@ -388,7 +383,7 @@ class TestTotalDefect:
             m = handle_manifold(p)
             ks = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 9))]
             spheres = SurfaceConfig(tuple(
-                SurfaceComponent(genus=0, kind="definite", k_multiple=k)
+                SurfaceComponent(genus=0, kind="definite", cls=(k,))
                 for k in ks))
             tori = SurfaceConfig(tuple(
                 SurfaceComponent(genus=1, cls=(0,))
@@ -454,6 +449,11 @@ class TestCanonicalSphereConstraint:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             canonical_sphere_constraint(0)
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1"])
+    def test_non_integer_framing_rejected(self, bad):
+        with pytest.raises(ValueError, match="framing must be an integer"):
+            canonical_sphere_constraint(bad)
 
     def test_brute_force_over_s(self):
         for p in (-5, -3, -2, -1, 1, 2, 3, 4, 7):
