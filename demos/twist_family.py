@@ -1,6 +1,7 @@
 """Building twist knots by inserting full twists into a band.
 
-Starting from the right-handed trefoil, inserting full twists of the two
+Starting from the shipped trefoil code (the standard left-handed trefoil,
+see README "Conventions"), inserting full twists of the two
 strands carrying edges 2 and 4 walks through the twist-knot family: one
 positive twist gives a diagram with the invariants of 5_2, one negative
 twist untwists the clasp down to the unknot.  The demo then checks the

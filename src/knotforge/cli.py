@@ -89,21 +89,16 @@ def _render_value(value):
         return "infinity"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if hasattr(value, "render"):
-        return value.render()
-    if isinstance(value, dict):
-        return {k: _render_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_render_value(v) for v in value]
     return str(value)
 
 
-def _load_diagram(args, table=None):
-    if getattr(args, "pd", None):
+def _load_diagram(args):
+    if args.pd:
         with open(args.pd, encoding="utf-8") as fh:
             return parse_pd(fh.read())
-    table = table if table is not None else family_mod.load_table(args.table)
-    return table.diagram(args.name)
+    return family_mod.load_table(args.table).diagram(args.name)
 
 
 def cmd_invariants(args) -> tuple[RunReport, int]:

@@ -277,7 +277,8 @@ class PDDiagram:
             else:
                 recs.append(_Rec(xs[j], ys[k - 1 - j], xs[j + 1], ys[k - j],
                                  twist_sign))
-        return _rebuild(recs, self.free_loops)
+        # every id is fresh and none is glued, so each is its own class
+        return _relabel(recs, self.free_loops, list(range(n_edges + 2 * k + 1)))
 
     # -- rendering ----------------------------------------------------------
 
@@ -423,20 +424,16 @@ def _smooth_r1(d: PDDiagram, index: int) -> PDDiagram:
     return _relabel(_uncurl(recs, parent), d.free_loops, parent)
 
 
-def _rebuild(recs: list[_Rec], free_loops: int,
-             parent: list[int] | None = None) -> PDDiagram:
+def _rebuild(recs: list[_Rec], free_loops: int, parent: list[int]) -> PDDiagram:
     """Relabel an abstract crossing list into a valid PDDiagram.
 
     ``parent`` is a union-find over the edge ids 1..len(parent) - 1 of the
-    diagram being rebuilt (see ``_glue``); without one, the ids are
-    1..max(recs) and each is its own class.  This front flattens it, writes
+    diagram being rebuilt (see ``_glue``).  This front flattens it, writes
     each record in class names, and hands them to ``_relabel``.  Smoothing
-    and twist insertion come through here; the skein walk's smoothing child
-    and R1 reduction name their records in ``_uncurl`` and call
-    ``_relabel`` directly, so every child is mapped once.
+    comes through here; twist insertion, whose ids are all fresh, the skein
+    walk's smoothing child and R1 reduction call ``_relabel`` directly, so
+    every child is mapped once.
     """
-    if parent is None:
-        parent = list(range(1 + max((max(r[:4]) for r in recs), default=0)))
     _flatten(parent)
     return _relabel([(parent[a], parent[b], parent[c], parent[d], s)
                      for a, b, c, d, s in recs], free_loops, parent)
@@ -457,11 +454,11 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
     of one or two edges that is under at no crossing.  So the records equal
     ``_validate`` of the new code.
 
-    Guards, each a ``PDError`` "internal rebuild error": an edge id that is
-    consumed twice, produced twice, or produced but never consumed, and a
-    traced strand that does not close on its start.  The strand table is
-    filled unchecked; when it holds fewer than two entries per record, the
-    checked loop reruns and raises the first guard in record order.
+    Guards, each a ``PDError`` "internal rebuild error": the strand table,
+    filled unchecked, holds fewer than two entries per record when an edge
+    id is consumed or produced twice; and a traced strand that does not
+    close on its start, which is also where a strand ends that reaches an
+    id produced but never consumed.
     """
     size = len(parent)
     # strand_next[e] is the edge a strand leaves by after entering on e (0: none)
@@ -472,7 +469,7 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
         strand_next[o_in] = o_out
         produced[u_out] = produced[o_out] = 1
     if size - strand_next.count(0) != 2 * len(named) or produced.count(1) != 2 * len(named):
-        _check_strands(named, size)
+        raise PDError("internal rebuild error: an edge id is consumed or produced twice")
     label = [0] * size
     runs = []
     last = 0
@@ -489,12 +486,6 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
             label[e] = last
             e = strand_next[e]
         if e != start:
-            # a strand that reaches an id produced but never consumed runs
-            # on through id 0 and ends here too; that guard is raised first
-            for e in range(1, size):
-                if produced[e] and not strand_next[e]:
-                    raise PDError(f"internal rebuild error: edge id {e} produced "
-                                  f"but never consumed")
             raise PDError(f"internal rebuild error: strand from edge id {start} "
                           f"does not close on its start")
         runs.append((label[start], last))
@@ -507,21 +498,6 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
     crossings = tuple([(a, b, c, d) if s > 0 else (a, d, c, b)
                        for a, b, c, d, s in records])
     return _trusted(crossings, free_loops, tuple(runs), records)
-
-
-def _check_strands(named: list[tuple[int, ...]], size: int) -> None:
-    """Fill a strand table record by record and raise at the first edge id
-    consumed twice or produced twice (see ``_relabel``)."""
-    strand_next = [0] * size
-    produced = bytearray(size)
-    for u_in, o_in, u_out, o_out, _ in named:
-        for e_in, e_out in ((u_in, u_out), (o_in, o_out)):
-            if strand_next[e_in]:
-                raise PDError(f"internal rebuild error: edge id {e_in} consumed twice")
-            if produced[e_out]:
-                raise PDError(f"internal rebuild error: edge id {e_out} produced twice")
-            strand_next[e_in] = e_out
-            produced[e_out] = 1
 
 
 def _trusted(crossings: tuple[tuple[int, int, int, int], ...], free_loops: int,

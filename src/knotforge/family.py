@@ -13,7 +13,6 @@ anchors with the skein engine and compares exactly.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from importlib import resources
 
@@ -35,7 +34,6 @@ __all__ = [
     "TILDE_V",
 ]
 
-DATA_ENV_VAR = "KNOTFORGE_DATA"
 TABLE_FILENAME = "knot_table.txt"
 
 # V(L_0) and the increment polynomial Vt, as published
@@ -79,35 +77,35 @@ class KnotTable:
 
 
 def _parse_table_text(text: str) -> dict[str, str]:
+    """Split a stanza-format table into entry name -> PD text.
+
+    An entry's text is its stanza's own lines behind one empty line per file
+    line before them, so a ``PDError`` position names the file line.
+    """
     entries: dict[str, str] = {}
     current: str | None = None
-    lines: list[str] = []
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    start = 0
+    for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("name:"):
             if current is not None:
-                entries[current] = " ".join(lines)
+                entries[current] = "\n" * start + "\n".join(lines[start:ln - 1])
             current = line.split(":", 1)[1].strip()
+            if not current:
+                raise ValueError(f"table line {ln}: 'name:' gives no entry name")
             if current in entries:
                 raise ValueError(f"table entry {current!r} is given twice")
-            lines = []
-        elif current is None:
+            start = ln
+        elif line and current is None:
             raise ValueError(f"table data before first 'name:' stanza: {line!r}")
-        else:
-            lines.append(line)
     if current is not None:
-        entries[current] = " ".join(lines)
+        entries[current] = "\n" * start + "\n".join(lines[start:])
     return entries
 
 
 def load_table(path: str | None = None) -> KnotTable:
-    """Load the knot table from a path, $KNOTFORGE_DATA, or package data."""
-    if path is None:
-        data_dir = os.environ.get(DATA_ENV_VAR)
-        if data_dir:
-            path = os.path.join(data_dir, TABLE_FILENAME)
+    """Load the knot table from a path, or else the package data."""
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

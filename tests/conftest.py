@@ -125,7 +125,7 @@ def with_curls(d: PDDiagram, count: int) -> PDDiagram:
     # out over on ids[2j+2]
     recs += [_Rec(ids[2 * j], ids[2 * j + 1], ids[2 * j + 1], ids[2 * j + 2], 1)
              for j in range(count)]
-    return _rebuild(recs, d.free_loops)
+    return _rebuild(recs, d.free_loops, list(range(ids[-1] + 1)))
 
 
 def bracket_state_sum_reference(d: PDDiagram) -> LaurentPoly:

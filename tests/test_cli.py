@@ -50,12 +50,28 @@ class TestExitCodes:
         ("name: e\nname: b\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n",
          "table entry 'e': invalid PD code: "
          "a diagram needs at least one crossing or free loop"),
+        ("name: b\nX(1,4,2,5)\nX(3,6,4,1)\nX(5,2,6)\n",
+         "table entry 'b': line 4, token 1: crossing needs 4 labels, got 3"),
+        ("name: b\nloops=1\nname:\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n",
+         "table line 3: 'name:' gives no entry name"),
     ])
     def test_input_error_on_bad_table_stanza(self, capsys, tmp_path, text, message):
         path = tmp_path / "knot_table.txt"
         path.write_text(text)
         assert cli.main(["invariants", "--name", "b", "--table", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_input_error_on_missing_defect_section(self, capsys, tmp_path):
+        cfg = tmp_path / "partial.json"
+        cfg.write_text(json.dumps({
+            "manifold": {"form": "<-1>", "euler": 2, "boundary_kind": "closed"}}))
+        assert cli.main(["defect", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config is missing surface configuration 'sigma0'\n")
+
+    def test_input_error_on_k_below_one(self, capsys):
+        assert cli.main(["sg", "--catalog", data_path("thm12.json"), "--k", "0"]) == 2
+        assert capsys.readouterr().err == "error: --k must be at least 1\n"
 
     def test_input_error_on_odd_cusps(self):
         assert cli.main(["tb", "--writhe", "0", "--cusps", "3"]) == 2

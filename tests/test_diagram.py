@@ -166,6 +166,17 @@ class TestParse:
         with pytest.raises(PDError, match="edge labels must be positive integers"):
             PDDiagram(crossings)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PDDiagram([(1, 2, 3)]), "crossing 0: expected 4 edge labels, got 3"),
+        (lambda: parse_pd("loops=-1"),
+         "invalid PD code: free_loops must be non-negative"),
+        (lambda: parse_pd("loops=x"), "line 1, token 1: malformed loop count 'loops=x'"),
+    ])
+    def test_refusal_text(self, make, message):
+        with pytest.raises(PDError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_round_trip_on_table(self, table):
         for name in table.names():
             d = table.diagram(name)
@@ -370,16 +381,24 @@ class TestTrustedRebuild:
         assert len(calls) == 1
         assert (s._runs, s._records) == validate(s.crossings, s.free_loops)
 
-    @pytest.mark.parametrize("recs, message", [
-        ([_Rec(1, 2, 2, 1, 1), _Rec(1, 3, 4, 3, 1)], "edge id 1 consumed twice"),
-        ([_Rec(1, 3, 2, 4, 1), _Rec(2, 4, 2, 3, 1)], "edge id 2 produced twice"),
-        ([_Rec(1, 3, 2, 4, 1), _Rec(2, 4, 5, 3, 1)],
-         "edge id 5 produced but never consumed"),
-        ([_Rec(1, 2, 2, 3, 1)], "edge id 3 produced but never consumed"),
+    @pytest.mark.parametrize("recs, size, message", [
+        # edge id 1 consumed twice
+        ([_Rec(1, 2, 2, 1, 1), _Rec(1, 3, 4, 3, 1)], 5,
+         "an edge id is consumed or produced twice"),
+        # edge id 2 produced twice
+        ([_Rec(1, 3, 2, 4, 1), _Rec(2, 4, 2, 3, 1)], 5,
+         "an edge id is consumed or produced twice"),
+        # edge id 5 produced but never consumed: the strand runs off there
+        ([_Rec(1, 3, 2, 4, 1), _Rec(2, 4, 5, 3, 1)], 6,
+         "strand from edge id 2 does not close on its start"),
+        # edge id 3 produced but never consumed
+        ([_Rec(1, 2, 2, 3, 1)], 4,
+         "strand from edge id 2 does not close on its start"),
     ])
-    def test_inconsistent_records_raise(self, recs, message):
-        with pytest.raises(PDError, match=f"internal rebuild error: {message}"):
-            _rebuild(recs, 0)
+    def test_inconsistent_records_raise(self, recs, size, message):
+        with pytest.raises(PDError) as raised:
+            _rebuild(recs, 0, list(range(size)))
+        assert str(raised.value) == f"internal rebuild error: {message}"
 
 
 class TestDoubleMirror:

@@ -1,6 +1,5 @@
 """The twist family: table anchors, closed forms, and the verifier."""
 
-import os
 import re
 from fractions import Fraction
 
@@ -18,8 +17,6 @@ from knotforge.family import (
     load_table,
     tilde_v,
     verify_family,
-    DATA_ENV_VAR,
-    TABLE_FILENAME,
 )
 from knotforge import skein
 
@@ -45,20 +42,6 @@ class TestTable:
         with pytest.raises(ValueError, match="components"):
             KnotTable({"5_2": "X(4,1,3,2) X(2,3,1,4)"})  # a 2-component code
 
-    def test_env_var_override(self, tmp_path, table):
-        path = tmp_path / TABLE_FILENAME
-        path.write_text("name: unknot\nloops=1\n")
-        old = os.environ.get(DATA_ENV_VAR)
-        os.environ[DATA_ENV_VAR] = str(tmp_path)
-        try:
-            small = load_table()
-            assert small.names() == ["unknot"]
-        finally:
-            if old is None:
-                del os.environ[DATA_ENV_VAR]
-            else:
-                os.environ[DATA_ENV_VAR] = old
-
     def test_explicit_path(self, tmp_path):
         path = tmp_path / "alt.txt"
         path.write_text("# comment\nname: trefoil\nX(1,4,2,5) X(3,6,4,1)\nX(5,2,6,3)\n")
@@ -71,6 +54,33 @@ class TestTable:
                         "name: unknot\nloops=1\nname: b\nX(1,2,1,2)\n")
         with pytest.raises(ValueError, match=r"^table entry 'b' is given twice$"):
             load_table(str(path))
+
+    @pytest.mark.parametrize("text, error", [
+        ("name: a\nloops=1\n\nname:\nX(1,2,1,2)\n",
+         "table line 4: 'name:' gives no entry name"),
+        ("# header\nX(1,2)\nname: a\nloops=1\n",
+         "table data before first 'name:' stanza: 'X(1,2)'"),
+    ])
+    def test_malformed_stanza_rejected(self, tmp_path, text, error):
+        path = tmp_path / "alt.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_table(str(path))
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize("text, error", [
+        ("name: t\nX(1,4,2,5)\nX(3,6,4,1)\nX(5,2,6)\n",
+         "table entry 't': line 4, token 1: crossing needs 4 labels, got 3"),
+        ("# header\nname: u\nloops=1\n\nname: t  # comment\n"
+         "X(1,4,2,5) X(3,6,4,1) # two\n  X(5,2,6,3) X(7,8)\n",
+         "table entry 't': line 7, token 2: crossing needs 4 labels, got 2"),
+    ])
+    def test_pd_error_names_its_file_line(self, tmp_path, text, error):
+        path = tmp_path / "alt.txt"
+        path.write_text(text)
+        with pytest.raises(PDError) as info:
+            load_table(str(path))
+        assert str(info.value) == error
 
     @pytest.mark.parametrize("text, error", [
         ("", "invalid PD code: a diagram needs at least one crossing or free loop"),

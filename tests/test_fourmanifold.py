@@ -58,6 +58,10 @@ class TestIntegerInput:
         with pytest.raises(ValueError, match="genus must be an integer"):
             SurfaceComponent(genus=bad)
 
+    def test_negative_genus(self):
+        with pytest.raises(ValueError, match=r"^genus must be non-negative$"):
+            SurfaceComponent(genus=-1)
+
     @pytest.mark.parametrize("bad", [2.5, 2.0, True])
     def test_euler(self, bad):
         with pytest.raises(ValueError, match="euler must be an integer"):

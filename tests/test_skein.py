@@ -167,6 +167,34 @@ class TestConwayJones:
             self._check(d)
 
 
+
+class TestConventions:
+    """The crossing sign is the negative of the standard one and the skein
+    relations are written for it (README "Conventions"): knot V is the
+    standard V, and link V is the standard V with t^(1/2) -> -t^(1/2)."""
+
+    def test_shipped_trefoil_is_the_standard_left_trefoil(self, table):
+        d = table.diagram("trefoil")
+        assert d.writhe() == 3
+        assert jones(d) == LaurentPoly.from_exponents({-1: 1, -3: 1, -4: -1})
+
+    def test_hopf_plus_is_the_standard_negative_hopf_link(self, table):
+        nabla, v = conway_jones(table.diagram("hopf+"))
+        assert nabla == -Z
+        assert v == LaurentPoly.from_exponents({F(-1, 2): 1, F(-5, 2): 1})
+
+    def test_jones_at_one_is_two_to_the_components_minus_one(self, table):
+        # the standard value is (-2)^(mu - 1)
+        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams += random_planar_diagrams(seed=29, count=200, max_crossings=10)
+        links = 0
+        for d in diagrams:
+            mu = d.component_count()
+            links += mu > 1
+            assert jones(d).moment(0) == 2 ** (mu - 1), d.render()
+        assert links > 50
+
+
 class TestWalkRebuilds:
     """Each skein child is built with at most one relabel and no validation."""
 
