@@ -188,11 +188,11 @@ class PDDiagram:
         as a rebuild (see ``_trusted``).
         """
         self._check_index(index)
-        records = list(self._records)
-        records[index] = records[index].switched()
-        crossings = list(self.crossings)
-        crossings[index] = records[index].tuple4()
-        return _trusted(tuple(crossings), self.free_loops, self._runs, tuple(records))
+        r = self._records[index].switched()
+        after = index + 1
+        return _trusted(self.crossings[:index] + (r.tuple4(),) + self.crossings[after:],
+                        self.free_loops, self._runs,
+                        self._records[:index] + (r,) + self._records[after:])
 
     def smooth_crossing(self, index: int) -> "PDDiagram":
         """Oriented resolution of one crossing; every edge gets a fresh label.
@@ -227,7 +227,7 @@ class PDDiagram:
         ``_uncurl``).  A diagram without curls is returned as it is.
         """
         parent = list(range(2 * len(self.crossings) + 1))
-        named = _uncurl(self.records(), parent)
+        named = _uncurl(self._records, parent)
         if len(named) == len(self._records):
             return self
         return _relabel(named, self.free_loops, parent)
@@ -341,13 +341,13 @@ def _smoothing(t: _Rec, n_edges: int) -> list[int]:
     return parent
 
 
-def _uncurl(recs: list[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
+def _uncurl(recs: Sequence[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
     """recs without their Reidemeister-I curls, written in class names.
 
-    ``parent`` is a union-find over edge ids (see ``_glue``), flattened here
-    once.  On return its roots name the classes left, each by its smallest
-    id, and the records kept are written in those names, ready for
-    ``_relabel``.
+    ``parent`` is a flat union-find over edge ids (see ``_glue``): every id
+    points at its class's name, its smallest id.  So one list index reads a
+    class name.  On return the roots of ``parent`` name the classes left,
+    and the records kept are written in those names, ready for ``_relabel``.
 
     A curl is a crossing where the strand leaving under comes back over, or
     the strand leaving over comes back under.  Removing one glues its four
@@ -365,7 +365,6 @@ def _uncurl(recs: list[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
     those two slots are renamed, and only a crossing that is both ends of
     the merged class becomes a curl: it goes on the worklist.
     """
-    _flatten(parent)
     head = [-1] * len(parent)
     tail = [-1] * len(parent)
     named = []
@@ -416,12 +415,25 @@ def _uncurl(recs: list[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
 
 def _smooth_r1(d: PDDiagram, index: int) -> PDDiagram:
     """``d.smooth_crossing(index).reduce_r1()`` with one relabel: the skein
-    walk's smoothing child.  The smoothing and its curls share one glue,
-    flattened once by ``_uncurl``, which hands its records over in class
-    names."""
-    recs = d.records()
-    parent = _smoothing(recs.pop(index), 2 * len(d.crossings))
-    return _relabel(_uncurl(recs, parent), d.free_loops, parent)
+    walk's smoothing child.
+
+    The smoothing's two glued pairs (under-in with over-out, over-in with
+    under-out) go straight into a flat class table, the larger id pointing
+    at the smaller.  Only a non-planar code has pairs that overlap, through
+    a one-edge loop under (or over) at both ends; its table is glued and
+    flattened the long way.
+    """
+    recs = d._records
+    t = recs[index]
+    if t.u_in == t.u_out or t.o_in == t.o_out:
+        parent = _smoothing(t, 2 * len(recs))
+        _flatten(parent)
+    else:
+        parent = list(range(2 * len(recs) + 1))
+        parent[max(t.u_in, t.o_out)] = min(t.u_in, t.o_out)
+        parent[max(t.o_in, t.u_out)] = min(t.o_in, t.u_out)
+    return _relabel(_uncurl(recs[:index] + recs[index + 1:], parent),
+                    d.free_loops, parent)
 
 
 def _rebuild(recs: list[_Rec], free_loops: int, parent: list[int]) -> PDDiagram:
@@ -447,7 +459,8 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
     ``parent``, and each becomes one edge.  A class that touches no crossing
     becomes a free loop.  Strands are then traced from the smallest names
     to assign fresh consecutive labels per component.  Every table here is
-    a list indexed by edge id.
+    a list indexed by edge id.  Only the roots of ``parent`` are read, so it
+    need not be flat.
 
     The result is not re-validated: the runs and relabelled records traced
     here go through ``_trusted``, which validates only a diagram with a run
@@ -492,12 +505,15 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
 
     # tuple.__new__ skips the NamedTuple constructor's argument handling
     new = tuple.__new__
-    records = tuple([new(_Rec, (label[a], label[b], label[c], label[d], s))
-                     for a, b, c, d, s in named])
-    # positive crossings have the over-strand entering at slot b
-    crossings = tuple([(a, b, c, d) if s > 0 else (a, d, c, b)
-                       for a, b, c, d, s in records])
-    return _trusted(crossings, free_loops, tuple(runs), records)
+    records = []
+    crossings = []
+    add_record, add_crossing = records.append, crossings.append
+    for a, b, c, d, s in named:
+        a, b, c, d = label[a], label[b], label[c], label[d]
+        add_record(new(_Rec, (a, b, c, d, s)))
+        # positive crossings have the over-strand entering at slot b
+        add_crossing((a, b, c, d) if s > 0 else (a, d, c, b))
+    return _trusted(tuple(crossings), free_loops, tuple(runs), tuple(records))
 
 
 def _trusted(crossings: tuple[tuple[int, int, int, int], ...], free_loops: int,
@@ -533,11 +549,15 @@ def parse_pd(text: str) -> PDDiagram:
     Whitespace-separated tokens ``X(a,b,c,d)``, at most one ``loops=k``
     header, and ``#`` comments running to end of line.
     """
+    return _parse_lines(text.splitlines() if text else [], 1)
+
+
+def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
+    """``parse_pd`` of lines whose first is line ``first`` of its file."""
     crossings = []
     loops = None
-    lines = text.splitlines() if text else []
     tokens: list[tuple[str, int, int]] = []
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(lines, start=first):
         body = line.split("#", 1)[0]
         for tn, tok in enumerate(body.split(), start=1):
             tokens.append((tok, ln, tn))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 
-from .diagram import PDDiagram, PDError, parse_pd
+from .diagram import PDDiagram, PDError, _parse_lines
 from .laurent import LaurentPoly
 from . import skein
 from .skein import _T_INV_DELTA
@@ -53,11 +53,15 @@ class KnotTable:
     """Named PD diagrams loaded from a stanza-format data file."""
 
     def __init__(self, entries: dict[str, str]):
-        self.entries = dict(entries)
+        self._fill({name: (text, 1) for name, text in entries.items()})
+
+    def _fill(self, stanzas: dict[str, tuple[str, int]]) -> None:
+        """Parse each entry's text, whose first line is the given file line."""
+        self.entries = {name: text for name, (text, _) in stanzas.items()}
         self._cache: dict[str, PDDiagram] = {}
-        for name, text in self.entries.items():
+        for name, (text, first) in stanzas.items():
             try:
-                d = parse_pd(text)
+                d = _parse_lines(text.splitlines(), first)
             except PDError as exc:
                 raise PDError(f"table entry {name!r}: {exc}") from None
             expected = _EXPECTED_COMPONENTS.get(name)
@@ -76,13 +80,13 @@ class KnotTable:
         return self._cache[name]
 
 
-def _parse_table_text(text: str) -> dict[str, str]:
-    """Split a stanza-format table into entry name -> PD text.
+def _parse_table_text(text: str) -> dict[str, tuple[str, int]]:
+    """Split a stanza-format table into entry name -> (PD text, first line).
 
-    An entry's text is its stanza's own lines behind one empty line per file
-    line before them, so a ``PDError`` position names the file line.
+    An entry's text is its stanza's own lines; the number of the first of
+    them in the file lets a ``PDError`` position name the file line.
     """
-    entries: dict[str, str] = {}
+    entries: dict[str, tuple[str, int]] = {}
     current: str | None = None
     lines = text.splitlines()
     start = 0
@@ -90,7 +94,7 @@ def _parse_table_text(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if line.startswith("name:"):
             if current is not None:
-                entries[current] = "\n" * start + "\n".join(lines[start:ln - 1])
+                entries[current] = ("\n".join(lines[start:ln - 1]), start + 1)
             current = line.split(":", 1)[1].strip()
             if not current:
                 raise ValueError(f"table line {ln}: 'name:' gives no entry name")
@@ -100,7 +104,7 @@ def _parse_table_text(text: str) -> dict[str, str]:
         elif line and current is None:
             raise ValueError(f"table data before first 'name:' stanza: {line!r}")
     if current is not None:
-        entries[current] = "\n" * start + "\n".join(lines[start:])
+        entries[current] = ("\n".join(lines[start:]), start + 1)
     return entries
 
 
@@ -111,7 +115,9 @@ def load_table(path: str | None = None) -> KnotTable:
             text = fh.read()
     else:
         text = (resources.files("knotforge") / "data" / TABLE_FILENAME).read_text()
-    return KnotTable(_parse_table_text(text))
+    table = KnotTable.__new__(KnotTable)
+    table._fill(_parse_table_text(text))
+    return table
 
 
 def _check_family_index(n) -> None:

@@ -98,14 +98,10 @@ class LaurentPoly:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _from_terms(terms)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return _from_terms({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -117,9 +113,7 @@ class LaurentPoly:
                 raise TypeError(f"scalar factor must be an int, got {other!r}")
             if not other:
                 return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {k: v * other for k, v in self._terms.items()}
-            return out
+            return _from_terms({k: v * other for k, v in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -140,9 +134,7 @@ class LaurentPoly:
                         terms[k] = s
                     else:
                         terms.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _from_terms(terms)
 
     __rmul__ = __mul__
 
@@ -206,3 +198,12 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r})"
+
+
+def _from_terms(terms: dict[int, int]) -> LaurentPoly:
+    """The polynomial holding terms, which it takes without a copy or a
+    check: every key and coefficient must be an int, and none of the
+    coefficients 0."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out

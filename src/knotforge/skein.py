@@ -16,19 +16,21 @@ as given, not under a canonical relabelling (see canonical_code).
 Reidemeister-I curls are removed once, on entry, before the crossing
 budget is checked.  A switch keeps the curl test (under-out is over-in, or
 under-in is over-out), so the switch child of a curl-free diagram is
-curl-free; it keeps labels and runs and switches one record, without a
-rebuild.  The smoothing child glues the smoothing in a union-find over
-edge ids, a list indexed by id, and flattens it once.  One pass writes each
-record in class names and puts every curl on a worklist; removing a curl
-renames one slot on each side of it, and a crossing that holds both becomes
-a curl in turn.  The records kept go straight to the relabel, so each child
-is mapped once and relabelled once.  Only a run of one or two edges that is
-under at no crossing goes back to the validator.  Unlink leaves
-read their Jones value from a table of powers of the loop value.
+curl-free; it keeps labels and runs and slices one switched record into
+its tuples, without a rebuild.  The smoothing child writes its two glued
+edge pairs into a flat class table, a list indexing each edge id to its
+class's smallest id (see _smooth_r1).  One pass writes each record in
+class names and puts every curl on a worklist; removing a curl renames one
+slot on each side of it, and a crossing that holds both becomes a curl in
+turn.  The records kept go straight to the relabel, so each child is
+mapped once and relabelled once.  Only a run of one or two edges that is
+under at no crossing goes back to the validator.
 
-There is one walk: it resolves each crossing once and combines (nabla, V)
-pairs.  conway_jones returns the pair; conway and jones project it.  Each
-call starts from a fresh memo.
+There is one walk: it resolves each crossing once and combines the
+(nabla, V) pairs of its two children in one pass over their terms (see
+_combine).  Unlink leaves share one nabla = 1, one nabla = 0, and their
+Jones value from a table of powers of the loop value.  conway_jones returns
+the pair; conway and jones project it.  Each call starts from a fresh memo.
 
 The oracle, jones_bracket_oracle, is the Kauffman bracket as a plain sum
 over all 2^N states, one state at a time.  A state unions the edge pairs
@@ -44,7 +46,7 @@ from __future__ import annotations
 from math import comb
 
 from .diagram import PDDiagram, _smooth_r1
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_terms
 
 __all__ = [
     "CrossingBudgetExceeded",
@@ -64,13 +66,10 @@ BRACKET_ORACLE_BUDGET = 20
 # oracle to reproduce the skein engine's Jones value on the 5_2 table code.
 _A_TO_T_QUARTERS = -1
 
-_Z = LaurentPoly.monomial(1, 1)          # z in the Conway relation, t in the Jones one
-_T2 = LaurentPoly.monomial(1, 2)
-_T2_INV = LaurentPoly.monomial(1, -2)
-_DELTA = LaurentPoly({1: 1, -1: -1})     # t^(1/2) - t^(-1/2), doubled keys
-_T_INV_DELTA = LaurentPoly.monomial(1, -1) * _DELTA
-_T_DELTA = _Z * _DELTA
-_LOOP = LaurentPoly({1: 1, -1: 1})       # t^(1/2) + t^(-1/2)
+_T_INV_DELTA = LaurentPoly({-1: 1, -3: -1})   # t^-1 (t^(1/2) - t^(-1/2)), doubled keys
+_LOOP = LaurentPoly({1: 1, -1: 1})             # t^(1/2) + t^(-1/2)
+_ONE = LaurentPoly.one()
+_ZERO = LaurentPoly.zero()
 # k -> _LOOP ** k, filled as walks meet larger unlinks.  The values are
 # immutable and depend on k alone, so every leaf of every walk shares them.
 _LOOP_POWERS: dict[int, LaurentPoly] = {}
@@ -121,8 +120,11 @@ def _first_violation(d: PDDiagram):
     Walking labels 1..2N meets a crossing first at min(u_in, o_in), so this
     is the crossing with the smallest u_in among those with u_in < o_in.
     """
-    found = [(r.u_in, i) for i, r in enumerate(d.records()) if r.u_in < r.o_in]
-    return min(found)[1] if found else None
+    first, low = None, 2 * len(d._records) + 1
+    for i, (u_in, o_in, _, _, _) in enumerate(d._records):
+        if u_in < low and u_in < o_in:
+            first, low = i, u_in
+    return first
 
 
 def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -131,12 +133,13 @@ def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
     v = _LOOP_POWERS.get(k)
     if v is None:
         v = _LOOP_POWERS.setdefault(k, _LOOP ** k)
-    return (LaurentPoly.one() if c == 1 else LaurentPoly.zero(), v)
+    return (_ONE if c == 1 else _ZERO, v)
 
 
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
-    """(nabla, V) of d, which has no Reidemeister-I curl."""
-    if d.n_crossings == 0:
+    """(nabla, V) of d, which has no Reidemeister-I curl; a resolved
+    crossing folds the pairs of its two children with ``_combine``."""
+    if not d.crossings:
         return _unlink(d.component_count())
     key = canonical_code(d)
     cached = memo.get(key)
@@ -146,16 +149,48 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
     if i is None:
         val = _unlink(d.component_count())
     else:
-        nabla_sw, v_sw = _skein_eval(d.switch_crossing(i), memo)
-        nabla_0, v_0 = _skein_eval(_smooth_r1(d, i), memo)
-        # nabla(K+) = nabla(K-) - z nabla(K0) and
-        # V(K+) = t^-2 V(K-) + t^-1 (t^(1/2) - t^(-1/2)) V(K0); conversely for K-
-        if d.crossing_sign(i) > 0:
-            val = (nabla_sw - _Z * nabla_0, _T2_INV * v_sw + _T_INV_DELTA * v_0)
-        else:
-            val = (nabla_sw + _Z * nabla_0, _T2 * v_sw - _T_DELTA * v_0)
+        val = _combine(d._records[i].sign, _skein_eval(d.switch_crossing(i), memo),
+                       _skein_eval(_smooth_r1(d, i), memo))
     memo.put(key, val)
     return val
+
+
+def _combine(sign: int, switched, smoothed) -> tuple[LaurentPoly, LaurentPoly]:
+    """(nabla, V) of a crossing of sign s from the (nabla, V) of its switch
+    and of its smoothing, in one pass over their terms, dropping those that
+    cancel.  The skein relations solved for K+ (s = 1) or K- (s = -1) read
+
+        nabla = nabla_sw - s z nabla_0
+        V = t^(-2s) V_sw + (t^(-s/2) - t^(-3s/2)) V_0
+
+    and in doubled keys z shifts by 2, t^(-2s) by -4s and t^(-s/2) by -s.
+    """
+    nabla_sw, v_sw = switched
+    nabla_0, v_0 = smoothed
+    nabla = dict(nabla_sw._terms)
+    for k, c in nabla_0._terms.items():
+        k += 2
+        c = nabla.get(k, 0) - sign * c
+        if c:
+            nabla[k] = c
+        else:
+            del nabla[k]
+    shift = -4 * sign
+    v = {k + shift: c for k, c in v_sw._terms.items()}
+    for k, c in v_0._terms.items():
+        k -= sign
+        cf = v.get(k, 0) + c
+        if cf:
+            v[k] = cf
+        else:
+            del v[k]
+        k -= 2 * sign
+        cf = v.get(k, 0) - c
+        if cf:
+            v[k] = cf
+        else:
+            del v[k]
+    return _from_terms(nabla), _from_terms(v)
 
 
 def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:

@@ -616,6 +616,15 @@ class TestSmoothR1:
         assert sum(c for c, _ in counts) > 500
         assert sum(s for _, s in counts) > 400
 
+    @pytest.mark.parametrize("index, code", [(0, "X(2,1,2,1)"), (1, "X(1,2,1,2)")])
+    def test_pairs_that_share_a_one_edge_loop(self, index, code):
+        # a non-planar code whose crossings each carry a one-edge loop under
+        # both ways (u_in = u_out): the smoothing's two glued pairs overlap,
+        # so the class table is glued and flattened the long way
+        d = PDDiagram([(1, 2, 1, 3), (4, 2, 4, 3)])
+        assert self._check_children(d) == (2, 0)
+        assert diagram_module._smooth_r1(d, index).render() == code
+
     @pytest.mark.parametrize("name, count", [("unknot", 1), ("trefoil", 0),
                                              ("trefoil", -1)])
     def test_with_curls_refuses_what_it_cannot_splice(self, table, name, count):

@@ -91,6 +91,18 @@ class TestTable:
             KnotTable({"trefoil": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "bad": text})
         assert str(info.value) == f"table entry 'bad': {error}"
 
+    def test_entries_hold_only_their_stanzas(self, tmp_path):
+        # an entry's text is its stanza's own lines, with no padding for the
+        # file lines before it, so loading a table takes time linear in it
+        text = "".join(f"name: k{i}\nX(1,4,2,5) X(3,6,4,1)\nX(5,2,6,3)\n"
+                       for i in range(2000))
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        t = load_table(str(path))
+        assert len(t.entries) == 2000
+        assert t.entries["k1999"] == "X(1,4,2,5) X(3,6,4,1)\nX(5,2,6,3)"
+        assert sum(map(len, t.entries.values())) <= len(text)
+
 
 class TestClosedForms:
     def test_conway_family(self):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from knotforge import diagram as diagram_module
 from knotforge import skein as skein_module
@@ -15,6 +16,7 @@ from knotforge.skein import (
     BRACKET_ORACLE_BUDGET,
     CrossingBudgetExceeded,
     SkeinMemo,
+    _combine,
     _first_violation,
     conway,
     conway_jones,
@@ -28,9 +30,11 @@ from conftest import (
     random_planar_diagrams,
     with_curls,
 )
+from test_laurent import polys
 
 F = Fraction
 ONE = LaurentPoly.one()
+ZERO = LaurentPoly.zero()
 Z = LaurentPoly.monomial(1, 1)
 V_L0 = LaurentPoly.from_exponents(
     {-1: 1, -2: -1, -3: 2, -4: -1, -5: 1, -6: -1})
@@ -134,6 +138,108 @@ class TestSkeinIdentities:
             rotated = PDDiagram(relab)
             assert conway(rotated) == conway(d)
             assert jones(rotated) == jones(d)
+
+
+def _combine_by_operators(sign, switched, smoothed):
+    """The skein relations solved for the resolved crossing, by operators."""
+    (nabla_sw, v_sw), (nabla_0, v_0) = switched, smoothed
+    t = LaurentPoly.monomial(1, 1)
+    if sign > 0:
+        return (nabla_sw - Z * nabla_0,
+                LaurentPoly.monomial(1, -2) * v_sw + T_INV * DELTA * v_0)
+    return (nabla_sw + Z * nabla_0, LaurentPoly.monomial(1, 2) * v_sw - t * DELTA * v_0)
+
+
+class TestCombine:
+    """The walk's one-pass (nabla, V) combine equals the operator formulas."""
+
+    @given(st.sampled_from((1, -1)), polys, polys, polys, polys)
+    def test_matches_the_operator_formulas(self, sign, nabla_sw, v_sw, nabla_0, v_0):
+        switched, smoothed = (nabla_sw, v_sw), (nabla_0, v_0)
+        assert _combine(sign, switched, smoothed) == \
+            _combine_by_operators(sign, switched, smoothed)
+
+    @given(st.sampled_from((1, -1)), polys, polys, polys)
+    def test_results_that_cancel_to_zero(self, sign, nabla_0, v_0, extra):
+        # switch values that cancel the smoothing's terms in both sums, plus
+        # a term that cancels only partly
+        t_sign = LaurentPoly.monomial(1, sign)
+        switched = (sign * (Z * nabla_0), -sign * (t_sign * DELTA * v_0))
+        assert _combine(sign, switched, (nabla_0, v_0)) == (ZERO, ZERO)
+        switched = (switched[0] + extra, switched[1] + extra)
+        assert _combine(sign, switched, (nabla_0, v_0)) == \
+            _combine_by_operators(sign, switched, (nabla_0, v_0))
+
+
+def _one_mod_t2_t_1(v):
+    """V mod t^2 + t + 1 as (c0, c1), for c0 + c1 t: exponents are folded
+    mod 3, since t^3 = 1 there, then t^2 is replaced by -t - 1."""
+    c = [0, 0, 0]
+    for k, cf in v.doubled_terms().items():
+        assert k % 2 == 0, "a knot's V has integral exponents"
+        c[k // 2 % 3] += cf
+    return c[0] - c[2], c[1] - c[2]
+
+
+def _det(m):
+    """Exact determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _hoste_cofactor(d):
+    """A cofactor of the Laplacian of the linking numbers between the
+    components of d, in this package's sign convention.  Free loops are
+    components that link nothing."""
+    comp = {}
+    for c, (lo, hi) in enumerate(d._runs):
+        for e in range(lo, hi + 1):
+            comp[e] = c
+    mu = d.component_count()
+    twice_lk = [[0] * mu for _ in range(mu)]
+    for r in d.records():
+        a, b = comp[r.u_in], comp[r.o_in]
+        if a != b:
+            twice_lk[a][b] += r.sign
+            twice_lk[b][a] += r.sign
+    lk = [[x // 2 for x in row] for row in twice_lk]
+    laplacian = [[sum(lk[i]) if i == j else -lk[i][j] for j in range(mu)]
+                 for i in range(mu)]
+    return _det([row[1:] for row in laplacian[1:]])
+
+
+class TestClassicalIdentities:
+    """Checks of the walk that read nothing it computes: V of a knot is 1 mod
+    t^2 + t + 1, and the z^(mu-1) coefficient of nabla is (-1)^(mu-1) times a
+    cofactor of the linking-number Laplacian (Hoste, Proc. AMS 95, 1985)."""
+
+    @staticmethod
+    def _check(d):
+        nabla, v = conway_jones(d)
+        mu = d.component_count()
+        if mu == 1:
+            assert _one_mod_t2_t_1(v) == (1, 0), d.render()
+        assert nabla.coeff(mu - 1) == (-1) ** (mu - 1) * _hoste_cofactor(d), d.render()
+        return mu, nabla.coeff(mu - 1)
+
+    def test_table_twist_family_and_seeded_streams(self, table):
+        diagrams = [table.diagram(name) for name in table.names()]
+        base = table.diagram("11n63")
+        diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
+        for seed in (29, 911, 5):
+            diagrams += random_planar_diagrams(seed=seed, count=200, max_crossings=10)
+        seen = [self._check(d) for d in diagrams]
+        # knots, links, and links whose coefficient is not 0
+        assert (sum(mu == 1 for mu, _ in seen), sum(mu > 1 for mu, _ in seen),
+                sum(mu > 1 and a != 0 for mu, a in seen)) == (368, 247, 86)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_twist_family_beyond_the_crossing_budget(self, table, monkeypatch, n):
+        d = table.diagram("11n63").insert_full_twists((3, 25), n - 2)
+        monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", d.n_crossings)
+        assert self._check(d) == (1, 1)
 
 
 class TestConwayJones:
