@@ -197,13 +197,16 @@ class PDDiagram:
     def smooth_crossing(self, index: int) -> "PDDiagram":
         """Oriented resolution of one crossing; every edge gets a fresh label.
 
-        Curls are kept; the skein walk smooths and removes them with one
-        map and one relabel (see ``_smooth_r1``).
+        The other records are written in the class names of the smoothing's
+        table (see ``_smoothing``) and relabelled once.  Curls are kept; the
+        skein walk's child also removes them (see ``_smooth_r1``).
         """
         self._check_index(index)
-        recs = self.records()
-        return _rebuild(recs, self.free_loops,
-                        _smoothing(recs.pop(index), 2 * len(self.crossings)))
+        recs = self._records
+        parent = _smoothing(recs[index], 2 * len(recs))
+        named = [(parent[a], parent[b], parent[c], parent[d], s)
+                 for a, b, c, d, s in recs[:index] + recs[index + 1:]]
+        return _relabel(named, self.free_loops, parent)
 
     def mirror(self) -> "PDDiagram":
         """Switch every crossing (the mirror-image diagram), keeping labels and runs.
@@ -221,9 +224,9 @@ class PDDiagram:
     def reduce_r1(self) -> "PDDiagram":
         """Remove Reidemeister-I curls, iterated to a fixpoint, in one relabel.
 
-        The curls are glued away on the strand records, in a union-find over
-        edge ids kept in a list: one pass finds the curls, then a worklist
-        removes them and the crossings they turn into curls (see
+        The curls are glued away on the strand records, in a class table
+        over edge ids kept in a list: one pass finds the curls, then a
+        worklist removes them and the crossings they turn into curls (see
         ``_uncurl``).  A diagram without curls is returned as it is.
         """
         parent = list(range(2 * len(self.crossings) + 1))
@@ -301,53 +304,34 @@ class PDDiagram:
         return f"PDDiagram({self.render()!r})"
 
 
-def _find(parent: list[int], e: int) -> int:
-    """The name of e's glued class: its smallest id (see ``_glue``).
-
-    Path halving: each id passed on the way is pointed at its grandparent.
-    """
-    while parent[e] != e:
-        parent[e] = e = parent[parent[e]]
-    return e
-
-
-def _glue(parent: list[int], ids: Iterable[int]) -> int:
-    """Merge the classes of ids into one; return its name, its smallest id.
-
-    ``parent`` is a union-find over edge ids, a list indexed by id that
-    starts as ``list(range(max_id + 1))``.  Every root is the smallest id of
-    its class, so no id's parent lies above it.
-    """
-    roots = [_find(parent, e) for e in ids]
-    low = min(roots)
-    for root in roots:
-        parent[root] = low
-    return low
-
-
-def _flatten(parent: list[int]) -> None:
-    """Point every id at its class's name, in one ascending pass: no parent
-    lies above its id, so it already points at the name when the id is met."""
-    for e in range(len(parent)):
-        parent[e] = parent[parent[e]]
-
-
 def _smoothing(t: _Rec, n_edges: int) -> list[int]:
-    """The union-find over ids 1..n_edges that glues the oriented smoothing
-    of t, for either sign: under-in with over-out and over-in with under-out."""
+    """The flat class table over ids 1..n_edges of the oriented smoothing of
+    t, for either sign: under-in is glued to over-out, over-in to under-out.
+
+    Every id points at its class's name, its smallest id.  The two pairs
+    share an id only through a one-edge loop under or over at both ends
+    (``u_in == u_out`` or ``o_in == o_out``), which only a non-planar code
+    has; the four ids then make one class.
+    """
     parent = list(range(n_edges + 1))
-    _glue(parent, (t.u_in, t.o_out))
-    _glue(parent, (t.o_in, t.u_out))
+    u_in, o_in, u_out, o_out, _ = t
+    if u_in == u_out or o_in == o_out:
+        parent[u_in] = parent[o_in] = parent[u_out] = parent[o_out] = min(
+            u_in, o_in, u_out, o_out)
+    else:
+        parent[max(u_in, o_out)] = min(u_in, o_out)
+        parent[max(o_in, u_out)] = min(o_in, u_out)
     return parent
 
 
 def _uncurl(recs: Sequence[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
     """recs without their Reidemeister-I curls, written in class names.
 
-    ``parent`` is a flat union-find over edge ids (see ``_glue``): every id
-    points at its class's name, its smallest id.  So one list index reads a
-    class name.  On return the roots of ``parent`` name the classes left,
-    and the records kept are written in those names, ready for ``_relabel``.
+    ``parent`` is a flat class table over edge ids (see ``_smoothing``):
+    every id points at its class's name, its smallest id.  So one list index
+    reads a class name.  On return the ids that point at themselves name
+    the classes left, and the records kept are written in those names,
+    ready for ``_relabel``.
 
     A curl is a crossing where the strand leaving under comes back over, or
     the strand leaving over comes back under.  Removing one glues its four
@@ -415,52 +399,25 @@ def _uncurl(recs: Sequence[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
 
 def _smooth_r1(d: PDDiagram, index: int) -> PDDiagram:
     """``d.smooth_crossing(index).reduce_r1()`` with one relabel: the skein
-    walk's smoothing child.
-
-    The smoothing's two glued pairs (under-in with over-out, over-in with
-    under-out) go straight into a flat class table, the larger id pointing
-    at the smaller.  Only a non-planar code has pairs that overlap, through
-    a one-edge loop under (or over) at both ends; its table is glued and
-    flattened the long way.
+    walk's smoothing child.  The smoothing's flat class table (see
+    ``_smoothing``) goes straight to ``_uncurl``.
     """
     recs = d._records
-    t = recs[index]
-    if t.u_in == t.u_out or t.o_in == t.o_out:
-        parent = _smoothing(t, 2 * len(recs))
-        _flatten(parent)
-    else:
-        parent = list(range(2 * len(recs) + 1))
-        parent[max(t.u_in, t.o_out)] = min(t.u_in, t.o_out)
-        parent[max(t.o_in, t.u_out)] = min(t.o_in, t.u_out)
+    parent = _smoothing(recs[index], 2 * len(recs))
     return _relabel(_uncurl(recs[:index] + recs[index + 1:], parent),
                     d.free_loops, parent)
-
-
-def _rebuild(recs: list[_Rec], free_loops: int, parent: list[int]) -> PDDiagram:
-    """Relabel an abstract crossing list into a valid PDDiagram.
-
-    ``parent`` is a union-find over the edge ids 1..len(parent) - 1 of the
-    diagram being rebuilt (see ``_glue``).  This front flattens it, writes
-    each record in class names, and hands them to ``_relabel``.  Smoothing
-    comes through here; twist insertion, whose ids are all fresh, the skein
-    walk's smoothing child and R1 reduction call ``_relabel`` directly, so
-    every child is mapped once.
-    """
-    _flatten(parent)
-    return _relabel([(parent[a], parent[b], parent[c], parent[d], s)
-                     for a, b, c, d, s in recs], free_loops, parent)
 
 
 def _relabel(named: list[tuple[int, ...]], free_loops: int,
              parent: list[int]) -> PDDiagram:
     """The PDDiagram of records written in class names.
 
-    A class is named by its smallest id, a root of the union-find
-    ``parent``, and each becomes one edge.  A class that touches no crossing
-    becomes a free loop.  Strands are then traced from the smallest names
-    to assign fresh consecutive labels per component.  Every table here is
-    a list indexed by edge id.  Only the roots of ``parent`` are read, so it
-    need not be flat.
+    ``parent`` is the class table the records were named by, over edge ids
+    1..len(parent) - 1: a class is named by its smallest id, the one id of
+    the class that points at itself, and each becomes one edge.  A class
+    that touches no crossing becomes a free loop.  Strands are then traced
+    from the smallest names to assign fresh consecutive labels per
+    component.  Every table here is a list indexed by edge id.
 
     The result is not re-validated: the runs and relabelled records traced
     here go through ``_trusted``, which validates only a diagram with a run
@@ -597,6 +554,10 @@ class FrontDiagram:
     cusps: int
 
     def __post_init__(self):
+        for field in ("writhe", "cusps"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.cusps % 2 != 0:
             raise ValueError("cusp count must be even")
         if self.cusps < 2:

@@ -165,6 +165,8 @@ class LaurentPoly:
 
         Equals the i-th derivative of p(e**h) at h = 0.
         """
+        if type(i) is not int:
+            raise ValueError(f"moment order must be an integer, got {i!r}")
         if i < 0:
             raise ValueError("moment order must be non-negative")
         return Fraction(sum(c * k ** i for k, c in self._terms.items()), 2 ** i)

@@ -19,7 +19,7 @@ under-in is over-out), so the switch child of a curl-free diagram is
 curl-free; it keeps labels and runs and slices one switched record into
 its tuples, without a rebuild.  The smoothing child writes its two glued
 edge pairs into a flat class table, a list indexing each edge id to its
-class's smallest id (see _smooth_r1).  One pass writes each record in
+class's smallest id (see diagram._smoothing).  One pass writes each record in
 class names and puts every curl on a worklist; removing a curl renames one
 slot on each side of it, and a crossing that holds both becomes a curl in
 turn.  The records kept go straight to the relabel, so each child is

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from knotforge.diagram import PDDiagram, _Rec, _rebuild
+from knotforge.diagram import PDDiagram, _Rec, _relabel
 from knotforge.family import load_table
 from knotforge.laurent import LaurentPoly
 from knotforge.skein import _A_TO_T_QUARTERS
@@ -125,7 +125,23 @@ def with_curls(d: PDDiagram, count: int) -> PDDiagram:
     # out over on ids[2j+2]
     recs += [_Rec(ids[2 * j], ids[2 * j + 1], ids[2 * j + 1], ids[2 * j + 2], 1)
              for j in range(count)]
-    return _rebuild(recs, d.free_loops, list(range(ids[-1] + 1)))
+    # every id is its own class
+    return _relabel(recs, d.free_loops, list(range(ids[-1] + 1)))
+
+
+def class_table(size: int, groups) -> list[int]:
+    """The flat class table over ids 0..size - 1 that glues each group of
+    ids into one class: every id points at its class's smallest id.
+
+    Each group merges the whole classes of its ids, so groups that share an
+    id end up in one class.
+    """
+    name = list(range(size))
+    for group in groups:
+        merged = {name[e] for e in group}
+        low = min(merged)
+        name = [low if n in merged else n for n in name]
+    return name
 
 
 def bracket_state_sum_reference(d: PDDiagram) -> LaurentPoly:

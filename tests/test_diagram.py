@@ -12,20 +12,27 @@ from knotforge.diagram import (
     PDDiagram,
     PDError,
     _Rec,
-    _glue,
-    _rebuild,
+    _relabel,
     _validate,
     parse_pd,
     tb_from_front,
 )
 from knotforge import skein
 
-from conftest import is_planar, random_planar_diagrams, with_curls
+from conftest import class_table, is_planar, random_planar_diagrams, with_curls
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
 # into arcs 1, 2, 3; old labels >= 2 shifted by 2)
 STACKED_CURL = "X(1,2,2,3) X(3,6,4,7) X(5,8,6,1) X(7,4,8,5)"
+
+
+def glued(recs, d: PDDiagram, groups) -> PDDiagram:
+    """The records of d that are kept, with the given groups of d's edge
+    ids glued, relabelled into a diagram."""
+    name = class_table(2 * d.n_crossings + 1, groups)
+    return _relabel([(name[a], name[b], name[c], name[e], s) for a, b, c, e, s in recs],
+                    d.free_loops, name)
 
 
 def cancel_adjacent_r2(d: PDDiagram) -> PDDiagram:
@@ -58,10 +65,7 @@ def cancel_adjacent_r2(d: PDDiagram) -> PDDiagram:
             over = (ri.o_in, ri.o_out, rj.o_out)
         else:                                       # over strand runs the other way
             over = (rj.o_in, rj.o_out, ri.o_out)
-        parent = list(range(2 * d.n_crossings + 1))
-        _glue(parent, under)
-        _glue(parent, over)
-        d = _rebuild(keep, d.free_loops, parent)
+        d = glued(keep, d, (under, over))
 
 
 def reduce_r1_curl_by_curl(d: PDDiagram) -> PDDiagram:
@@ -74,9 +78,7 @@ def reduce_r1_curl_by_curl(d: PDDiagram) -> PDDiagram:
             return d
         recs = d.records()
         t = recs.pop(i)
-        parent = list(range(2 * d.n_crossings + 1))
-        _glue(parent, (t.u_in, t.o_in, t.u_out, t.o_out))
-        d = _rebuild(recs, d.free_loops, parent)
+        d = glued(recs, d, [(t.u_in, t.o_in, t.u_out, t.o_out)])
 
 
 def full_reduce(d: PDDiagram) -> PDDiagram:
@@ -397,7 +399,7 @@ class TestTrustedRebuild:
     ])
     def test_inconsistent_records_raise(self, recs, size, message):
         with pytest.raises(PDError) as raised:
-            _rebuild(recs, 0, list(range(size)))
+            _relabel(recs, 0, list(range(size)))
         assert str(raised.value) == f"internal rebuild error: {message}"
 
 
@@ -496,6 +498,10 @@ class TestSmooth:
         # both smoothing groups (1, 2) and (2, 1) name the same two edges,
         # which become one loop
         assert PDDiagram([(1, 2, 1, 2)]).smooth_crossing(0) == PDDiagram((), 1)
+        # the groups (1, 3) and (3, 2) share the one-edge over-loop 3, and
+        # (2, 4) and (4, 1) share 4: either smoothing leaves one curl
+        d = PDDiagram([(1, 3, 2, 3), (2, 4, 1, 4)])
+        assert [d.smooth_crossing(i).render() for i in (0, 1)] == ["X(1,2,1,2)"] * 2
 
     def test_component_count_changes_by_one(self):
         for d in random_planar_diagrams(seed=17, count=100, max_crossings=10):
@@ -616,12 +622,18 @@ class TestSmoothR1:
         assert sum(c for c, _ in counts) > 500
         assert sum(s for _, s in counts) > 400
 
-    @pytest.mark.parametrize("index, code", [(0, "X(2,1,2,1)"), (1, "X(1,2,1,2)")])
-    def test_pairs_that_share_a_one_edge_loop(self, index, code):
-        # a non-planar code whose crossings each carry a one-edge loop under
-        # both ways (u_in = u_out): the smoothing's two glued pairs overlap,
-        # so the class table is glued and flattened the long way
-        d = PDDiagram([(1, 2, 1, 3), (4, 2, 4, 3)])
+    @pytest.mark.parametrize("crossings, index, code", [
+        # each crossing carries a one-edge loop under both ways (u_in = u_out)
+        pytest.param([(1, 2, 1, 3), (4, 2, 4, 3)], 0, "X(2,1,2,1)", id="0-X(2,1,2,1)"),
+        pytest.param([(1, 2, 1, 3), (4, 2, 4, 3)], 1, "X(1,2,1,2)", id="1-X(1,2,1,2)"),
+        # each crossing carries a one-edge loop over both ways (o_in = o_out)
+        pytest.param([(1, 3, 2, 3), (2, 4, 1, 4)], 0, "X(1,2,1,2)", id="over-0-X(1,2,1,2)"),
+        pytest.param([(1, 3, 2, 3), (2, 4, 1, 4)], 1, "X(1,2,1,2)", id="over-1-X(1,2,1,2)"),
+    ])
+    def test_pairs_that_share_a_one_edge_loop(self, crossings, index, code):
+        # non-planar codes whose smoothings glue two pairs that share an
+        # edge, so the four ids make one class
+        d = PDDiagram(crossings)
         assert self._check_children(d) == (2, 0)
         assert diagram_module._smooth_r1(d, index).render() == code
 
@@ -723,3 +735,16 @@ class TestFront:
     def test_too_few_cusps_rejected(self):
         with pytest.raises(ValueError):
             FrontDiagram(writhe=0, cusps=0)
+
+    @pytest.mark.parametrize("writhe, cusps, message", [
+        (1.5, 2, "writhe must be an integer, got 1.5"),
+        (0, 2.0, "cusps must be an integer, got 2.0"),
+        (True, 2, "writhe must be an integer, got True"),
+        (0, True, "cusps must be an integer, got True"),
+        ("1", 2, "writhe must be an integer, got '1'"),
+    ])
+    def test_non_int_fields_rejected(self, writhe, cusps, message):
+        # a float would leave the exact engine through tb_from_front
+        with pytest.raises(ValueError) as raised:
+            FrontDiagram(writhe=writhe, cusps=cusps)
+        assert str(raised.value) == message

@@ -144,6 +144,13 @@ class TestMoment:
         with pytest.raises(ValueError):
             V_L0.moment(-1)
 
+    @pytest.mark.parametrize("order", [True, False, 2.0, Fraction(1), "1", None])
+    def test_non_int_order_rejected(self, order):
+        # a bool would be read as 0 or 1, and a float leaves the exact engine
+        with pytest.raises(ValueError) as raised:
+            LaurentPoly.from_exponents({-1: 1, 2: 3}).moment(order)
+        assert str(raised.value) == f"moment order must be an integer, got {order!r}"
+
 
 # -- randomized ring laws and cross-path agreement ---------------------------
 

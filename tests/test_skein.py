@@ -305,12 +305,11 @@ class TestWalkRebuilds:
     """Each skein child is built with at most one relabel and no validation."""
 
     def test_children_of_the_twist_family(self, table, monkeypatch):
-        calls = {"relabel": 0, "rebuild": 0, "fallback": 0}
+        calls = {"relabel": 0, "fallback": 0}
         in_trusted = []
         per_switch, per_smoothing = [], []
-        relabel, rebuild, validate, trusted = (
-            diagram_module._relabel, diagram_module._rebuild, diagram_module._validate,
-            diagram_module._trusted)
+        relabel, validate, trusted = (
+            diagram_module._relabel, diagram_module._validate, diagram_module._trusted)
         switch, smooth_r1 = PDDiagram.switch_crossing, skein_module._smooth_r1
 
         def counting(name, fn):
@@ -343,19 +342,16 @@ class TestWalkRebuilds:
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
         monkeypatch.setattr(diagram_module, "_relabel", counting("relabel", relabel))
-        monkeypatch.setattr(diagram_module, "_rebuild", counting("rebuild", rebuild))
         monkeypatch.setattr(diagram_module, "_validate", checked_validate)
         monkeypatch.setattr(diagram_module, "_trusted", marked_trusted)
         monkeypatch.setattr(PDDiagram, "switch_crossing", counted(switch, per_switch))
         monkeypatch.setattr(skein_module, "_smooth_r1", counted(smooth_r1, per_smoothing))
         for n, d in enumerate(diagrams):
             assert conway_jones(d) == (conway_family(n), jones_family(n))
-        # one relabel per smoothing child, none per switch child, and the
-        # mapping front of _rebuild is never called inside the walk
+        # one relabel per smoothing child, none per switch child
         assert per_switch and set(per_switch) == {0}
         assert per_smoothing and set(per_smoothing) == {1}
         assert calls["relabel"] == len(per_smoothing)
-        assert calls["rebuild"] == 0
         assert 0 < calls["fallback"] < len(per_switch) + len(per_smoothing)
 
     @pytest.mark.parametrize("n", range(8, 15))
