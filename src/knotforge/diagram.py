@@ -17,6 +17,7 @@ table code ``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)`` is a trefoil of writhe +3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -198,8 +199,8 @@ class PDDiagram:
         """Oriented resolution of one crossing; every edge gets a fresh label.
 
         The other records are written in the class names of the smoothing's
-        table (see ``_smoothing``) and relabelled once.  Curls are kept; the
-        skein walk's child also removes them (see ``_smooth_r1``).
+        table (see ``_smoothing``) and relabelled once.  Curls and bigons are
+        kept; the skein walk's child also removes them (see ``_smooth_reduced``).
         """
         self._check_index(index)
         recs = self._records
@@ -227,10 +228,11 @@ class PDDiagram:
         The curls are glued away on the strand records, in a class table
         over edge ids kept in a list: one pass finds the curls, then a
         worklist removes them and the crossings they turn into curls (see
-        ``_uncurl``).  A diagram without curls is returned as it is.
+        ``_reduce``).  Bigons are kept.  A diagram without curls is returned
+        as it is.
         """
         parent = list(range(2 * len(self.crossings) + 1))
-        named = _uncurl(self._records, parent)
+        named = _reduce(self._records, parent, False)
         if len(named) == len(self._records):
             return self
         return _relabel(named, self.free_loops, parent)
@@ -324,8 +326,27 @@ def _smoothing(t: _Rec, n_edges: int) -> list[int]:
     return parent
 
 
-def _uncurl(recs: Sequence[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
-    """recs without their Reidemeister-I curls, written in class names.
+def _bigon(named: list[tuple[int, ...]], head: list[int], k: int) -> int:
+    """The crossing that closes a Reidemeister-II bigon after crossing k,
+    else -1.
+
+    The strand leaving k under enters it under, the two crossings have
+    opposite signs, and their over classes join them, in either direction.
+    ``head`` maps each class of ``named`` to the crossing that enters on it.
+    """
+    u_in, o_in, u_out, o_out, s = named[k]
+    j = head[u_out]
+    if j != k:
+        j_u_in, j_o_in, _, j_o_out, j_s = named[j]
+        if j_u_in == u_out and j_s != s and (o_out == j_o_in or j_o_out == o_in):
+            return j
+    return -1
+
+
+def _reduce(recs: Sequence[_Rec], parent: list[int], bigons: bool
+            ) -> list[tuple[int, ...]]:
+    """recs without their Reidemeister-I curls and, when ``bigons`` is set,
+    their Reidemeister-II bigons, written in class names.
 
     ``parent`` is a flat class table over edge ids (see ``_smoothing``):
     every id points at its class's name, its smallest id.  So one list index
@@ -334,25 +355,33 @@ def _uncurl(recs: Sequence[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
     ready for ``_relabel``.
 
     A curl is a crossing where the strand leaving under comes back over, or
-    the strand leaving over comes back under.  Removing one glues its four
-    edge classes, which can make further crossings curls.  Gluing only
-    merges classes, so a curl stays a curl: the crossings left, and the
-    classes, do not depend on the order of removal.
+    the strand leaving over comes back under.  A bigon is a pair of
+    crossings k and j found by ``_bigon``.  Removing either glues, for each
+    strand through it, the class the strand enters on, the classes between
+    and the class it leaves by.  A curl's strand enters, loops back and
+    leaves, so its four edge classes make one class.  A bigon glues its
+    under triple and its over triple, which make one class when they
+    share an id.
 
     One pass reads each record's class names by list index.  It notes for
     each class the crossing that leaves by it (its tail) and the one that
-    enters on it (its head), and puts every crossing that is already a curl
-    on a worklist.  A curl is the tail and the head of its loop.  Removing
-    it merges the class it enters on, the loop and the class it leaves by.
-    Each class has one tail and one head, so of the crossings kept only the
-    tail of the first and the head of the last read those classes.  Only
-    those two slots are renamed, and only a crossing that is both ends of
-    the merged class becomes a curl: it goes on the worklist.
+    enters on it (its head), and lists the curls; a second lists the first
+    crossing of every bigon.  Each class has one tail and one head, so a
+    glue renames two slots only: the tail of the class the strand enters on
+    and the head of the class it leaves by.  Those two crossings are the
+    merged class's ends, and only they can have become a curl (when they
+    are one crossing) or a bigon, so only they are listed again.
+
+    Gluing only merges classes, so a curl stays a curl and a bigon a bigon
+    until a removal takes its crossing.  The removals follow a fixed order,
+    because a crossing can lie in two bigons, one on each side: every curl
+    first, then the bigon whose first crossing comes first in ``recs``,
+    until none is left; curls found meanwhile wait for the next round.
     """
     head = [-1] * len(parent)
     tail = [-1] * len(parent)
     named = []
-    todo = []
+    curls = []
     i = 0
     for u_in, o_in, u_out, o_out, s in recs:
         u_in = parent[u_in]
@@ -362,49 +391,92 @@ def _uncurl(recs: Sequence[_Rec], parent: list[int]) -> list[tuple[int, ...]]:
         named.append((u_in, o_in, u_out, o_out, s))
         head[u_in] = head[o_in] = tail[u_out] = tail[o_out] = i
         if u_out == o_in or u_in == o_out:
-            todo.append(i)
+            curls.append(i)
         i += 1
-    if not todo:
+    pairs = []
+    if bigons:
+        # the test of _bigon, inline: it reads every record of every child
+        for k, (u_in, o_in, u_out, o_out, s) in enumerate(named):
+            j = head[u_out]
+            x = named[j]
+            if x[0] == u_out and x[4] != s and j != k and (o_out == x[1] or x[3] == o_in):
+                pairs.append(k)
+    if not curls and not pairs:
         return named
-    gone = [False] * len(named)
-    while todo:
-        i = todo.pop()
-        if gone[i]:
-            continue
-        u_in, o_in, u_out, o_out, _ = named[i]
-        # the strand enters on edge_in, loops back and leaves on edge_out;
-        # a crossing that is a curl both ways closes into a free loop, whose
-        # tail and head are the crossing itself.  A class that leaves and
-        # comes back both under, or both over, is no curl: only a
-        # non-planar code has one.
-        if u_out == o_in:
-            edge_in, edge_out = u_in, o_out
-        elif u_in == o_out:
-            edge_in, edge_out = o_in, u_out
-        else:
-            continue
-        gone[i] = True
-        low = min(u_in, o_in, u_out, o_out)
-        parent[u_in] = parent[o_in] = parent[u_out] = parent[o_out] = low
-        before, after = tail[edge_in], head[edge_out]
+    gone = [False] * i
+
+    def glue(c_in: int, mid: int, c_out: int) -> None:
+        # a strand enters removed crossings on c_in, runs through mid and
+        # leaves by c_out; a strand that closes on itself (c_in == c_out)
+        # has no ends left, and the relabel makes it a free loop
+        low = c_in if c_in < c_out else c_out
+        if mid < low:
+            low = mid
+        parent[c_in] = parent[mid] = parent[c_out] = low
+        before, after = tail[c_in], head[c_out]
         a, b, c, d, s = named[before]
-        named[before] = (a, b, low if c == edge_in else c, low if d == edge_in else d, s)
+        named[before] = (a, b, low if c == c_in else c, low if d == c_in else d, s)
         a, b, c, d, s = named[after]
-        named[after] = (low if a == edge_out else a, low if b == edge_out else b, c, d, s)
+        named[after] = (low if a == c_out else a, low if b == c_out else b, c, d, s)
         tail[low], head[low] = before, after
+        # a removed end is a strand closed on itself, or k or j of a bigon
+        # whose other glue merges this class on; when both ends are kept,
+        # the class is final
+        if gone[before] or gone[after]:
+            return
         if before == after:
-            todo.append(after)
+            curls.append(after)
+        elif bigons:
+            if _bigon(named, head, before) == after:
+                heappush(pairs, before)
+            elif _bigon(named, head, after) == before:
+                heappush(pairs, after)
+
+    while True:
+        while curls:
+            k = curls.pop()
+            if gone[k]:
+                continue
+            u_in, o_in, u_out, o_out, _ = named[k]
+            # a class that leaves and comes back both under, or both over,
+            # is no curl: only a non-planar code has one
+            if u_out == o_in:
+                gone[k] = True
+                glue(u_in, u_out, o_out)
+            elif u_in == o_out:
+                gone[k] = True
+                glue(o_in, o_out, u_out)
+        if not pairs:
+            break
+        while pairs:
+            k = heappop(pairs)
+            if gone[k]:
+                continue
+            j = _bigon(named, head, k)
+            if j < 0:
+                continue
+            gone[k] = gone[j] = True
+            glue(named[k][0], named[k][2], named[j][2])
+            # read after the under glue, which renames the slots of k and j
+            # that the over triple shares with the under one
+            _, k_in, _, k_out, _ = named[k]
+            _, j_in, _, j_out, _ = named[j]
+            if k_out == j_in:
+                glue(k_in, k_out, j_out)
+            else:
+                glue(j_in, j_out, k_out)
     return [r for r, removed in zip(named, gone) if not removed]
 
 
-def _smooth_r1(d: PDDiagram, index: int) -> PDDiagram:
-    """``d.smooth_crossing(index).reduce_r1()`` with one relabel: the skein
-    walk's smoothing child.  The smoothing's flat class table (see
-    ``_smoothing``) goes straight to ``_uncurl``.
+def _smooth_reduced(d: PDDiagram, index: int) -> PDDiagram:
+    """The skein walk's smoothing child: the smoothing of crossing index
+    with its Reidemeister-I curls and Reidemeister-II bigons removed to a
+    fixpoint, in one relabel.  The smoothing's flat class table (see
+    ``_smoothing``) goes straight to ``_reduce``.
     """
     recs = d._records
     parent = _smoothing(recs[index], 2 * len(recs))
-    return _relabel(_uncurl(recs[:index] + recs[index + 1:], parent),
+    return _relabel(_reduce(recs[:index] + recs[index + 1:], parent, True),
                     d.free_loops, parent)
 
 

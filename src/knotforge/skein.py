@@ -14,17 +14,21 @@ by the crossing count.  Resolved diagrams are memoised under their PD code
 as given, not under a canonical relabelling (see canonical_code).
 
 Reidemeister-I curls are removed once, on entry, before the crossing
-budget is checked.  A switch keeps the curl test (under-out is over-in, or
-under-in is over-out), so the switch child of a curl-free diagram is
-curl-free; it keeps labels and runs and slices one switched record into
-its tuples, without a rebuild.  The smoothing child writes its two glued
-edge pairs into a flat class table, a list indexing each edge id to its
-class's smallest id (see diagram._smoothing).  One pass writes each record in
-class names and puts every curl on a worklist; removing a curl renames one
-slot on each side of it, and a crossing that holds both becomes a curl in
-turn.  The records kept go straight to the relabel, so each child is
-mapped once and relabelled once.  Only a run of one or two edges that is
-under at no crossing goes back to the validator.
+budget is checked; Reidemeister-II bigons are kept there, so the budget
+counts the crossings left after R1 reduction.  A switch keeps the curl
+test (under-out is over-in, or under-in is over-out), so the switch child
+of a curl-free diagram is curl-free; it keeps labels and runs and slices
+one switched record into its tuples, without a rebuild.  The smoothing
+child also cancels the bigons that smoothing exposes, and those that
+switches left in the diagram.  It writes its two glued edge pairs into a
+flat class table, a list indexing each edge id to its class's smallest id
+(see diagram._smoothing).  One pass writes each record in class names and
+lists every curl and bigon; a removal glues the classes through its
+crossings and renames the two slots at the ends of each merged class, and
+only the crossings at those ends can become a curl or a bigon in turn
+(see diagram._reduce).  The records kept go straight to the relabel, so
+each child is mapped once and relabelled once.  Only a run of one or two
+edges that is under at no crossing goes back to the validator.
 
 There is one walk: it resolves each crossing once and combines the
 (nabla, V) pairs of its two children in one pass over their terms (see
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .diagram import PDDiagram, _smooth_r1
+from .diagram import PDDiagram, _smooth_reduced
 from .laurent import LaurentPoly, _from_terms
 
 __all__ = [
@@ -150,7 +154,7 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
         val = _unlink(d.component_count())
     else:
         val = _combine(d._records[i].sign, _skein_eval(d.switch_crossing(i), memo),
-                       _skein_eval(_smooth_r1(d, i), memo))
+                       _skein_eval(_smooth_reduced(d, i), memo))
     memo.put(key, val)
     return val
 

@@ -584,31 +584,36 @@ class TestReduceR1:
 
 
 class TestSmoothR1:
-    """The walk's smoothing child is the smoothing reduced curl by curl."""
+    """The walk's smoothing child is the smoothing reduced step by step:
+    curls to a fixpoint, then bigons one at a time, until neither is left."""
 
     @staticmethod
     def _check_children(d):
         """Compare every smoothing child of d with the reference; return the
-        number of children and of children that lose two or more curls."""
-        stacked = 0
+        number of children, of children that lose two or more curls, and of
+        children that lose a bigon."""
+        stacked = bigons = 0
         for i in range(d.n_crossings):
-            child = diagram_module._smooth_r1(d, i)
+            child = diagram_module._smooth_reduced(d, i)
             smoothed = d.smooth_crossing(i)
-            ref = reduce_r1_curl_by_curl(smoothed)
-            stacked += smoothed.n_crossings - ref.n_crossings >= 2
+            uncurled = smoothed.reduce_r1()
+            ref = full_reduce(smoothed)
+            stacked += smoothed.n_crossings - uncurled.n_crossings >= 2
+            bigons += ref.n_crossings < uncurled.n_crossings
             assert (child.crossings, child.free_loops, child._runs, child._records) == (
                 ref.crossings, ref.free_loops, ref._runs, ref._records), (d.render(), i)
-        return d.n_crossings, stacked
+        return d.n_crossings, stacked, bigons
 
-    def test_matches_curl_by_curl_reference(self, table):
+    def test_matches_step_by_step_reference(self, table):
         # L_6 and L_7 are the largest twist-family inputs, with the longest
         # curl cascades
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
         diagrams += random_planar_diagrams(seed=41, count=400, max_crossings=10)
         counts = [self._check_children(d) for d in diagrams]
-        assert sum(c for c, _ in counts) > 1000
-        assert sum(s for _, s in counts) > 300
+        assert sum(c for c, _, _ in counts) > 1000
+        assert sum(s for _, s, _ in counts) > 300
+        assert sum(b for _, _, b in counts) > 200
 
     def test_children_of_diagrams_with_curls(self, table):
         # curls already present before the smoothing: the walk never meets
@@ -619,8 +624,9 @@ class TestSmoothR1:
         bases += [d for d in map(table.diagram, table.names()) if d.n_crossings]
         counts = [self._check_children(with_curls(d, k))
                   for d in bases for k in range(1, 5)]
-        assert sum(c for c, _ in counts) > 500
-        assert sum(s for _, s in counts) > 400
+        assert sum(c for c, _, _ in counts) > 500
+        assert sum(s for _, s, _ in counts) > 400
+        assert sum(b for _, _, b in counts) > 80
 
     @pytest.mark.parametrize("crossings, index, code", [
         # each crossing carries a one-edge loop under both ways (u_in = u_out)
@@ -634,8 +640,8 @@ class TestSmoothR1:
         # non-planar codes whose smoothings glue two pairs that share an
         # edge, so the four ids make one class
         d = PDDiagram(crossings)
-        assert self._check_children(d) == (2, 0)
-        assert diagram_module._smooth_r1(d, index).render() == code
+        assert self._check_children(d) == (2, 0, 0)
+        assert diagram_module._smooth_reduced(d, index).render() == code
 
     @pytest.mark.parametrize("name, count", [("unknot", 1), ("trefoil", 0),
                                              ("trefoil", -1)])

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,42 @@ TILDE_V = LaurentPoly.from_exponents(
 T_INV = LaurentPoly.monomial(1, -1)
 DELTA = LaurentPoly.from_exponents({F(1, 2): 1, F(-1, 2): -1})
 LOOP = LaurentPoly.from_exponents({F(1, 2): 1, F(-1, 2): 1})
+
+
+def one_edit_codes(table, seed, max_crossings, max_loops):
+    """Codes one slot swap or label edit away from a planar code of
+    2..max_crossings crossings, kept when they validate, planar or not, with
+    0..max_loops free loops; an endless seeded stream."""
+    rng = random.Random(seed)
+    bases = [table.diagram(name) for name in table.names()]
+    bases += random_planar_diagrams(seed=seed, count=200, max_crossings=10)
+    grown = []
+    for d in bases:
+        # full twists at random sites that keep the code planar, to bring in
+        # the two largest sizes
+        for _ in range(40):
+            if not 0 < d.n_crossings <= max_crossings - 2:
+                break
+            x, y = rng.sample(range(1, 2 * d.n_crossings + 1), 2)
+            cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
+            if is_planar(cand):
+                d = cand
+        grown.append(d)
+    bases = [d for d in bases + grown if 2 <= d.n_crossings <= max_crossings]
+    while True:
+        xs = [list(x) for x in rng.choice(bases).crossings]
+        n = len(xs)
+        i, j = rng.randrange(n), rng.randrange(4)
+        if rng.randrange(2):
+            k, l = rng.randrange(n), rng.randrange(4)
+            xs[i][j], xs[k][l] = xs[k][l], xs[i][j]
+        else:
+            xs[i][j] = rng.randrange(1, 2 * n + 1)
+        try:
+            d = PDDiagram(xs, rng.randrange(max_loops + 1))
+        except PDError:
+            continue
+        yield d
 
 
 class TestConway:
@@ -310,7 +347,7 @@ class TestWalkRebuilds:
         per_switch, per_smoothing = [], []
         relabel, validate, trusted = (
             diagram_module._relabel, diagram_module._validate, diagram_module._trusted)
-        switch, smooth_r1 = PDDiagram.switch_crossing, skein_module._smooth_r1
+        switch, smooth = PDDiagram.switch_crossing, skein_module._smooth_reduced
 
         def counting(name, fn):
             def call(*args):
@@ -345,7 +382,7 @@ class TestWalkRebuilds:
         monkeypatch.setattr(diagram_module, "_validate", checked_validate)
         monkeypatch.setattr(diagram_module, "_trusted", marked_trusted)
         monkeypatch.setattr(PDDiagram, "switch_crossing", counted(switch, per_switch))
-        monkeypatch.setattr(skein_module, "_smooth_r1", counted(smooth_r1, per_smoothing))
+        monkeypatch.setattr(skein_module, "_smooth_reduced", counted(smooth, per_smoothing))
         for n, d in enumerate(diagrams):
             assert conway_jones(d) == (conway_family(n), jones_family(n))
         # one relabel per smoothing child, none per switch child
@@ -360,6 +397,25 @@ class TestWalkRebuilds:
         d = table.diagram("11n63").insert_full_twists((3, 25), n - 2)
         monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", d.n_crossings)
         assert conway_jones(d) == (conway_family(n), jones_family(n))
+
+
+class TestFuzzedCodes:
+    """The walk on codes one edit away from a planar code of up to 12
+    crossings: every code, planar or not, is walked without an internal
+    rebuild error, and on planar codes V is the oracle's."""
+
+    def test_walk_on_one_edit_fuzzed_codes(self, table):
+        walked = planar = large = 0
+        for d in islice(one_edit_codes(table, 2020, 12, 1), 1200):
+            walked += 1
+            large += d.n_crossings >= 11
+            # a PDError "internal rebuild error" would surface here
+            v = jones(d)
+            if is_planar(d):
+                planar += 1
+                assert v == jones_bracket_oracle(d), d.render()
+        # planar and non-planar codes, and codes of 11-12 crossings, were met
+        assert 600 < planar < walked - 200 and large > 100
 
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i^0 .. i^3
@@ -453,38 +509,8 @@ class TestOracle:
         assert hashlib.sha256("\n".join(values).encode()).hexdigest() == self.DIGEST
 
     def test_matches_reference_on_fuzzed_codes(self, table):
-        # one slot swap or label edit of a code of 2-10 crossings, kept when
-        # it validates; planar or not, with 0-2 free loops
-        rng = random.Random(1410)
-        bases = [table.diagram(name) for name in table.names()]
-        bases += random_planar_diagrams(seed=1410, count=200, max_crossings=10)
-        grown = []
-        for d in bases:
-            # full twists at random sites that keep the code planar, to
-            # bring in 9 and 10 crossings
-            for _ in range(40):
-                if not 0 < d.n_crossings <= 8:
-                    break
-                x, y = rng.sample(range(1, 2 * d.n_crossings + 1), 2)
-                cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
-                if is_planar(cand):
-                    d = cand
-            grown.append(d)
-        bases = [d for d in bases + grown if 2 <= d.n_crossings <= 10]
-        checked, planar, large = 0, 0, 0
-        while checked < 500:
-            xs = [list(x) for x in rng.choice(bases).crossings]
-            n = len(xs)
-            i, j = rng.randrange(n), rng.randrange(4)
-            if rng.randrange(2):
-                k, l = rng.randrange(n), rng.randrange(4)
-                xs[i][j], xs[k][l] = xs[k][l], xs[i][j]
-            else:
-                xs[i][j] = rng.randrange(1, 2 * n + 1)
-            try:
-                d = PDDiagram(xs, rng.randrange(3))
-            except PDError:
-                continue
+        checked = planar = large = 0
+        for d in islice(one_edit_codes(table, 1410, 10, 2), 500):
             checked += 1
             planar += is_planar(d)
             large += d.n_crossings >= 9
@@ -506,8 +532,8 @@ class TestMemoKeys:
     """The labels of every skein child are pinned by the memo keys."""
 
     # digest of the keys conway_jones stores, in order, over the 7 table
-    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 2,261 keys
-    DIGEST = "76526f1833e9a487854e05ab49ab7b299e3e0f4b9788a97e2b257b2bd449463a"
+    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 1,237 keys
+    DIGEST = "c83878ac2d561c4dafc26e062f185e390e3172e9b455ccbc1c33174242288035"
 
     def test_memo_key_digest(self, table, monkeypatch):
         keys = []
@@ -524,8 +550,24 @@ class TestMemoKeys:
         diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
         for d in diagrams:
             conway_jones(d)
-        assert len(keys) == 2261
+        assert len(keys) == 1237
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
+
+    def test_twist_family_node_counts(self, table, monkeypatch):
+        # nodes are memo lookups, hits and misses, one per diagram with
+        # crossings that the walk visits
+        memos = []
+
+        class CountedMemo(SkeinMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(skein_module, "SkeinMemo", CountedMemo)
+        base = table.diagram("11n63")
+        for n in range(8):
+            conway_jones(base.insert_full_twists((3, 25), n - 2))
+        assert [m.hits + m.misses for m in memos] == [29, 60, 62, 68, 74, 80, 86, 92]
 
 
 class TestBudgetAndMemo:
