@@ -1,12 +1,13 @@
 """Intersection-form arithmetic for fold-map existence and genus invariants.
 
-Covers: exact signature by fraction-free integer elimination, the
-characteristic-vector test standing in for w2, the five fold-map existence
-conditions on a closed 4-manifold, total defects (d, h) of the boundary
-framing induced by a handlebody with singular surfaces inside, coset tests
-against the lattice generated by (0,4) and (-1,2), the admissible values
-of sum(k_i^2) forced by a canonical boundary framing, and the sg^k genus
-invariant as an order statistic over a catalog of candidate maps.
+Covers: exact signature by fraction-free integer elimination (two pivots
+per pass where the 2x2 minor allows), the characteristic-vector test
+standing in for w2, the five fold-map existence conditions on a closed
+4-manifold, total defects (d, h) of the boundary framing induced by a
+handlebody with singular surfaces inside, coset tests against the lattice
+generated by (0,4) and (-1,2), the admissible values of sum(k_i^2) forced
+by a canonical boundary framing, and the sg^k genus invariant as an order
+statistic over a catalog of candidate maps.
 
 All arithmetic is exact and in the integers; no floats anywhere.
 """
@@ -78,6 +79,9 @@ class IntersectionForm:
             return NotImplemented
         return self.matrix == other.matrix
 
+    def __hash__(self):
+        return hash(self.matrix)
+
     def __repr__(self):
         return f"IntersectionForm({list(map(list, self.matrix))})"
 
@@ -118,40 +122,72 @@ def parse_block_form(text: str) -> IntersectionForm:
 def signature(f: IntersectionForm) -> int:
     """Positive minus negative pivots of fraction-free symmetric elimination.
 
-    Bareiss elimination over the integers: after step i the pivot a[i][i]
+    Bareiss elimination over the integers, two pivots per pass where the
+    2x2 minor allows: after the step that ends at index i the entry a[i][i]
     is the leading principal minor D_i, so the i-th diagonal entry of a
-    rational diagonalization, D_i / D_(i-1), has the sign of D_i * D_(i-1).
-    Only the upper triangle is kept, and every division is exact.  A zero
-    pivot is repaired by adding (or, if that cancels, subtracting) row and
-    column p > i for the first p with a[p][i] != 0.  That is a unimodular
-    congruence of the indices >= i, so D_0..D_(i-1) are unchanged and every
-    later entry is still a minor of an integer matrix congruent to the
-    form.  A row and column that are zero from i on contribute 0; they are
-    skipped, and D_(i-1) stays the divisor.
+    rational diagonalization, D_i / D_(i-1), has the sign of
+    D_i * D_(i-1).  Row i holds only columns i..n-1 (the upper triangle),
+    and every division is exact.
+
+    With prev = D_(i-1), P = a[i][i], q = a[i][i+1] and s = a[i+1][i+1],
+    Sylvester's identity gives P*s - q*q = prev * D_(i+1).  When that is
+    nonzero, one pass takes pivots i and i+1 at once: each later entry x
+    becomes its bordered 3x3 minor over prev**2 (Bareiss's two-step
+    method).  When it is zero, and on the last row, the pass takes pivot i
+    alone, x -> (P*x - a[r][i]*a[i][j]) / prev.
+
+    A zero pivot is repaired first by adding (or, if that cancels,
+    subtracting) row and column p > i for the first p with a[p][i] != 0.
+    That is a unimodular congruence of the indices >= i, so D_0..D_(i-1)
+    are unchanged and every later entry is still a minor of an integer
+    matrix congruent to the form.  A row and column that are zero from i on
+    contribute 0; they are skipped, and D_(i-1) stays the divisor.
     """
-    a = [list(row) for row in f.matrix]
+    a = [list(row[i:]) for i, row in enumerate(f.matrix)]
     n = len(a)
     sig = 0
     prev = 1
-    for i in range(n):
+    i = 0
+    while i < n:
         ai = a[i]
-        if ai[i] == 0:
-            p = next((j for j in range(i + 1, n) if ai[j]), None)
+        if ai[0] == 0:
+            p = next((k for k in range(1, n - i) if ai[k]), None)
             if p is None:
+                i += 1
                 continue
+            p += i
             # row p from column i on, its lower part read from column p
-            row_p = [a[k][p] for k in range(i, p)] + a[p][p:]
-            c, d = ai[p], a[p][p]
+            row_p = [a[k][p - k] for k in range(i, p)] + a[p]
+            c, d = ai[p - i], a[p][0]
             eps = 1 if 2 * c + d else -1
-            ai[i:] = [x + eps * y for x, y in zip(ai[i:], row_p)]
-            ai[i] = 2 * eps * c + d
-        piv = ai[i]
+            ai = a[i] = [x + eps * y for x, y in zip(ai, row_p)]
+            ai[0] = 2 * eps * c + d
+        piv = ai[0]
         sig += 1 if piv * prev > 0 else -1
-        for j in range(i + 1, n):
-            aj = a[j]
-            c = ai[j]
-            aj[j:] = [(piv * x - c * y) // prev for x, y in zip(aj[j:], ai[j:])]
+        if i + 1 < n:
+            b = a[i + 1]
+            q, s = ai[1], b[0]
+            m0 = piv * s - q * q
+            if m0:
+                det = m0 // prev
+                sig += 1 if det * piv > 0 else -1
+                div = prev * prev
+                # minus the 2x2 cofactor terms of rows i and i+1, per column
+                u = [q * x - piv * y for x, y in zip(ai[2:], b[1:])]
+                w = [q * y - s * x for x, y in zip(ai[2:], b[1:])]
+                for k in range(n - i - 2):
+                    cb, ca = b[k + 1], ai[k + 2]
+                    a[i + 2 + k] = [(m0 * x + cb * y + ca * z) // div
+                                    for x, y, z in zip(a[i + 2 + k], u[k:], w[k:])]
+                prev = det
+                i += 2
+                continue
+        for k in range(1, n - i):
+            c = ai[k]
+            a[i + k] = [(piv * x - c * y) // prev
+                        for x, y in zip(a[i + k], ai[k:])]
         prev = piv
+        i += 1
     return sig
 
 

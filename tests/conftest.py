@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -197,3 +198,38 @@ def bracket_state_sum_reference(d: PDDiagram) -> LaurentPoly:
             raise AssertionError("bracket produced a non-half-integer t exponent")
         doubled[q // 2] = sign * cf
     return LaurentPoly(doubled)
+
+
+def signature_reference(matrix) -> int:
+    """Signature of a symmetric integer matrix by elimination over Fraction.
+
+    The reference for fourmanifold.signature: symmetric Gaussian
+    elimination (row and column operations together, so every step is a
+    congruence) on the first nonzero diagonal entry left.  When the
+    remaining diagonal is all zero but some entry a[p][q] is not, row and
+    column q are first added to p, which makes a[p][p] = 2 * a[p][q].  The
+    signature is the number of positive pivots minus negative ones.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    left = list(range(len(a)))
+    sig = 0
+    while left:
+        p = next((k for k in left if a[k][k]), None)
+        if p is None:
+            pq = next(((p, q) for p in left for q in left if a[p][q]), None)
+            if pq is None:
+                break
+            p, q = pq
+            for k in left:
+                a[p][k] += a[q][k]
+            for k in left:
+                a[k][p] += a[k][q]
+        piv = a[p][p]
+        sig += 1 if piv > 0 else -1
+        left.remove(p)
+        for r in left:
+            f = a[r][p] / piv
+            if f:
+                for c in left:
+                    a[r][c] -= f * a[p][c]
+    return sig

@@ -9,6 +9,7 @@ from math import inf
 
 import pytest
 
+from conftest import signature_reference
 from knotforge import fourmanifold as fm
 from knotforge.fourmanifold import (
     IntersectionForm,
@@ -107,6 +108,21 @@ class TestParseBlockForm:
             parse_block_form(text)
 
 
+class TestHashable:
+    def test_equal_forms_hash_equal(self):
+        f = parse_block_form("<-1> + H")
+        g = IntersectionForm([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g, parse_block_form("H + <-1>")}) == 2
+
+    def test_manifold_data_hashes(self):
+        x = ManifoldData(form=parse_block_form("<-1> + H"), euler=4,
+                         boundary_kind="closed")
+        y = ManifoldData(form=parse_block_form("<-1> + H"), euler=4,
+                         boundary_kind="closed")
+        assert hash(x) == hash(y) and len({x, y}) == 1
+
+
 def scrambled_sigma_form(rng, n, m, j, steps):
     """build_sigma_class(n, m, j) under ``steps`` random congruences E^T Q E.
 
@@ -159,9 +175,43 @@ class TestSignature:
         ([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 0),  # <1> + <0> + <-1>
         ([[0] * 3] * 3, 0),
         ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], -1),  # H + <-1>
+        ([[1, 2], [2, 1]], 0),              # one two-pivot step, minor -3
+        # A4: two two-pivot steps, the second dividing by prev**2 = 9
+        ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 4),
+        ([[1, 1], [1, 1]], 1),              # 2x2 minor 0: one pivot, then a zero row
+        ([[2, 1], [1, 0]], 0),              # s = 0 but minor -1: still a pair
+        # zero pivot with a[0][1] = 0: the repair adds row 2, then a pair
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 1),
+        # a pair, then an odd last row (A3)
+        ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 3),
+        # a pair, then a zero row in the middle, then the last row
+        ([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]], -1),
+        # minor 0 (zero row inside the would-be pair), skip, last row
+        ([[2, 0, 1], [0, 0, 0], [1, 0, 2]], 2),
     ])
     def test_pinned_branches(self, matrix, sigma):
         assert signature(IntersectionForm(matrix)) == sigma
+        assert signature_reference(matrix) == sigma
+
+    def test_against_fraction_reference(self):
+        # generic, singular (a row and column copied) and zero-diagonal
+        # symmetric matrices of every rank 1..30
+        rng = random.Random(30)
+        for rank in range(1, 31):
+            for kind in ("generic", "singular", "zero-diagonal"):
+                m = [[0] * rank for _ in range(rank)]
+                for i in range(rank):
+                    for j in range(i, rank):
+                        m[i][j] = m[j][i] = rng.randint(-3, 3)
+                if kind == "singular" and rank > 1:
+                    a, b = rng.sample(range(rank), 2)
+                    m[b] = list(m[a])
+                    for row in m:
+                        row[b] = row[a]
+                elif kind == "zero-diagonal":
+                    for i in range(rank):
+                        m[i][i] = 0
+                assert signature(IntersectionForm(m)) == signature_reference(m)
 
     def test_scrambled_sigma_forms_up_to_rank_48(self):
         rng = random.Random(48)
@@ -169,7 +219,7 @@ class TestSignature:
             n, m, j = sigma_block_counts(rng, rank)
             f, _, sigma = scrambled_sigma_form(rng, n, m, j, 4 * rank)
             assert f.rank == rank
-            assert signature(f) == sigma
+            assert signature(f) == signature_reference(f.matrix) == sigma
 
     def test_against_numpy_eigenvalue_signs(self):
         numpy = pytest.importorskip("numpy")
