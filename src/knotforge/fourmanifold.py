@@ -1,13 +1,14 @@
 """Intersection-form arithmetic for fold-map existence and genus invariants.
 
-Covers: exact signature by fraction-free integer elimination (two pivots
-per pass where the 2x2 minor allows), the characteristic-vector test
-standing in for w2, the five fold-map existence conditions on a closed
-4-manifold, total defects (d, h) of the boundary framing induced by a
-handlebody with singular surfaces inside, coset tests against the lattice
-generated by (0,4) and (-1,2), the admissible values of sum(k_i^2) forced
-by a canonical boundary framing, and the sg^k genus invariant as an order
-statistic over a catalog of candidate maps.
+Covers: exact signature by fraction-free integer elimination (indices in
+order of increasing |diagonal|, two pivots per pass where the 2x2 minor
+allows, the cofactors divided by the last pivot first), the
+characteristic-vector test standing in for w2, the five fold-map existence
+conditions on a closed 4-manifold, total defects (d, h) of the boundary
+framing induced by a handlebody with singular surfaces inside, coset tests
+against the lattice generated by (0,4) and (-1,2), the admissible values of
+sum(k_i^2) forced by a canonical boundary framing, and the sg^k genus
+invariant as an order statistic over a catalog of candidate maps.
 
 All arithmetic is exact and in the integers; no floats anywhere.
 """
@@ -58,16 +59,16 @@ class IntersectionForm:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        rows = tuple(tuple(_require_int(x, "form entry") for x in row)
-                     for row in matrix)
-        n = len(rows)
+        rows = tuple(map(tuple, matrix))
         for row in rows:
-            if len(row) != n:
-                raise ValueError("intersection form must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("intersection form must be symmetric")
+            for x in row:
+                if type(x) is not int:      # inline test; this call raises
+                    _require_int(x, "form entry")
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("intersection form must be square")
+        if rows != tuple(zip(*rows)):
+            raise ValueError("intersection form must be symmetric")
         self.matrix = rows
 
     @property
@@ -122,19 +123,32 @@ def parse_block_form(text: str) -> IntersectionForm:
 def signature(f: IntersectionForm) -> int:
     """Positive minus negative pivots of fraction-free symmetric elimination.
 
+    The indices are first put in order of increasing |a[k][k]|, with zero
+    diagonal entries last and ties in their given order.  A permutation is
+    a congruence, so sigma is unchanged, and small pivots early keep the
+    later minors small, and with them every product the loop forms.
+
     Bareiss elimination over the integers, two pivots per pass where the
     2x2 minor allows: after the step that ends at index i the entry a[i][i]
     is the leading principal minor D_i, so the i-th diagonal entry of a
     rational diagonalization, D_i / D_(i-1), has the sign of
-    D_i * D_(i-1).  Row i holds only columns i..n-1 (the upper triangle),
-    and every division is exact.
+    D_i * D_(i-1).  Row i holds only columns i..n-1 (the upper triangle).
+    Every entry a[r][j] is the minor of the rows 0..i-1, r and columns
+    0..i-1, j of an integer matrix congruent to the form, so every division
+    below is exact.
 
     With prev = D_(i-1), P = a[i][i], q = a[i][i+1] and s = a[i+1][i+1],
     Sylvester's identity gives P*s - q*q = prev * D_(i+1).  When that is
-    nonzero, one pass takes pivots i and i+1 at once: each later entry x
-    becomes its bordered 3x3 minor over prev**2 (Bareiss's two-step
-    method).  When it is zero, and on the last row, the pass takes pivot i
-    alone, x -> (P*x - a[r][i]*a[i][j]) / prev.
+    nonzero, one pass takes pivots i and i+1 at once (Bareiss's two-step
+    method).  The 2x2 minors u_j = q*a[i][j] - P*a[i+1][j] and
+    w_j = q*a[i+1][j] - s*a[i][j] of rows i and i+1 are, by the same
+    identity, prev times a bordered minor, so they are divided by prev once
+    per pass; each later entry x then becomes
+    (D_(i+1)*x + a[r][i+1]*u_j/prev + a[r][i]*w_j/prev) / prev, whose
+    numerator is prev times its bordered 3x3 minor over rows 0..i+1.  That
+    keeps every product about half as wide as dividing the whole 3x3 minor
+    by prev**2.  When P*s - q*q is zero, and on the last row, the pass
+    takes pivot i alone, x -> (P*x - a[r][i]*a[i][j]) / prev.
 
     A zero pivot is repaired first by adding (or, if that cancels,
     subtracting) row and column p > i for the first p with a[p][i] != 0.
@@ -143,8 +157,12 @@ def signature(f: IntersectionForm) -> int:
     matrix congruent to the form.  A row and column that are zero from i on
     contribute 0; they are skipped, and D_(i-1) stays the divisor.
     """
-    a = [list(row[i:]) for i, row in enumerate(f.matrix)]
-    n = len(a)
+    rows = f.matrix
+    n = len(rows)
+    # |diagonal| ascending, zeros last; sorted() is stable, so ties keep order
+    order = sorted(range(n), key=lambda k: (rows[k][k] == 0, abs(rows[k][k])))
+    a = [[row[c] for c in order[i:]]
+         for i, row in enumerate(map(rows.__getitem__, order))]
     sig = 0
     prev = 1
     i = 0
@@ -171,13 +189,12 @@ def signature(f: IntersectionForm) -> int:
             if m0:
                 det = m0 // prev
                 sig += 1 if det * piv > 0 else -1
-                div = prev * prev
-                # minus the 2x2 cofactor terms of rows i and i+1, per column
-                u = [q * x - piv * y for x, y in zip(ai[2:], b[1:])]
-                w = [q * y - s * x for x, y in zip(ai[2:], b[1:])]
+                # the 2x2 cofactor terms of rows i and i+1 over prev, per column
+                u = [(q * x - piv * y) // prev for x, y in zip(ai[2:], b[1:])]
+                w = [(q * y - s * x) // prev for x, y in zip(ai[2:], b[1:])]
                 for k in range(n - i - 2):
                     cb, ca = b[k + 1], ai[k + 2]
-                    a[i + 2 + k] = [(m0 * x + cb * y + ca * z) // div
+                    a[i + 2 + k] = [(det * x + cb * y + ca * z) // prev
                                     for x, y, z in zip(a[i + 2 + k], u[k:], w[k:])]
                 prev = det
                 i += 2
@@ -221,6 +238,8 @@ def build_sigma_class(n: int, m: int, j: int):
     Returns (cls, form, k); raises when the signature is not divisible by 4
     (the caller must blow up, i.e. increment j, first).
     """
+    for name, count in zip("nmj", (n, m, j)):
+        _require_int(count, f"block count {name}")
     if min(n, m, j) < 0:
         raise ValueError("block counts must be non-negative")
     sig = -1 - n + m - j

@@ -170,24 +170,60 @@ class TestSignature:
         with pytest.raises(ValueError):
             IntersectionForm(((0, 1), (2, 0)))
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 2], [3]], "must be square"),              # ragged
+        ([[1, 2]], "must be square"),
+        ([[1, 0, 2], [0, 1, 0], [0, 0, 1]], "must be symmetric"),
+        # entry type before shape, shape before symmetry
+        ([[1, 2], [1.5]], "form entry must be an integer, got 1.5"),
+        ([[0, 1], [2, True]], "form entry must be an integer, got True"),
+        ([[0, 1, 5], [2, 0]], "must be square"),
+    ])
+    def test_validation_messages(self, matrix, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IntersectionForm(matrix)
+
+    # signature first orders the indices by |diagonal|, zeros last, so each
+    # comment names the branches taken in that order
     @pytest.mark.parametrize("matrix, sigma", [
-        ([[0, 1], [1, -2]], 0),             # zero pivot, repair with eps = -1
-        ([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 0),  # <1> + <0> + <-1>
-        ([[0] * 3] * 3, 0),
-        ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], -1),  # H + <-1>
+        ([[0, 1], [1, -2]], 0),             # -2 sorts first: one pair, no repair
+        # the zero row sorts last: a pair, then the skip
+        ([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 0),
+        ([[0] * 3] * 3, 0),                 # three zero rows, all skipped
+        # <-1> sorts first; its pair has minor 0, so one pivot, then H is
+        # repaired and taken as a pair
+        ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], -1),
         ([[1, 2], [2, 1]], 0),              # one two-pivot step, minor -3
-        # A4: two two-pivot steps, the second dividing by prev**2 = 9
+        # A4: two two-pivot steps, the second dividing by prev = 3
         ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], 4),
         ([[1, 1], [1, 1]], 1),              # 2x2 minor 0: one pivot, then a zero row
         ([[2, 1], [1, 0]], 0),              # s = 0 but minor -1: still a pair
-        # zero pivot with a[0][1] = 0: the repair adds row 2, then a pair
+        # 1 sorts first; its pair has minor 0, so one pivot, then a repair
+        # with the next row and a pair
         ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 1),
         # a pair, then an odd last row (A3)
         ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 3),
-        # a pair, then a zero row in the middle, then the last row
+        # a pair, then a pair with minor 0 (the zero row sorts last): one
+        # pivot, then the skip
         ([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]], -1),
-        # minor 0 (zero row inside the would-be pair), skip, last row
+        # the zero row sorts last: a pair of minor 3, then the skip
         ([[2, 0, 1], [0, 0, 0], [1, 0, 2]], 2),
+        # minor 0: one pivot leaves a[1] = (0, 1), a[2][2] = -2, so adding
+        # row 2 would cancel and the repair subtracts it (eps = -1); a pair
+        ([[-1, -1, 1], [-1, -1, 0], [1, 0, 1]], -1),
+        # every diagonal entry 0 and a[0][1] = 0: the repair picks row 2;
+        # then minor 0, one pivot, the zero row skipped and the last row
+        ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], 0),
+        # minor 0, one pivot; row 2 is zero from then on and is skipped
+        # before the zero row that sorted last
+        ([[1, 0, 1], [0, 0, 0], [1, 0, 1]], 1),
+        # minor 0, one pivot; the repair picks row 3 and subtracts it
+        # (eps = -1); minor 0 again, one pivot, the zero row skipped and
+        # the last row
+        ([[2, 0, 0, 2], [0, 0, 0, 1], [0, 0, 0, 0], [2, 1, 0, 0]], 1),
+        # a pair of minor -8, then H repaired and taken as a pair that
+        # divides by prev = -8
+        ([[2, 2, 0, 0], [2, -2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 0),
     ])
     def test_pinned_branches(self, matrix, sigma):
         assert signature(IntersectionForm(matrix)) == sigma
@@ -220,6 +256,16 @@ class TestSignature:
             f, _, sigma = scrambled_sigma_form(rng, n, m, j, 4 * rank)
             assert f.rank == rank
             assert signature(f) == signature_reference(f.matrix) == sigma
+
+    def test_scrambled_sigma_forms_past_the_reference(self):
+        # ranks where the Fraction reference would be too slow; sigma is
+        # known by construction
+        rng = random.Random(100)
+        for rank in (62, 80, 100):
+            n, m, j = sigma_block_counts(rng, rank)
+            f, _, sigma = scrambled_sigma_form(rng, n, m, j, 4 * rank)
+            assert f.rank == rank
+            assert signature(f) == sigma
 
     def test_against_numpy_eigenvalue_signs(self):
         numpy = pytest.importorskip("numpy")
@@ -288,6 +334,14 @@ class TestBuildSigmaClass:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             build_sigma_class(-1, 0, 0)
+
+    @pytest.mark.parametrize("counts, name, bad", [
+        ((3.0, 8, 0), "n", "3.0"), ((True, 10, 0), "n", "True"),
+        ((0, 1, False), "j", "False")])
+    def test_non_integer_counts_rejected(self, counts, name, bad):
+        with pytest.raises(ValueError,
+                           match=f"^block count {name} must be an integer, got {bad}$"):
+            build_sigma_class(*counts)
 
     def test_sweep(self):
         # acceptance criterion 10: every admissible (n, m, j) in range gives
