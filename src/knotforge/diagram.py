@@ -585,30 +585,30 @@ def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
     """``parse_pd`` of lines whose first is line ``first`` of its file."""
     crossings = []
     loops = None
-    tokens: list[tuple[str, int, int]] = []
     for ln, line in enumerate(lines, start=first):
-        body = line.split("#", 1)[0]
-        for tn, tok in enumerate(body.split(), start=1):
-            tokens.append((tok, ln, tn))
-    for tok, ln, tn in tokens:
-        where = f"line {ln}, token {tn}"
-        if tok.startswith("loops="):
-            if loops is not None:
-                raise PDError(f"{where}: second loop-count header {tok!r}")
+        for tn, tok in enumerate(line.split("#", 1)[0].split(), start=1):
+            if tok.startswith("loops="):
+                if loops is not None:
+                    raise PDError(
+                        f"line {ln}, token {tn}: second loop-count header {tok!r}")
+                try:
+                    loops = int(tok[len("loops="):])
+                except ValueError:
+                    raise PDError(f"line {ln}, token {tn}: "
+                                  f"malformed loop count {tok!r}") from None
+                continue
+            if not (tok.startswith("X(") and tok.endswith(")")):
+                raise PDError(f"line {ln}, token {tn}: malformed token {tok!r}, "
+                              "expected X(a,b,c,d)")
+            fields = tok[2:-1].split(",")
+            if len(fields) != 4:
+                raise PDError(f"line {ln}, token {tn}: crossing needs 4 labels, "
+                              f"got {len(fields)}")
             try:
-                loops = int(tok[len("loops="):])
+                crossings.append(tuple(int(f) for f in fields))
             except ValueError:
-                raise PDError(f"{where}: malformed loop count {tok!r}") from None
-            continue
-        if not (tok.startswith("X(") and tok.endswith(")")):
-            raise PDError(f"{where}: malformed token {tok!r}, expected X(a,b,c,d)")
-        fields = tok[2:-1].split(",")
-        if len(fields) != 4:
-            raise PDError(f"{where}: crossing needs 4 labels, got {len(fields)}")
-        try:
-            crossings.append(tuple(int(f) for f in fields))
-        except ValueError:
-            raise PDError(f"{where}: non-integer label in {tok!r}") from None
+                raise PDError(
+                    f"line {ln}, token {tn}: non-integer label in {tok!r}") from None
     try:
         return PDDiagram(crossings, loops or 0)
     except PDError as exc:

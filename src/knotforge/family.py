@@ -135,9 +135,7 @@ def conway_family(n: int) -> LaurentPoly:
 def jones_family(n: int) -> LaurentPoly:
     """Closed-form Jones polynomial of L_n."""
     _check_family_index(n)
-    partial = LaurentPoly.zero()
-    for k in range(n):
-        partial = partial + LaurentPoly.monomial(1, -2 * k)
+    partial = LaurentPoly.from_exponents({-2 * k: 1 for k in range(n)})
     return partial * TILDE_V + LaurentPoly.monomial(1, -2 * n) * V_L0
 
 

@@ -5,13 +5,18 @@ Skein relations and normalizations:
     conway:  nabla(K+) - nabla(K-) = -z * nabla(K0),      nabla(unknot) = 1
     jones:   t*V(K+) - t^-1*V(K-) = (t^(1/2) - t^(-1/2)) * V(K0),  V(unknot) = 1
 
-Recursion strategy: walk the diagram edge by edge in label order; the first
-crossing reached on its under-strand before its over-strand is resolved by
-the skein relation (switch + smooth).  Diagrams surviving the walk are
-descending, hence unlinks.  Switching strictly advances the walk and
-smoothing drops a crossing, so the recursion terminates with depth bounded
-by the crossing count.  Resolved diagrams are memoised under their PD code
-as given, not under a canonical relabelling (see canonical_code).
+Recursion strategy: a crossing met on its under-strand before its
+over-strand, walking the labels in order (u_in < o_in), is a violation; a
+diagram with none is descending, hence an unlink.  The walk resolves one
+violation by the skein relation (switch + smooth): the one of smallest u_in
+whose oriented smoothing at once turns a neighbour into a curl, and when
+no violation does, the first one met (see _crossing_to_resolve).  Smoothing
+a twist-region crossing that way collapses its region, so the child is
+small and often a memo hit.  A switch keeps every label and so lowers the
+violation count by one; a smoothing drops a crossing.  So (crossings,
+violations) falls in lexicographic order whichever violation is chosen,
+and the recursion terminates.  Resolved diagrams are memoised under their
+PD code as given, not under a canonical relabelling (see canonical_code).
 
 Reidemeister-I curls are removed once, on entry, before the crossing
 budget is checked; Reidemeister-II bigons are kept there, so the budget
@@ -131,6 +136,33 @@ def _first_violation(d: PDDiagram):
     return first
 
 
+def _crossing_to_resolve(d: PDDiagram):
+    """The crossing the walk resolves, else None when d is descending.
+
+    Among the crossings met on their under-strand first (u_in < o_in),
+    that of smallest u_in whose oriented smoothing at once turns a
+    neighbour into a curl; when none does, ``_first_violation``.  With
+    head[e] and tail[e] the crossings that edge e enters and leaves, the
+    smoothing glues u_in to o_out, so tail[u_in] becomes a curl when it is
+    head[o_out], and likewise o_in to u_out.
+    """
+    first = _first_violation(d)
+    if first is None:
+        return None
+    recs = d._records
+    n_ids = 2 * len(recs) + 1
+    head = [0] * n_ids
+    tail = [0] * n_ids
+    for i, (u_in, o_in, u_out, o_out, _) in enumerate(recs):
+        head[u_in] = head[o_in] = tail[u_out] = tail[o_out] = i
+    low = n_ids
+    for i, (u_in, o_in, u_out, o_out, _) in enumerate(recs):
+        if u_in < low and u_in < o_in and (
+                tail[u_in] == head[o_out] or tail[o_in] == head[u_out]):
+            first, low = i, u_in
+    return first
+
+
 def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of the c-component unlink."""
     k = max(c - 1, 0)
@@ -141,15 +173,22 @@ def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
-    """(nabla, V) of d, which has no Reidemeister-I curl; a resolved
-    crossing folds the pairs of its two children with ``_combine``."""
+    """(nabla, V) of d, which has no Reidemeister-I curl.
+
+    A descending d is an unlink.  Otherwise the crossing that
+    ``_crossing_to_resolve`` picks, a violation whose smoothing closes a
+    curl or else the first violation, is resolved, and the pairs of its two
+    children are folded with ``_combine``.  Each child is smaller in
+    (crossings, violations), lexicographically: the switch keeps the
+    crossings and removes one violation, the smoothing drops a crossing.
+    """
     if not d.crossings:
         return _unlink(d.component_count())
     key = canonical_code(d)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    i = _first_violation(d)
+    i = _crossing_to_resolve(d)
     if i is None:
         val = _unlink(d.component_count())
     else:

@@ -142,6 +142,14 @@ class TestClosedForms:
             acc = t2_inv * acc + TILDE_V
             assert acc == jones_family(n)
 
+    def test_jones_geometric_series_by_additions_to_200(self):
+        # the series 1 + t^-2 + ... + t^(-2(n-1)) summed term by term
+        partial = LaurentPoly.zero()
+        for n in range(201):
+            expected = partial * TILDE_V + LaurentPoly.monomial(1, -2 * n) * V_L0
+            assert jones_family(n) == expected
+            partial = partial + LaurentPoly.monomial(1, -2 * n)
+
     def test_jones_at_t_equal_one(self):
         for n in range(20):
             assert jones_family(n).moment(0) == 1

@@ -18,6 +18,7 @@ from knotforge.skein import (
     CrossingBudgetExceeded,
     SkeinMemo,
     _combine,
+    _crossing_to_resolve,
     _first_violation,
     conway,
     conway_jones,
@@ -391,12 +392,23 @@ class TestWalkRebuilds:
         assert calls["relabel"] == len(per_smoothing)
         assert 0 < calls["fallback"] < len(per_switch) + len(per_smoothing)
 
-    @pytest.mark.parametrize("n", range(8, 15))
+    @pytest.mark.parametrize("n", [*range(8, 15), 20, 50, 100])
     def test_twist_family_beyond_the_crossing_budget(self, table, monkeypatch, n):
-        # L_8 .. L_14 have 25 .. 37 crossings, above DEFAULT_CROSSING_BUDGET
+        # L_8 .. L_14 have 25 .. 37 crossings, above DEFAULT_CROSSING_BUDGET,
+        # and L_100 has 209.  A smoothing that closes a curl collapses the
+        # twist region, so the walk visits 2n + 37 nodes, hits and misses
+        memos = []
+
+        class CountedMemo(SkeinMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
         d = table.diagram("11n63").insert_full_twists((3, 25), n - 2)
         monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", d.n_crossings)
+        monkeypatch.setattr(skein_module, "SkeinMemo", CountedMemo)
         assert conway_jones(d) == (conway_family(n), jones_family(n))
+        assert [m.hits + m.misses for m in memos] == [2 * n + 37]
 
 
 class TestFuzzedCodes:
@@ -532,8 +544,8 @@ class TestMemoKeys:
     """The labels of every skein child are pinned by the memo keys."""
 
     # digest of the keys conway_jones stores, in order, over the 7 table
-    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 1,237 keys
-    DIGEST = "c83878ac2d561c4dafc26e062f185e390e3172e9b455ccbc1c33174242288035"
+    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 1,096 keys
+    DIGEST = "b70222b07f2768d12bd084c216999adc93e62549872e1b52a73bbb5df191e0cd"
 
     def test_memo_key_digest(self, table, monkeypatch):
         keys = []
@@ -550,7 +562,7 @@ class TestMemoKeys:
         diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
         for d in diagrams:
             conway_jones(d)
-        assert len(keys) == 1237
+        assert len(keys) == 1096
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
 
     def test_twist_family_node_counts(self, table, monkeypatch):
@@ -567,7 +579,7 @@ class TestMemoKeys:
         base = table.diagram("11n63")
         for n in range(8):
             conway_jones(base.insert_full_twists((3, 25), n - 2))
-        assert [m.hits + m.misses for m in memos] == [29, 60, 62, 68, 74, 80, 86, 92]
+        assert [m.hits + m.misses for m in memos] == [45, 43, 41, 43, 45, 47, 49, 51]
 
 
 class TestBudgetAndMemo:
@@ -643,3 +655,39 @@ def test_first_violation_matches_label_walk(table):
     for d in diagrams:
         d = d.reduce_r1()
         assert _first_violation(d) == _first_violation_by_walk(d), d.render()
+
+
+def _violations(d):
+    return sum(r.u_in < r.o_in for r in d.records())
+
+
+def _curl_closing_by_smoothing(d):
+    """Reference: the violation of smallest u_in whose plain smoothing has
+    a curl record, else the first violation."""
+    recs = d.records()
+    for i in sorted(range(d.n_crossings), key=lambda i: recs[i].u_in):
+        r = recs[i]
+        if r.u_in < r.o_in and any(
+                s.u_out == s.o_in or s.u_in == s.o_out
+                for s in d.smooth_crossing(i).records()):
+            return i
+    return _first_violation(d)
+
+
+def test_crossing_to_resolve_closes_a_curl_when_one_can(table):
+    diagrams = [table.diagram(name) for name in table.names()]
+    base = table.diagram("11n63")
+    diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
+    diagrams += random_planar_diagrams(seed=61, count=300, max_crossings=10)
+    closing = 0
+    for d in diagrams:
+        d = d.reduce_r1()
+        i = _crossing_to_resolve(d)
+        assert i == _curl_closing_by_smoothing(d), d.render()
+        if i is None:
+            continue
+        closing += i != _first_violation(d)
+        # a switch keeps every label, so it removes exactly this violation
+        assert _violations(d.switch_crossing(i)) == _violations(d) - 1, d.render()
+    # the rule, not only its fallback, picks crossings
+    assert closing > 0
