@@ -237,7 +237,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (PDError, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print it bare like the rest
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report.emit(args.json)
     return code

@@ -200,7 +200,8 @@ class PDDiagram:
 
         The other records are written in the class names of the smoothing's
         table (see ``_smoothing``) and relabelled once.  Curls and bigons are
-        kept; the skein walk's child also removes them (see ``_smooth_reduced``).
+        kept; the skein walk smooths the working records of its switch chain
+        and also removes them (see ``_smooth_reduced``).
         """
         self._check_index(index)
         recs = self._records
@@ -343,7 +344,7 @@ def _bigon(named: list[tuple[int, ...]], head: list[int], k: int) -> int:
     return -1
 
 
-def _reduce(recs: Sequence[_Rec], parent: list[int], bigons: bool
+def _reduce(recs: Sequence[tuple[int, ...]], parent: list[int], bigons: bool
             ) -> list[tuple[int, ...]]:
     """recs without their Reidemeister-I curls and, when ``bigons`` is set,
     their Reidemeister-II bigons, written in class names.
@@ -468,16 +469,17 @@ def _reduce(recs: Sequence[_Rec], parent: list[int], bigons: bool
     return [r for r, removed in zip(named, gone) if not removed]
 
 
-def _smooth_reduced(d: PDDiagram, index: int) -> PDDiagram:
-    """The skein walk's smoothing child: the smoothing of crossing index
-    with its Reidemeister-I curls and Reidemeister-II bigons removed to a
-    fixpoint, in one relabel.  The smoothing's flat class table (see
-    ``_smoothing``) goes straight to ``_reduce``.
+def _smooth_reduced(recs: Sequence[tuple[int, ...]], index: int,
+                    free_loops: int) -> PDDiagram:
+    """The skein walk's smoothing child: the smoothing of crossing index of
+    the strand records recs, with free_loops free loops, with its
+    Reidemeister-I curls and Reidemeister-II bigons removed to a fixpoint,
+    in one relabel.  The smoothing's flat class table (see ``_smoothing``)
+    goes straight to ``_reduce``.
     """
-    recs = d._records
     parent = _smoothing(recs[index], 2 * len(recs))
     return _relabel(_reduce(recs[:index] + recs[index + 1:], parent, True),
-                    d.free_loops, parent)
+                    free_loops, parent)
 
 
 def _relabel(named: list[tuple[int, ...]], free_loops: int,

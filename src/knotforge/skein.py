@@ -7,39 +7,44 @@ Skein relations and normalizations:
 
 Recursion strategy: a crossing met on its under-strand before its
 over-strand, walking the labels in order (u_in < o_in), is a violation; a
-diagram with none is descending, hence an unlink.  The walk resolves one
-violation by the skein relation (switch + smooth): the one of smallest u_in
-whose oriented smoothing at once turns a neighbour into a curl, and when
-no violation does, the first one met (see _crossing_to_resolve).  Smoothing
-a twist-region crossing that way collapses its region, so the child is
-small and often a memo hit.  A switch keeps every label and so lowers the
-violation count by one; a smoothing drops a crossing.  So (crossings,
-violations) falls in lexicographic order whichever violation is chosen,
-and the recursion terminates.  Resolved diagrams are memoised under their
-PD code as given, not under a canonical relabelling (see canonical_code).
+diagram with none is descending, hence an unlink.  So switching every
+violation leaves an unlink, and the skein relation at each switch adds the
+value of one smoothing.  A node orders its violations once (see
+_resolution_order): those whose oriented smoothing at once turns a
+neighbour into a curl, then the others, each by increasing u_in.
+Smoothing a twist-region crossing that way collapses its region, so the
+child is small and often a memo hit.  A switch keeps every label, and so
+every other crossing's place in the order: the order is the chain of picks
+that recursing into one switch child after another would make.  The node
+switches the records of a working list one by one and evaluates the
+smoothing child of each crossing in the state the switches before it left;
+no switched diagram is built.  Every recursive call is a smoothing child,
+with fewer crossings than its node, so the recursion terminates.  Nodes
+are memoised under their PD code as given, not under a canonical
+relabelling (see canonical_code).
 
 Reidemeister-I curls are removed once, on entry, before the crossing
 budget is checked; Reidemeister-II bigons are kept there, so the budget
 counts the crossings left after R1 reduction.  A switch keeps the curl
-test (under-out is over-in, or under-in is over-out), so the switch child
-of a curl-free diagram is curl-free; it keeps labels and runs and slices
-one switched record into its tuples, without a rebuild.  The smoothing
-child also cancels the bigons that smoothing exposes, and those that
-switches left in the diagram.  It writes its two glued edge pairs into a
-flat class table, a list indexing each edge id to its class's smallest id
-(see diagram._smoothing).  One pass writes each record in class names and
-lists every curl and bigon; a removal glues the classes through its
-crossings and renames the two slots at the ends of each merged class, and
-only the crossings at those ends can become a curl or a bigon in turn
-(see diagram._reduce).  The records kept go straight to the relabel, so
-each child is mapped once and relabelled once.  Only a run of one or two
-edges that is under at no crossing goes back to the validator.
+test (under-out is over-in, or under-in is over-out), so the working
+records of a curl-free node stay curl-free.  The smoothing child also
+cancels the bigons that smoothing exposes, and those that switches left in
+the records.  It writes its two glued edge pairs into a flat class table,
+a list indexing each edge id to its class's smallest id (see
+diagram._smoothing).  One pass writes each record in class names and lists
+every curl and bigon; a removal glues the classes through its crossings
+and renames the two slots at the ends of each merged class, and only the
+crossings at those ends can become a curl or a bigon in turn (see
+diagram._reduce).  The records kept go straight to the relabel, so each
+child is mapped once and relabelled once.  Only a run of one or two edges
+that is under at no crossing goes back to the validator.
 
-There is one walk: it resolves each crossing once and combines the
-(nabla, V) pairs of its two children in one pass over their terms (see
-_combine).  Unlink leaves share one nabla = 1, one nabla = 0, and their
-Jones value from a table of powers of the loop value.  conway_jones returns
-the pair; conway and jones project it.  Each call starts from a fresh memo.
+There is one walk.  A node adds the terms of each smoothing child, shifted
+by the switches before it, and of the unlink at the end of its chain into
+one (nabla, V) pair, in one pass (see _sum_chain).  Unlink leaves share
+one nabla = 1, one nabla = 0, and their Jones value from a table of powers
+of the loop value.  conway_jones returns the pair; conway and jones
+project it.  Each call starts from a fresh memo.
 
 The oracle, jones_bracket_oracle, is the Kauffman bracket as a plain sum
 over all 2^N states, one state at a time.  A state unions the edge pairs
@@ -123,44 +128,32 @@ def canonical_code(d: PDDiagram):
     return (d.crossings, d.free_loops)
 
 
-def _first_violation(d: PDDiagram):
-    """Index of the first crossing met on its under-strand first, else None.
+def _resolution_order(recs) -> list[int]:
+    """The crossings a node resolves down its switch chain, in order.
 
-    Walking labels 1..2N meets a crossing first at min(u_in, o_in), so this
-    is the crossing with the smallest u_in among those with u_in < o_in.
+    A violation is a crossing met on its under-strand first (u_in < o_in).
+    With head[e] and tail[e] the crossings that edge e enters and leaves,
+    the oriented smoothing glues u_in to o_out and o_in to u_out, so it at
+    once turns a neighbour into a curl when tail[u_in] is head[o_out] or
+    tail[o_in] is head[u_out].  The order is the curl-closing violations
+    by increasing u_in, then the other violations by increasing u_in; it is
+    empty exactly when the diagram is descending.  A switch keeps every
+    label, so it keeps head, tail and every other crossing's test, and
+    turns its own violation into none: switching the first crossing leaves
+    the rest of the order as the switched diagram's order.
     """
-    first, low = None, 2 * len(d._records) + 1
-    for i, (u_in, o_in, _, _, _) in enumerate(d._records):
-        if u_in < low and u_in < o_in:
-            first, low = i, u_in
-    return first
-
-
-def _crossing_to_resolve(d: PDDiagram):
-    """The crossing the walk resolves, else None when d is descending.
-
-    Among the crossings met on their under-strand first (u_in < o_in),
-    that of smallest u_in whose oriented smoothing at once turns a
-    neighbour into a curl; when none does, ``_first_violation``.  With
-    head[e] and tail[e] the crossings that edge e enters and leaves, the
-    smoothing glues u_in to o_out, so tail[u_in] becomes a curl when it is
-    head[o_out], and likewise o_in to u_out.
-    """
-    first = _first_violation(d)
-    if first is None:
-        return None
-    recs = d._records
     n_ids = 2 * len(recs) + 1
     head = [0] * n_ids
     tail = [0] * n_ids
     for i, (u_in, o_in, u_out, o_out, _) in enumerate(recs):
         head[u_in] = head[o_in] = tail[u_out] = tail[o_out] = i
-    low = n_ids
+    keyed = []
     for i, (u_in, o_in, u_out, o_out, _) in enumerate(recs):
-        if u_in < low and u_in < o_in and (
-                tail[u_in] == head[o_out] or tail[o_in] == head[u_out]):
-            first, low = i, u_in
-    return first
+        if u_in < o_in:
+            closes = tail[u_in] == head[o_out] or tail[o_in] == head[u_out]
+            keyed.append((not closes, u_in, i))
+    keyed.sort()
+    return [i for _, _, i in keyed]
 
 
 def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -175,12 +168,12 @@ def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d, which has no Reidemeister-I curl.
 
-    A descending d is an unlink.  Otherwise the crossing that
-    ``_crossing_to_resolve`` picks, a violation whose smoothing closes a
-    curl or else the first violation, is resolved, and the pairs of its two
-    children are folded with ``_combine``.  Each child is smaller in
-    (crossings, violations), lexicographically: the switch keeps the
-    crossings and removes one violation, the smoothing drops a crossing.
+    The crossings of ``_resolution_order`` are switched one by one in a
+    working copy of d's records, and each is smoothed, in the state its
+    predecessors' switches left, into a child that the walk evaluates.
+    The switched diagram at the end is descending, an unlink, and
+    ``_sum_chain`` folds it with the children.  Every child has fewer
+    crossings than d.
     """
     if not d.crossings:
         return _unlink(d.component_count())
@@ -188,52 +181,53 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
     cached = memo.get(key)
     if cached is not None:
         return cached
-    i = _crossing_to_resolve(d)
-    if i is None:
-        val = _unlink(d.component_count())
-    else:
-        val = _combine(d._records[i].sign, _skein_eval(d.switch_crossing(i), memo),
-                       _skein_eval(_smooth_reduced(d, i), memo))
+    recs = list(d._records)
+    loops = d.free_loops
+    chain = []
+    for i in _resolution_order(recs):
+        u_in, o_in, u_out, o_out, s = recs[i]
+        chain.append((s, _skein_eval(_smooth_reduced(recs, i, loops), memo)))
+        recs[i] = (o_in, u_in, o_out, u_out, -s)
+    val = _sum_chain(chain, _unlink(d.component_count()))
     memo.put(key, val)
     return val
 
 
-def _combine(sign: int, switched, smoothed) -> tuple[LaurentPoly, LaurentPoly]:
-    """(nabla, V) of a crossing of sign s from the (nabla, V) of its switch
-    and of its smoothing, in one pass over their terms, dropping those that
-    cancel.  The skein relations solved for K+ (s = 1) or K- (s = -1) read
+def _sum_chain(chain, last) -> tuple[LaurentPoly, LaurentPoly]:
+    """(nabla, V) of a node from its switch chain: the (sign, (nabla_0,
+    V_0)) of the smoothing of each crossing it resolves, in order, and the
+    (nabla, V) of the diagram left when all are switched.  The skein
+    relations solved for K+ (s = 1) or K- (s = -1) read
 
         nabla = nabla_sw - s z nabla_0
         V = t^(-2s) V_sw + (t^(-s/2) - t^(-3s/2)) V_0
 
-    and in doubled keys z shifts by 2, t^(-2s) by -4s and t^(-s/2) by -s.
+    so with S the sum of the signs switched before it, a smoothing adds
+    -s z nabla_0 and t^(-2S) (t^(-s/2) - t^(-3s/2)) V_0, and the last
+    diagram its nabla and t^(-2S) V.  In doubled keys z shifts by 2,
+    t^(-2S) by -4S and t^(-s/2) by -s.  Terms that cancel are dropped.
     """
-    nabla_sw, v_sw = switched
-    nabla_0, v_0 = smoothed
-    nabla = dict(nabla_sw._terms)
-    for k, c in nabla_0._terms.items():
-        k += 2
-        c = nabla.get(k, 0) - sign * c
-        if c:
-            nabla[k] = c
-        else:
-            del nabla[k]
-    shift = -4 * sign
-    v = {k + shift: c for k, c in v_sw._terms.items()}
-    for k, c in v_0._terms.items():
-        k -= sign
-        cf = v.get(k, 0) + c
-        if cf:
-            v[k] = cf
-        else:
-            del v[k]
-        k -= 2 * sign
-        cf = v.get(k, 0) - c
-        if cf:
-            v[k] = cf
-        else:
-            del v[k]
-    return _from_terms(nabla), _from_terms(v)
+    nabla: dict[int, int] = {}
+    v: dict[int, int] = {}
+    shift = 0
+    for s, (nabla_0, v_0) in chain:
+        for k, c in nabla_0._terms.items():
+            k += 2
+            nabla[k] = nabla.get(k, 0) - s * c
+        for k, c in v_0._terms.items():
+            k += shift - s
+            v[k] = v.get(k, 0) + c
+            k -= 2 * s
+            v[k] = v.get(k, 0) - c
+        shift -= 4 * s
+    nabla_l, v_l = last
+    for k, c in nabla_l._terms.items():
+        nabla[k] = nabla.get(k, 0) + c
+    for k, c in v_l._terms.items():
+        k += shift
+        v[k] = v.get(k, 0) + c
+    return (_from_terms({k: c for k, c in nabla.items() if c}),
+            _from_terms({k: c for k, c in v.items() if c}))
 
 
 def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:

@@ -41,8 +41,9 @@ class TestExitCodes:
     def test_input_error_on_missing_file(self):
         assert cli.main(["invariants", "--pd", "/nonexistent.pd"]) == 2
 
-    def test_input_error_on_unknown_table_name(self):
+    def test_input_error_on_unknown_table_name(self, capsys):
         assert cli.main(["invariants", "--name", "6_1"]) == 2
+        assert capsys.readouterr().err == "error: no table entry named '6_1'\n"
 
     @pytest.mark.parametrize("text, message", [
         ("name: b\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\nname: b\nX(1,2,1,2)\n",

@@ -25,6 +25,10 @@ TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
 # into arcs 1, 2, 3; old labels >= 2 shifted by 2)
 STACKED_CURL = "X(1,2,2,3) X(3,6,4,7) X(5,8,6,1) X(7,4,8,5)"
+# a planar 10-crossing code whose skein walk reaches the short-run fallback
+SHORT_RUN_CHILD = [(20, 11, 13, 12), (12, 19, 11, 20), (7, 15, 8, 14), (13, 1, 14, 10),
+                   (18, 1, 19, 2), (2, 17, 3, 18), (3, 17, 4, 16), (15, 7, 16, 6),
+                   (9, 4, 10, 5), (5, 8, 6, 9)]
 
 
 def glued(recs, d: PDDiagram, groups) -> PDDiagram:
@@ -306,9 +310,8 @@ class TestTrustedRebuild:
 
     def test_every_rebuild_of_the_skein_walk_matches_the_validator(
             self, table, monkeypatch):
-        built, validated, switched = [], [], []
+        built, validated = [], []
         validate, trusted = diagram_module._validate, diagram_module._trusted
-        switch = PDDiagram.switch_crossing
 
         def counting_validate(crossings, free_loops):
             validated.append(crossings)
@@ -320,34 +323,39 @@ class TestTrustedRebuild:
             built.append((d, len(validated) > before))
             return d
 
-        def recorded_switch(d, index):
-            switched.append(switch(d, index))
-            return switched[-1]
-
         monkeypatch.setattr(diagram_module, "_validate", counting_validate)
         monkeypatch.setattr(diagram_module, "_trusted", checked_trusted)
-        monkeypatch.setattr(PDDiagram, "switch_crossing", recorded_switch)
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
         diagrams += random_planar_diagrams(seed=23, count=300, max_crossings=10)
+        diagrams += random_planar_diagrams(seed=24, count=300, max_crossings=10)
+        # no diagram above smooths into a child with a short run; this
+        # planar code, one edit from a planar one (one_edit_codes(table, 23,
+        # 12, 1)), smooths into a child with a two-edge run over at both its
+        # crossings
+        diagrams.append(PDDiagram(SHORT_RUN_CHILD))
+        assert is_planar(diagrams[-1])
         built.clear()
-        switched.clear()
         for d in diagrams:
             skein.conway_jones(d)
         walked = len(built)
         mirrors = [d.mirror() for d in diagrams]
-        # every diagram the walk builds, rebuilt or switched, and every
-        # mirror comes through the shared short-run check
+        # the walk switches records in place, so switches are built here
+        switched = [d.switch_crossing(i) for d in diagrams for i in range(d.n_crossings)]
+        # every diagram the walk builds, and every mirror and switch, comes
+        # through the shared short-run check
         assert walked > 1000
-        assert len(built) == walked + len(mirrors)
+        assert len(built) == walked + len(mirrors) + len(switched)
         assert len(switched) > 500
-        assert {id(d) for d in switched} <= {id(d) for d, _ in built[:walked]}
-        assert {id(d) for d in mirrors} == {id(d) for d, _ in built[walked:]}
+        after = walked + len(mirrors)
+        assert [id(d) for d in mirrors] == [id(d) for d, _ in built[walked:after]]
+        assert [id(d) for d in switched] == [id(d) for d, _ in built[after:]]
         for d, _ in built:
             assert validate(d.crossings, d.free_loops) == (d._runs, d._records)
         # a run of two edges that is under nowhere went through the validator
         assert any(fell_back for _, fell_back in built[:walked])
-        assert any(fell_back for _, fell_back in built[walked:])
+        assert any(fell_back for _, fell_back in built[walked:after])
+        assert any(fell_back for _, fell_back in built[after:])
         assert sum(fell_back for _, fell_back in built) < len(built) // 4
         assert all(m.writhe() == -d.writhe() and m._runs == d._runs
                    for m, d in zip(mirrors, diagrams))
@@ -594,7 +602,7 @@ class TestSmoothR1:
         children that lose a bigon."""
         stacked = bigons = 0
         for i in range(d.n_crossings):
-            child = diagram_module._smooth_reduced(d, i)
+            child = diagram_module._smooth_reduced(d._records, i, d.free_loops)
             smoothed = d.smooth_crossing(i)
             uncurled = smoothed.reduce_r1()
             ref = full_reduce(smoothed)
@@ -641,7 +649,7 @@ class TestSmoothR1:
         # edge, so the four ids make one class
         d = PDDiagram(crossings)
         assert self._check_children(d) == (2, 0, 0)
-        assert diagram_module._smooth_reduced(d, index).render() == code
+        assert diagram_module._smooth_reduced(d._records, index, d.free_loops).render() == code
 
     @pytest.mark.parametrize("name, count", [("unknot", 1), ("trefoil", 0),
                                              ("trefoil", -1)])

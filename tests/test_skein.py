@@ -17,9 +17,8 @@ from knotforge.skein import (
     BRACKET_ORACLE_BUDGET,
     CrossingBudgetExceeded,
     SkeinMemo,
-    _combine,
-    _crossing_to_resolve,
-    _first_violation,
+    _resolution_order,
+    _sum_chain,
     conway,
     conway_jones,
     jones,
@@ -188,25 +187,39 @@ def _combine_by_operators(sign, switched, smoothed):
     return (nabla_sw + Z * nabla_0, LaurentPoly.monomial(1, 2) * v_sw - t * DELTA * v_0)
 
 
-class TestCombine:
-    """The walk's one-pass (nabla, V) combine equals the operator formulas."""
+def _sum_chain_by_operators(chain, last):
+    """The skein relations nested from the last switch of a chain back to
+    the first, by operators."""
+    for sign, smoothed in reversed(chain):
+        last = _combine_by_operators(sign, last, smoothed)
+    return last
 
-    @given(st.sampled_from((1, -1)), polys, polys, polys, polys)
-    def test_matches_the_operator_formulas(self, sign, nabla_sw, v_sw, nabla_0, v_0):
-        switched, smoothed = (nabla_sw, v_sw), (nabla_0, v_0)
-        assert _combine(sign, switched, smoothed) == \
-            _combine_by_operators(sign, switched, smoothed)
 
-    @given(st.sampled_from((1, -1)), polys, polys, polys)
-    def test_results_that_cancel_to_zero(self, sign, nabla_0, v_0, extra):
-        # switch values that cancel the smoothing's terms in both sums, plus
-        # a term that cancels only partly
-        t_sign = LaurentPoly.monomial(1, sign)
-        switched = (sign * (Z * nabla_0), -sign * (t_sign * DELTA * v_0))
-        assert _combine(sign, switched, (nabla_0, v_0)) == (ZERO, ZERO)
-        switched = (switched[0] + extra, switched[1] + extra)
-        assert _combine(sign, switched, (nabla_0, v_0)) == \
-            _combine_by_operators(sign, switched, (nabla_0, v_0))
+_PAIRS = st.tuples(polys, polys)
+_CHAINS = st.lists(st.tuples(st.sampled_from((1, -1)), _PAIRS), max_size=6)
+
+
+class TestSumChain:
+    """The walk's one-pass fold of a switch chain equals the skein
+    relations applied one crossing at a time."""
+
+    @given(_CHAINS, _PAIRS)
+    def test_matches_the_nested_operator_formulas(self, chain, last):
+        assert _sum_chain(chain, last) == _sum_chain_by_operators(chain, last)
+
+    @given(_CHAINS, st.sampled_from((1, -1)), _PAIRS, _PAIRS)
+    def test_chains_whose_terms_cancel(self, chain, sign, smoothed, last):
+        # two crossings of opposite sign with the same smoothing cancel in
+        # both sums, and leave the shift of the terms after them as it was
+        pair = [(sign, smoothed), (-sign, smoothed)]
+        assert _sum_chain(pair, (ZERO, ZERO)) == (ZERO, ZERO)
+        assert _sum_chain(pair + chain, last) == _sum_chain(chain, last) == \
+            _sum_chain_by_operators(pair + chain, last)
+        # a last diagram whose terms cancel every smoothing's
+        nabla, v = _sum_chain_by_operators(chain, (ZERO, ZERO))
+        total = sum(s for s, _ in chain)
+        cancelling = (-nabla, -(LaurentPoly.monomial(1, 2 * total) * v))
+        assert _sum_chain(chain, cancelling) == (ZERO, ZERO)
 
 
 def _one_mod_t2_t_1(v):
@@ -386,17 +399,20 @@ class TestWalkRebuilds:
         monkeypatch.setattr(skein_module, "_smooth_reduced", counted(smooth, per_smoothing))
         for n, d in enumerate(diagrams):
             assert conway_jones(d) == (conway_family(n), jones_family(n))
-        # one relabel per smoothing child, none per switch child
-        assert per_switch and set(per_switch) == {0}
+        # the walk switches its working records, so it builds no switch
+        # child; each smoothing child takes one relabel, and none of them
+        # has a short run for the validator
+        assert per_switch == []
         assert per_smoothing and set(per_smoothing) == {1}
         assert calls["relabel"] == len(per_smoothing)
-        assert 0 < calls["fallback"] < len(per_switch) + len(per_smoothing)
+        assert calls["fallback"] == 0
 
     @pytest.mark.parametrize("n", [*range(8, 15), 20, 50, 100])
     def test_twist_family_beyond_the_crossing_budget(self, table, monkeypatch, n):
         # L_8 .. L_14 have 25 .. 37 crossings, above DEFAULT_CROSSING_BUDGET,
         # and L_100 has 209.  A smoothing that closes a curl collapses the
-        # twist region, so the walk visits 2n + 37 nodes, hits and misses
+        # twist region, and a switch is no node of its own, so the walk
+        # visits n + 14 nodes, hits and misses
         memos = []
 
         class CountedMemo(SkeinMemo):
@@ -408,7 +424,7 @@ class TestWalkRebuilds:
         monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", d.n_crossings)
         monkeypatch.setattr(skein_module, "SkeinMemo", CountedMemo)
         assert conway_jones(d) == (conway_family(n), jones_family(n))
-        assert [m.hits + m.misses for m in memos] == [2 * n + 37]
+        assert [m.hits + m.misses for m in memos] == [n + 14]
 
 
 class TestFuzzedCodes:
@@ -428,6 +444,18 @@ class TestFuzzedCodes:
                 assert v == jones_bracket_oracle(d), d.render()
         # planar and non-planar codes, and codes of 11-12 crossings, were met
         assert 600 < planar < walked - 200 and large > 100
+
+    def test_walk_equals_the_recursion_through_switch_children(self, table):
+        # the walk folds each node's switch chain in one loop; on non-planar
+        # codes too, where no oracle applies, it equals the recursion that
+        # builds every switch child as a diagram and resolves it on its own
+        walked = planar = 0
+        for d in islice(one_edit_codes(table, 2401, 10, 1), 600):
+            d = d.reduce_r1()
+            walked += 1
+            planar += is_planar(d)
+            assert conway_jones(d) == _walk_by_switch_children(d), d.render()
+        assert 100 < planar < walked - 100
 
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i^0 .. i^3
@@ -544,8 +572,8 @@ class TestMemoKeys:
     """The labels of every skein child are pinned by the memo keys."""
 
     # digest of the keys conway_jones stores, in order, over the 7 table
-    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 1,096 keys
-    DIGEST = "b70222b07f2768d12bd084c216999adc93e62549872e1b52a73bbb5df191e0cd"
+    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 385 keys
+    DIGEST = "77367d91cc031ffe558bbd5c3ff7fafe6dde355a5822dd87d719b00af4797c5e"
 
     def test_memo_key_digest(self, table, monkeypatch):
         keys = []
@@ -562,7 +590,7 @@ class TestMemoKeys:
         diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
         for d in diagrams:
             conway_jones(d)
-        assert len(keys) == 1096
+        assert len(keys) == 385
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
 
     def test_twist_family_node_counts(self, table, monkeypatch):
@@ -579,7 +607,7 @@ class TestMemoKeys:
         base = table.diagram("11n63")
         for n in range(8):
             conway_jones(base.insert_full_twists((3, 25), n - 2))
-        assert [m.hits + m.misses for m in memos] == [45, 43, 41, 43, 45, 47, 49, 51]
+        assert [m.hits + m.misses for m in memos] == [18, 17, 16, 17, 18, 19, 20, 21]
 
 
 class TestBudgetAndMemo:
@@ -647,20 +675,6 @@ def _first_violation_by_walk(d):
     return None
 
 
-def test_first_violation_matches_label_walk(table):
-    diagrams = [table.diagram(name) for name in table.names()]
-    base = table.diagram("11n63")
-    diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
-    diagrams += random_planar_diagrams(seed=61, count=300, max_crossings=10)
-    for d in diagrams:
-        d = d.reduce_r1()
-        assert _first_violation(d) == _first_violation_by_walk(d), d.render()
-
-
-def _violations(d):
-    return sum(r.u_in < r.o_in for r in d.records())
-
-
 def _curl_closing_by_smoothing(d):
     """Reference: the violation of smallest u_in whose plain smoothing has
     a curl record, else the first violation."""
@@ -671,23 +685,44 @@ def _curl_closing_by_smoothing(d):
                 s.u_out == s.o_in or s.u_in == s.o_out
                 for s in d.smooth_crossing(i).records()):
             return i
-    return _first_violation(d)
+    return _first_violation_by_walk(d)
 
 
-def test_crossing_to_resolve_closes_a_curl_when_one_can(table):
+def _walk_by_switch_children(d):
+    """Reference: (nabla, V) of a curl-free d by the skein relation at the
+    first crossing of its resolution order, recursing into its switch
+    child, a diagram whose order is computed afresh, and its reduced
+    smoothing child, with no memo."""
+    order = _resolution_order(d._records)
+    if not order:
+        c = d.component_count()
+        return (ONE if c == 1 else ZERO, LOOP ** (c - 1))
+    i = order[0]
+    smoothed = diagram_module._smooth_reduced(d._records, i, d.free_loops)
+    return _combine_by_operators(d.crossing_sign(i),
+                                 _walk_by_switch_children(d.switch_crossing(i)),
+                                 _walk_by_switch_children(smoothed))
+
+
+def test_resolution_order_is_the_switch_chain(table):
+    # down each switch chain: the walk's order resolves first a violation
+    # whose smoothing closes a curl, a switch leaves the rest of the order
+    # as it was, and the order runs out exactly at a descending diagram
     diagrams = [table.diagram(name) for name in table.names()]
     base = table.diagram("11n63")
     diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
     diagrams += random_planar_diagrams(seed=61, count=300, max_crossings=10)
-    closing = 0
+    closing = switches = 0
     for d in diagrams:
         d = d.reduce_r1()
-        i = _crossing_to_resolve(d)
-        assert i == _curl_closing_by_smoothing(d), d.render()
-        if i is None:
-            continue
-        closing += i != _first_violation(d)
-        # a switch keeps every label, so it removes exactly this violation
-        assert _violations(d.switch_crossing(i)) == _violations(d) - 1, d.render()
+        order = _resolution_order(d._records)
+        while order:
+            assert order[0] == _curl_closing_by_smoothing(d), d.render()
+            closing += order[0] != _first_violation_by_walk(d)
+            d = d.switch_crossing(order[0])
+            order = order[1:]
+            assert _resolution_order(d._records) == order, d.render()
+            switches += 1
+        assert _first_violation_by_walk(d) is None, d.render()
     # the rule, not only its fallback, picks crossings
-    assert closing > 0
+    assert closing > 0 and switches > 500
