@@ -12,9 +12,10 @@ import itertools
 
 from knotforge import load_table, surgery_invariants, distinguish
 from knotforge import skein
+from knotforge.family import ANCHORS
 
 table = load_table()
-anchors = {0: "5_2", 1: "9_45", 2: "11n63"}
+anchors = dict(enumerate(ANCHORS))
 
 print("=== Polynomial invariants of the family anchors ===\n")
 for n, name in anchors.items():

@@ -13,7 +13,7 @@ Run:  python3 demos/twist_family.py
 
 from knotforge.diagram import parse_pd
 from knotforge.family import (
-    TILDE_V, conway_family, jones_family, load_table, verify_family)
+    ANCHORS, TILDE_V, conway_family, jones_family, load_table, verify_family)
 from knotforge import skein
 
 trefoil = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
@@ -26,7 +26,7 @@ for n in (-1, 0, 1, 2):
 
 print("\n=== Closed forms vs. the engine on the table anchors ===\n")
 table = load_table()
-for n, name in ((0, "5_2"), (1, "9_45"), (2, "11n63")):
+for n, name in enumerate(ANCHORS):
     engine = skein.jones(table.diagram(name))
     closed = jones_family(n)
     status = "agree" if engine == closed else "DISAGREE"

@@ -126,7 +126,7 @@ def cmd_verify_paper(args) -> tuple[RunReport, int]:
     for c in fam["checks"]:
         rep.check(f"family/{c['name']}", True, c["pass"])
         rep.result(f"family/{c['name']}", c["detail"])
-    for a, b in (("5_2", "9_45"), ("9_45", "11n63")):
+    for a, b in zip(family_mod.ANCHORS, family_mod.ANCHORS[1:]):
         verdict = distinguish(table.diagram(a), table.diagram(b))
         rep.check(f"distinguish[{a},{b}]", "distinguished", verdict["verdict"])
         rep.result(f"lambda2[{a},{b}]", verdict["lambda2_pair"])
@@ -158,7 +158,7 @@ def cmd_defect(args) -> tuple[RunReport, int]:
     rep.result("h", td.h)
     if m.boundary_kind == "homology-sphere-boundary":
         rep.check("coset", True, fm.homology_sphere_coset_check(td, m.mu_coset))
-    canonical = td.d == 0 and td.h in (-2, 0, 2)
+    canonical = td.d == 0 and td.h in fm.CANONICAL_DEFECTS
     rep.result("canonical", canonical)
     return rep, EXIT_OK if rep.passing else EXIT_CHECK_FAILED
 

@@ -42,12 +42,6 @@ class _Rec(NamedTuple):
     o_out: int
     sign: int
 
-    def tuple4(self) -> tuple[int, int, int, int]:
-        # positive crossings have the over-strand entering at slot b
-        if self.sign > 0:
-            return (self.u_in, self.o_in, self.u_out, self.o_out)
-        return (self.u_in, self.o_out, self.u_out, self.o_in)
-
     def switched(self) -> "_Rec":
         """The crossing with over and under strands exchanged."""
         return _Rec(self.o_in, self.u_in, self.o_out, self.u_out, -self.sign)
@@ -184,16 +178,14 @@ class PDDiagram:
     def switch_crossing(self, index: int) -> "PDDiagram":
         """Exchange over and under strands at one crossing (sign negates).
 
-        Labels and runs are kept and the record is switched in place, so the
-        result is not re-validated; it goes through the same short-run check
-        as a rebuild (see ``_trusted``).
+        Labels and runs are kept and the record is switched in place; the
+        records go to ``_trusted``, which writes the code and makes the same
+        short-run check as for a rebuild, so the result is not re-validated.
         """
         self._check_index(index)
-        r = self._records[index].switched()
-        after = index + 1
-        return _trusted(self.crossings[:index] + (r.tuple4(),) + self.crossings[after:],
-                        self.free_loops, self._runs,
-                        self._records[:index] + (r,) + self._records[after:])
+        recs = self._records
+        return _trusted(recs[:index] + (recs[index].switched(),) + recs[index + 1:],
+                        self.free_loops, self._runs)
 
     def smooth_crossing(self, index: int) -> "PDDiagram":
         """Oriented resolution of one crossing; every edge gets a fresh label.
@@ -213,15 +205,15 @@ class PDDiagram:
     def mirror(self) -> "PDDiagram":
         """Switch every crossing (the mirror-image diagram), keeping labels and runs.
 
-        Not an involution on codes: a run of one or two edges that the mirror
-        leaves under at no crossing goes to the validator (see ``_trusted``),
-        whose tie-break may reverse it.  Such a run is a split component, so
-        a double mirror keeps the link, its writhe, Conway and Jones, and it
+        The switched records go to ``_trusted``, which writes the code.  Not
+        an involution on codes: a run of one or two edges that the mirror
+        leaves under at no crossing goes to the validator there, whose
+        tie-break may reverse it.  Such a run is a split component, so a
+        double mirror keeps the link, its writhe, Conway and Jones, and it
         keeps the code when neither mirror takes that fallback.
         """
-        records = tuple(r.switched() for r in self._records)
-        return _trusted(tuple(r.tuple4() for r in records), self.free_loops,
-                        self._runs, records)
+        return _trusted(tuple(r.switched() for r in self._records),
+                        self.free_loops, self._runs)
 
     def reduce_r1(self) -> "PDDiagram":
         """Remove Reidemeister-I curls, iterated to a fixpoint, in one relabel.
@@ -265,7 +257,7 @@ class PDDiagram:
         xs = [x] + [n_edges + 1 + j for j in range(k)]
         ys = [y] + [n_edges + 1 + k + j for j in range(k)]
         recs = []
-        for r in self.records():
+        for r in self._records:
             # the tail halves keep the old ids; re-point the heads of x and y
             # to the last new segment
             recs.append(_Rec(
@@ -493,10 +485,10 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
     from the smallest names to assign fresh consecutive labels per
     component.  Every table here is a list indexed by edge id.
 
-    The result is not re-validated: the runs and relabelled records traced
-    here go through ``_trusted``, which validates only a diagram with a run
-    of one or two edges that is under at no crossing.  So the records equal
-    ``_validate`` of the new code.
+    The result is not re-validated: the runs traced here and the relabelled
+    records go to ``_trusted``, which writes the code from the records and
+    validates only a diagram with a run of one or two edges that is under
+    at no crossing.  So the records equal ``_validate`` of the new code.
 
     Guards, each a ``PDError`` "internal rebuild error": the strand table,
     filled unchecked, holds fewer than two entries per record when an edge
@@ -536,28 +528,24 @@ def _relabel(named: list[tuple[int, ...]], free_loops: int,
 
     # tuple.__new__ skips the NamedTuple constructor's argument handling
     new = tuple.__new__
-    records = []
-    crossings = []
-    add_record, add_crossing = records.append, crossings.append
-    for a, b, c, d, s in named:
-        a, b, c, d = label[a], label[b], label[c], label[d]
-        add_record(new(_Rec, (a, b, c, d, s)))
-        # positive crossings have the over-strand entering at slot b
-        add_crossing((a, b, c, d) if s > 0 else (a, d, c, b))
-    return _trusted(tuple(crossings), free_loops, tuple(runs), tuple(records))
+    return _trusted(tuple([new(_Rec, (label[a], label[b], label[c], label[d], s))
+                           for a, b, c, d, s in named]), free_loops, tuple(runs))
 
 
-def _trusted(crossings: tuple[tuple[int, int, int, int], ...], free_loops: int,
-             runs: tuple[tuple[int, int], ...], records: tuple[_Rec, ...]
-             ) -> PDDiagram:
-    """A diagram from runs and records its caller traced or kept, unchecked.
+def _trusted(records: tuple[_Rec, ...], free_loops: int,
+             runs: tuple[tuple[int, int], ...]) -> PDDiagram:
+    """A diagram from records and runs its caller traced or kept, unchecked.
 
-    The one exception is a run of one or two edges that is under at no
-    crossing: it reads both ways along its over-strands, so its code does
-    not orient it.  A diagram with one goes through the validating
-    constructor and takes the validator's tie-break.  ``_relabel``,
-    ``switch_crossing`` and ``mirror`` share this check.
+    ``_relabel``, ``switch_crossing`` and ``mirror`` hand over records only;
+    the PD code of every diagram they build is written here.  The one check
+    is for a run of one or two edges that is under at no crossing: it reads
+    both ways along its over-strands, so its code does not orient it.  A
+    diagram with one goes through the validating constructor and takes the
+    validator's tie-break.
     """
+    # positive crossings have the over-strand entering at slot b
+    crossings = tuple([(a, b, c, d) if s > 0 else (a, d, c, b)
+                       for a, b, c, d, s in records])
     short = [run for run in runs if run[1] - run[0] < 2]
     if short:
         unders = {r.u_in for r in records}

@@ -30,11 +30,13 @@ __all__ = [
     "tilde_v",
     "lambda2_family",
     "verify_family",
+    "ANCHORS",
     "V_L0",
     "TILDE_V",
 ]
 
 TABLE_FILENAME = "knot_table.txt"
+ANCHORS = ("5_2", "9_45", "11n63")  # the table entry of L_n, indexed by n
 
 # V(L_0) and the increment polynomial Vt, as published
 V_L0 = LaurentPoly.from_exponents(
@@ -189,8 +191,7 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
     def check(name: str, ok: bool, detail: str = ""):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
-    anchors = {0: "5_2", 1: "9_45", 2: "11n63"}
-    for n, entry in anchors.items():
+    for n, entry in enumerate(ANCHORS):
         try:
             d = table.diagram(entry)
             expected_v = jones_family(n)

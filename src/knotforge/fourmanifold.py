@@ -269,6 +269,7 @@ def build_sigma_class(n: int, m: int, j: int):
 
 BOUNDARY_KINDS = ("closed", "homology-sphere-boundary", "other-boundary")
 SINGULARITY_KINDS = ("definite", "indefinite")
+CANONICAL_DEFECTS = (-2, 0, 2)  # h of a canonical boundary framing, whose d is 0
 
 
 def _check_mu_coset(mu):
@@ -439,12 +440,12 @@ def canonical_sphere_constraint(p: int) -> dict:
     """Admissible values of sum(k_i^2) for sphere configs with framing p.
 
     A canonical boundary framing forces the defect h = -3p + p*s into
-    {-2, 0, 2}; returns {s: h} for the integer solutions s >= 1.
+    ``CANONICAL_DEFECTS``; returns {s: h} for the integer solutions s >= 1.
     """
     if _require_int(p, "framing") == 0:
         raise ValueError("framing must be nonzero")
     out: dict[int, int] = {}
-    for target in (-2, 0, 2):
+    for target in CANONICAL_DEFECTS:
         if target % p == 0:
             s = 3 + target // p
             if s >= 1:

@@ -116,24 +116,15 @@ class LaurentPoly:
             return _from_terms({k: v * other for k, v in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # a one-term factor shifts keys and scales nonzero coefficients,
-            # so no two products meet and none vanishes
-            ((kb, cb),) = b.items()
-            terms = {ka + kb: ca * cb for ka, ca in a.items()}
-        else:
-            terms = {}
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    s = terms.get(k, 0) + ca * cb
-                    if s:
-                        terms[k] = s
-                    else:
-                        terms.pop(k, None)
+        terms = {}
+        for ka, ca in self._terms.items():
+            for kb, cb in other._terms.items():
+                k = ka + kb
+                s = terms.get(k, 0) + ca * cb
+                if s:
+                    terms[k] = s
+                else:
+                    terms.pop(k, None)
         return _from_terms(terms)
 
     __rmul__ = __mul__
