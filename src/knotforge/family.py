@@ -217,10 +217,11 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
 
     for n in range(n_max + 1):
         v = jones_family(n)
+        lambda2 = lambda2_family(n)
         ok = (v.moment(2) == -12 and v.moment(3) == 36 * n + 108
-              and lambda2_family(n) == 72 * n + 270)
+              and lambda2 == 72 * n + 270)
         check(f"closed_form[n={n}]", ok,
-              f"v2={v.moment(2)} v3={v.moment(3)} lambda2={lambda2_family(n)}")
+              f"v2={v.moment(2)} v3={v.moment(3)} lambda2={lambda2}")
 
     return {
         "passing": all(c["pass"] for c in checks),

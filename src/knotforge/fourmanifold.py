@@ -315,7 +315,7 @@ class SurfaceComponent:
         return _check_dims(self.cls, f)
 
     def self_int(self, f: IntersectionForm) -> int:
-        return self_intersection(self.homology_class(f), f)
+        return self_intersection(self.cls, f)
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,6 @@ class LaurentPoly:
         return self._terms.get(_as_doubled_exponent(exponent), 0)
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def is_integral(self) -> bool:
         """True when every exponent is an integer (all doubled keys even)."""
         return all(k % 2 == 0 for k in self._terms)

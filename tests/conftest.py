@@ -21,8 +21,9 @@ def is_planar(d: PDDiagram) -> bool:
     """Whether the 4-valent diagram graph embeds in the plane.
 
     Counts faces of the rotation system given by the CCW slot order at each
-    crossing and checks the Euler formula V - E + F = 1 + C, where C is the
-    number of connected components of the underlying graph.
+    crossing and checks the Euler formula V - E + F = 2C, where C is the
+    number of connected components of the underlying graph: face tracing
+    counts each piece's outer face once per piece.
     """
     n = d.n_crossings
     if n == 0:
@@ -64,8 +65,8 @@ def is_planar(d: PDDiagram) -> bool:
         if ri != rj:
             parent[rj] = ri
     comps = len({find(i) for i in range(n)})
-    # V - E + F = 1 + C with V = n and E = 2n
-    return -n + faces == 1 + comps
+    # V - E + F = 2C with V = n and E = 2n
+    return -n + faces == 2 * comps
 
 
 _SEED_CODES = (
@@ -121,7 +122,7 @@ def with_curls(d: PDDiagram, count: int) -> PDDiagram:
     # the crossing that edge 1 entered is now entered by the last new id
     recs = [r._replace(u_in=ids[-1]) if r.u_in == 1
             else r._replace(o_in=ids[-1]) if r.o_in == 1 else r
-            for r in d.records()]
+            for r in d._records]
     # curl j: in under on ids[2j], out under and back over on ids[2j+1],
     # out over on ids[2j+2]
     recs += [_Rec(ids[2 * j], ids[2 * j + 1], ids[2 * j + 1], ids[2 * j + 2], 1)

@@ -25,7 +25,6 @@ V_J0 = LaurentPoly.from_exponents({
 class TestAdd:
     def test_additive_inverse_is_zero(self):
         assert Z2 + -Z2 == LaurentPoly.zero()
-        assert (Z2 + -Z2).is_zero
 
     def test_conway_family_shape(self):
         a = LaurentPoly.from_exponents({0: 1, 2: 2})
@@ -94,7 +93,7 @@ class TestIntegerCoefficients:
 
     def test_int_scalar_multiple(self):
         assert 3 * V_L0 == V_L0 + V_L0 + V_L0 == V_L0 * 3
-        assert (V_L0 * 0).is_zero
+        assert V_L0 * 0 == LaurentPoly()
 
 
 class TestBoolExponents:

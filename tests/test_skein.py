@@ -98,8 +98,8 @@ class TestConway:
     def test_split_links_vanish(self):
         split = PDDiagram(parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)").crossings,
                           free_loops=1)
-        assert conway(split).is_zero
-        assert conway(PDDiagram((), free_loops=3)).is_zero
+        assert conway(split) == LaurentPoly()
+        assert conway(PDDiagram((), free_loops=3)) == LaurentPoly()
 
     def test_trefoil(self):
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
@@ -149,8 +149,8 @@ class TestSkeinIdentities:
     def test_conway_relation_at_every_crossing(self):
         for d in random_planar_diagrams(seed=41, count=30, max_crossings=9):
             for i in range(d.n_crossings):
-                plus = d if d.crossing_sign(i) > 0 else d.switch_crossing(i)
-                minus = d if d.crossing_sign(i) < 0 else d.switch_crossing(i)
+                plus = d if d._records[i].sign > 0 else d.switch_crossing(i)
+                minus = d if d._records[i].sign < 0 else d.switch_crossing(i)
                 zero = d.smooth_crossing(i)
                 assert conway(plus) - conway(minus) + Z * conway(zero) \
                     == LaurentPoly.zero()
@@ -159,8 +159,8 @@ class TestSkeinIdentities:
         t = LaurentPoly.monomial(1, 1)
         for d in random_planar_diagrams(seed=43, count=30, max_crossings=9):
             for i in range(d.n_crossings):
-                plus = d if d.crossing_sign(i) > 0 else d.switch_crossing(i)
-                minus = d if d.crossing_sign(i) < 0 else d.switch_crossing(i)
+                plus = d if d._records[i].sign > 0 else d.switch_crossing(i)
+                minus = d if d._records[i].sign < 0 else d.switch_crossing(i)
                 zero = d.smooth_crossing(i)
                 assert t * jones(plus) - T_INV * jones(minus) \
                     == DELTA * jones(zero)
@@ -250,7 +250,7 @@ def _hoste_cofactor(d):
             comp[e] = c
     mu = d.component_count()
     twice_lk = [[0] * mu for _ in range(mu)]
-    for r in d.records():
+    for r in d._records:
         a, b = comp[r.u_in], comp[r.o_in]
         if a != b:
             twice_lk[a][b] += r.sign
@@ -661,7 +661,7 @@ def _first_violation_by_walk(d):
     """Reference: walk labels 1..2N and return the first crossing whose
     first visit is on its under-strand, else None."""
     heads = {}
-    for i, r in enumerate(d.records()):
+    for i, r in enumerate(d._records):
         heads[r.u_in] = (i, "u")
         heads[r.o_in] = (i, "o")
     seen = set()
@@ -678,12 +678,12 @@ def _first_violation_by_walk(d):
 def _curl_closing_by_smoothing(d):
     """Reference: the violation of smallest u_in whose plain smoothing has
     a curl record, else the first violation."""
-    recs = d.records()
+    recs = d._records
     for i in sorted(range(d.n_crossings), key=lambda i: recs[i].u_in):
         r = recs[i]
         if r.u_in < r.o_in and any(
                 s.u_out == s.o_in or s.u_in == s.o_out
-                for s in d.smooth_crossing(i).records()):
+                for s in d.smooth_crossing(i)._records):
             return i
     return _first_violation_by_walk(d)
 
@@ -699,7 +699,7 @@ def _walk_by_switch_children(d):
         return (ONE if c == 1 else ZERO, LOOP ** (c - 1))
     i = order[0]
     smoothed = diagram_module._smooth_reduced(d._records, i, d.free_loops)
-    return _combine_by_operators(d.crossing_sign(i),
+    return _combine_by_operators(d._records[i].sign,
                                  _walk_by_switch_children(d.switch_crossing(i)),
                                  _walk_by_switch_children(smoothed))
 
