@@ -267,6 +267,21 @@ class TestCrossingIndex:
             getattr(parse_pd(TREFOIL), method)(index)
 
 
+class TestRecords:
+    def test_records_are_a_tuple_of_recs(self, table):
+        # tests read and iterate d._records in place, so no builder may hand
+        # out a list that a caller could edit under the diagram
+        for name in table.names():
+            d = table.diagram(name)
+            built = [d, d.mirror(),
+                     *(d.switch_crossing(i) for i in range(d.n_crossings)),
+                     *(d.smooth_crossing(i) for i in range(d.n_crossings))]
+            for b in built:
+                assert type(b._records) is tuple
+                assert all(type(r) is _Rec for r in b._records)
+                assert len(b._records) == b.n_crossings
+
+
 class TestValidatorOutcomes:
     # SHA-256 of the outcomes below: any change to a check, a message, the
     # order of the checks or the records of an accepted code changes it
@@ -463,6 +478,26 @@ class TestSwitch:
                 continue
             i = d.n_crossings // 2
             assert d.switch_crossing(i).writhe() == d.writhe() - 2 * d._records[i].sign
+
+    def test_switched_record_is_the_switch_rule(self):
+        # one rule, which the skein walk spells out inline: over and under
+        # exchanged, sign negated; the other records are kept.  A run of one
+        # or two edges can go to the validator's tie-break (see mirror), so
+        # only diagrams without one are compared
+        checked = 0
+        for d in random_planar_diagrams(seed=17, count=100, max_crossings=10):
+            if any(hi - lo < 2 for lo, hi in d._runs):
+                continue
+            checked += 1
+            for i, r in enumerate(d._records):
+                u_in, o_in, u_out, o_out, s = r
+                assert r.switched() == (o_in, u_in, o_out, u_out, -s)
+                assert r.switched().switched() == r
+                recs = list(d._records)
+                recs[i] = r.switched()
+                assert list(d.switch_crossing(i)._records) == recs
+            assert list(d.mirror()._records) == [r.switched() for r in d._records]
+        assert checked > 30
 
     def test_module_crossing_of_table_anchors(self, table):
         # switching the twist-module crossing steps the family down by one

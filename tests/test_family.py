@@ -216,6 +216,18 @@ class TestVerifyFamily:
         closed = [c for c in rep["checks"] if c["name"].startswith("closed_form")]
         assert len(closed) == 11
 
+    def test_lambda2_family_computed_once_per_n(self, table, monkeypatch):
+        from knotforge import family
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return lambda2_family(n)
+
+        monkeypatch.setattr(family, "lambda2_family", counted)
+        assert verify_family(3, table)["passing"]
+        assert calls == [0, 1, 2, 3]
+
     def test_nmax_below_2_rejected(self, table):
         with pytest.raises(ValueError):
             verify_family(1, table)

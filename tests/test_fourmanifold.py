@@ -301,6 +301,30 @@ class TestCharacteristic:
         with pytest.raises(ValueError):
             self_intersection((1, 0), parse_block_form("<-1>"))
 
+    def test_surface_component_dimension_mismatch(self):
+        # a component's class is checked against the form with the error of
+        # self_intersection
+        f = parse_block_form("<-1>")
+        c = SurfaceComponent(genus=0, cls=(1, 0))
+        msg = r"^class has 2 coordinates, form has rank 1$"
+        for call in (lambda: self_intersection(c.cls, f),
+                     lambda: c.self_int(f), lambda: c.homology_class(f)):
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+    def test_surface_component_self_int_checks_class_once(self, monkeypatch):
+        calls = []
+
+        def counted(cls, form):
+            calls.append(cls)
+            return check(cls, form)
+
+        check = fm._check_dims
+        monkeypatch.setattr(fm, "_check_dims", counted)
+        assert SurfaceComponent(genus=0, cls=(1,)).self_int(
+            parse_block_form("<-1>")) == -1
+        assert calls == [(1,)]
+
     def test_scrambled_sigma_classes(self):
         # the class carried through the congruences stays characteristic,
         # with self-intersection 3 sigma; moving one coordinate by 1 breaks

@@ -9,6 +9,8 @@ anywhere in those trees outside the name's own definition.
 import ast
 from pathlib import Path
 
+from test_tracer_targets import tracer_targets
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "knotforge"
 CLASSES = {"PDDiagram": SRC / "diagram.py", "LaurentPoly": SRC / "laurent.py"}
@@ -59,3 +61,15 @@ def test_no_public_member_is_used_by_tests_only():
     unused = sorted(f"{cls}.{name}" for cls, names in members.items()
                     for name in names - used - ALLOWED)
     assert unused == []
+
+
+def test_allowed_names_are_public_tracer_targets():
+    # an allowed name that stopped being a public member or a tracer target
+    # would hide an unused one
+    members = public_members()
+    targets = set(tracer_targets())
+    for name in ALLOWED:
+        owners = [cls for cls, names in members.items() if name in names]
+        assert owners, name
+        assert any((path.stem, f"{cls}.{name}") in targets
+                   for cls in owners for path in [CLASSES[cls]]), name
