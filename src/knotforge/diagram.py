@@ -56,9 +56,9 @@ def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
     code, because both directions increase cyclically.  It is entered at
     slot b of its first such crossing, unless that edge already has a head.
     Such a component is split, so Conway and Jones do not depend on the
-    pick.  A rebuild, a switch or a mirror hands a diagram with such a
-    component to this validator (see ``_trusted``), so the records of every
-    diagram they build equal the validation of its code.
+    pick.  A rebuild or a switch hands a diagram with such a component to
+    this validator (see ``_trusted``), so the records of every diagram they
+    build equal the validation of its code.
     """
     for i, x in enumerate(crossings):
         if len(x) != 4:
@@ -193,19 +193,6 @@ class PDDiagram:
         named = [(parent[a], parent[b], parent[c], parent[d], s)
                  for a, b, c, d, s in recs[:index] + recs[index + 1:]]
         return _relabel(named, self.free_loops, parent)
-
-    def mirror(self) -> "PDDiagram":
-        """Switch every crossing (the mirror-image diagram), keeping labels and runs.
-
-        The switched records go to ``_trusted``, which writes the code.  Not
-        an involution on codes: a run of one or two edges that the mirror
-        leaves under at no crossing goes to the validator there, whose
-        tie-break may reverse it.  Such a run is a split component, so a
-        double mirror keeps the link, its writhe, Conway and Jones, and it
-        keeps the code when neither mirror takes that fallback.
-        """
-        return _trusted(tuple(r.switched() for r in self._records),
-                        self.free_loops, self._runs)
 
     def reduce_r1(self) -> "PDDiagram":
         """Remove Reidemeister-I curls, iterated to a fixpoint, in one relabel.
@@ -530,12 +517,12 @@ def _trusted(records: tuple[_Rec, ...], free_loops: int,
              runs: tuple[tuple[int, int], ...]) -> PDDiagram:
     """A diagram from records and runs its caller traced or kept, unchecked.
 
-    ``_relabel``, ``switch_crossing`` and ``mirror`` hand over records only;
-    the PD code of every diagram they build is written here.  The one check
-    is for a run of one or two edges that is under at no crossing: it reads
-    both ways along its over-strands, so its code does not orient it.  A
-    diagram with one goes through the validating constructor and takes the
-    validator's tie-break.
+    ``_relabel`` and ``switch_crossing`` hand over records only; the PD code
+    of every diagram they build is written here.  The one check is for a
+    run of one or two edges that is under at no crossing: it reads both ways
+    along its over-strands, so its code does not orient it.  A diagram with
+    one goes through the validating constructor and takes the validator's
+    tie-break.
     """
     # positive crossings have the over-strand entering at slot b
     crossings = tuple([(a, b, c, d) if s > 0 else (a, d, c, b)

@@ -8,7 +8,8 @@ L_1 = 9_45 and L_2 = 11n63, while the oriented band smoothing is the
     V(L_n)     = (1 + t^-2 + ... + t^(-2(n-1))) * Vt + t^(-2n) V(L_0)
 
 with Vt = t^-1 (t^(1/2) - t^(-1/2)) V(J_0).  The verifier recomputes the
-anchors with the skein engine and compares exactly.
+anchors with the skein engine, each diagram as the table ships it, and
+compares exactly: an entry of the opposite chirality fails its check.
 """
 
 from __future__ import annotations
@@ -141,27 +142,10 @@ def jones_family(n: int) -> LaurentPoly:
     return partial * TILDE_V + LaurentPoly.monomial(1, -2 * n) * V_L0
 
 
-def _anchored(value_of, d: PDDiagram, matches):
-    """``value_of(d)``, mirroring once if chirality is flipped.
-
-    Returns (value, mirrored).  Published tables disagree on chirality
-    conventions, so a diagram whose mirror gives a value that ``matches``
-    is accepted after mirroring (and flagged).
-    """
-    value = value_of(d)
-    if matches(value):
-        return value, False
-    mirrored = value_of(d.mirror())
-    if matches(mirrored):
-        return mirrored, True
-    return value, False
-
-
 def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
     """Vt computed from the L7n2 diagram; asserts the published 7-term value."""
     table = table if table is not None else load_table()
-    computed, _ = _anchored(lambda d: _T_INV_DELTA * skein.jones(d),
-                            table.diagram("L7n2"), lambda vt: vt == TILDE_V)
+    computed = _T_INV_DELTA * skein.jones(table.diagram("L7n2"))
     if computed != TILDE_V:
         raise AssertionError(
             "Vt from the table diagram does not match the published polynomial "
@@ -193,16 +177,10 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
 
     for n, entry in enumerate(ANCHORS):
         try:
-            d = table.diagram(entry)
-            expected_v = jones_family(n)
-            # one walk gives both; a knot's nabla is mirror-invariant, so
-            # only V decides the mirror retry
-            (nabla, vee), mirrored = _anchored(
-                skein.conway_jones, d, lambda nv: nv[1] == expected_v)
+            nabla, vee = skein.conway_jones(table.diagram(entry))
             check(f"conway[{entry}]", nabla == conway_family(n),
                   nabla.render("z"))
-            check(f"jones[{entry}]", vee == expected_v,
-                  vee.render() + (" (mirrored)" if mirrored else ""))
+            check(f"jones[{entry}]", vee == jones_family(n), vee.render())
         except Exception as exc:  # noqa: BLE001 - report, do not raise
             check(f"anchor[{entry}]", False, f"{type(exc).__name__}: {exc}")
 
@@ -217,11 +195,9 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
 
     for n in range(n_max + 1):
         v = jones_family(n)
-        lambda2 = lambda2_family(n)
-        ok = (v.moment(2) == -12 and v.moment(3) == 36 * n + 108
-              and lambda2 == 72 * n + 270)
-        check(f"closed_form[n={n}]", ok,
-              f"v2={v.moment(2)} v3={v.moment(3)} lambda2={lambda2}")
+        v2, v3, lambda2 = v.moment(2), v.moment(3), lambda2_family(n)
+        ok = v2 == -12 and v3 == 36 * n + 108 and lambda2 == 72 * n + 270
+        check(f"closed_form[n={n}]", ok, f"v2={v2} v3={v3} lambda2={lambda2}")
 
     return {
         "passing": all(c["pass"] for c in checks),

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import knotforge.diagram
 from knotforge.diagram import PDDiagram, _Rec, _relabel
 from knotforge.family import load_table
 from knotforge.laurent import LaurentPoly
@@ -15,6 +16,21 @@ from knotforge.skein import _A_TO_T_QUARTERS
 @pytest.fixture(scope="session")
 def table():
     return load_table()
+
+
+def mirror(d: PDDiagram) -> PDDiagram:
+    """The mirror-image diagram: every record switched, labels and runs kept.
+
+    The switched records go to ``_trusted``, looked up on the module so that
+    a test patching it sees every mirror built.  Not an involution on codes:
+    a run of one or two edges that the mirror leaves under at no crossing
+    goes to the validator there, whose tie-break may reverse it.  Such a run
+    is a split component, so a double mirror keeps the link, its writhe,
+    Conway and Jones, and it keeps the code when neither mirror takes that
+    fallback.
+    """
+    return knotforge.diagram._trusted(tuple(r.switched() for r in d._records),
+                                      d.free_loops, d._runs)
 
 
 def is_planar(d: PDDiagram) -> bool:

@@ -10,7 +10,7 @@ from knotforge import cli
 from knotforge import fourmanifold as fm
 from knotforge.family import load_table
 
-from conftest import with_curls
+from conftest import mirror, with_curls
 
 
 def data_path(filename: str) -> str:
@@ -204,6 +204,25 @@ class TestVerifyPaper:
         failing = {c["name"] for c in json.loads(out)["checks"]
                    if c["pass"] == "false" or c["pass"] is False}
         assert "family/conway[9_45]" in failing
+
+    @pytest.mark.parametrize("entry, check", [
+        ("5_2", "jones[5_2]"), ("9_45", "jones[9_45]"),
+        ("11n63", "jones[11n63]"), ("L7n2", "tilde_v")])
+    def test_mirrored_table_entry_fails(self, capsys, tmp_path, entry, check):
+        # the table pins chirality: an entry of the opposite chirality is
+        # checked as shipped, not mirrored back
+        table = load_table()
+        entries = dict(table.entries)
+        entries[entry] = mirror(table.diagram(entry)).render()
+        alt = tmp_path / "t.txt"
+        alt.write_text("".join(f"name: {n}\n{pd}\n"
+                               for n, pd in entries.items()))
+        code, out = run(capsys, "--no-timestamp",
+                        "verify-paper", "--nmax", "2", "--table", str(alt))
+        assert code == cli.EXIT_CHECK_FAILED
+        assert (f"check family/{check}: expected true actual false [FAIL]"
+                in out.splitlines())
+        assert out.endswith("status: failed-checks\n")
 
 
 class TestShippedConfigs:

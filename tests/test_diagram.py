@@ -20,7 +20,8 @@ from knotforge.diagram import (
 from knotforge import skein
 from knotforge.laurent import LaurentPoly
 
-from conftest import class_table, is_planar, random_planar_diagrams, with_curls
+from conftest import (class_table, is_planar, mirror, random_planar_diagrams,
+                      with_curls)
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
@@ -216,10 +217,10 @@ class TestSigns:
         assert d.writhe() == 3
 
     def test_mirror_negates(self, table):
-        d = parse_pd(TREFOIL).mirror()
+        d = mirror(parse_pd(TREFOIL))
         assert _signs(d) == (-1, -1, -1)
         assert d.writhe() == -3
-        hopf = table.diagram("hopf+").mirror()
+        hopf = mirror(table.diagram("hopf+"))
         assert _signs(hopf) == (-1, -1)
         assert hopf.writhe() == -2
 
@@ -273,7 +274,7 @@ class TestRecords:
         # out a list that a caller could edit under the diagram
         for name in table.names():
             d = table.diagram(name)
-            built = [d, d.mirror(),
+            built = [d, mirror(d),
                      *(d.switch_crossing(i) for i in range(d.n_crossings)),
                      *(d.smooth_crossing(i) for i in range(d.n_crossings))]
             for b in built:
@@ -355,7 +356,7 @@ class TestTrustedRebuild:
         for d in diagrams:
             skein.conway_jones(d)
         walked = len(built)
-        mirrors = [d.mirror() for d in diagrams]
+        mirrors = [mirror(d) for d in diagrams]
         # the walk switches records in place, so switches are built here
         switched = [d.switch_crossing(i) for d in diagrams for i in range(d.n_crossings)]
         # every diagram the walk builds, and every mirror and switch, comes
@@ -429,11 +430,11 @@ class TestTrustedRebuild:
 
 class TestDoubleMirror:
     """A double mirror keeps the link, and keeps the code unless a mirror
-    sends a short run to the validator (see ``PDDiagram.mirror``)."""
+    sends a short run to the validator (see ``conftest.mirror``)."""
 
     def test_split_two_edge_component_may_reverse(self):
         d = PDDiagram([(1, 3, 2, 4), (2, 3, 1, 4)])
-        mm = d.mirror().mirror()
+        mm = mirror(mirror(d))
         assert mm.crossings == ((2, 4, 1, 3), (1, 4, 2, 3))
         assert (mm.writhe(), mm.component_count()) == (d.writhe(), d.component_count())
         assert skein.conway_jones(mm) == skein.conway_jones(d)
@@ -450,7 +451,7 @@ class TestDoubleMirror:
         fell_back = moved = 0
         for d in diagrams:
             calls.clear()
-            mm = d.mirror().mirror()
+            mm = mirror(mirror(d))
             if calls:
                 fell_back += 1
                 moved += mm != d
@@ -482,8 +483,8 @@ class TestSwitch:
     def test_switched_record_is_the_switch_rule(self):
         # one rule, which the skein walk spells out inline: over and under
         # exchanged, sign negated; the other records are kept.  A run of one
-        # or two edges can go to the validator's tie-break (see mirror), so
-        # only diagrams without one are compared
+        # or two edges can go to the validator's tie-break (see
+        # conftest.mirror), so only diagrams without one are compared
         checked = 0
         for d in random_planar_diagrams(seed=17, count=100, max_crossings=10):
             if any(hi - lo < 2 for lo, hi in d._runs):
@@ -496,7 +497,7 @@ class TestSwitch:
                 recs = list(d._records)
                 recs[i] = r.switched()
                 assert list(d.switch_crossing(i)._records) == recs
-            assert list(d.mirror()._records) == [r.switched() for r in d._records]
+            assert list(mirror(d)._records) == [r.switched() for r in d._records]
         assert checked > 30
 
     def test_module_crossing_of_table_anchors(self, table):

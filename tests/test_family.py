@@ -8,6 +8,7 @@ import pytest
 from knotforge.diagram import PDError
 from knotforge.laurent import LaurentPoly
 from knotforge.family import (
+    ANCHORS,
     TILDE_V,
     V_L0,
     KnotTable,
@@ -19,6 +20,9 @@ from knotforge.family import (
     verify_family,
 )
 from knotforge import skein
+from knotforge.skein import _T_INV_DELTA
+
+from conftest import mirror
 
 F = Fraction
 
@@ -183,12 +187,27 @@ class TestTildeV:
         with pytest.raises(AssertionError):
             tilde_v(bad)
 
-    def test_mirrored_entry_accepted_and_flagged(self, table):
-        # a table shipping the mirror diagram still verifies via the
-        # one-mirror retry rule
-        mirrored = KnotTable(
-            {"L7n2": table.diagram("L7n2").mirror().render()})
-        assert tilde_v(mirrored) == TILDE_V
+    def test_mirrored_entry_refused(self, table):
+        # the table pins chirality: an L7n2 of the opposite chirality fails
+        # instead of being mirrored back
+        mirrored = KnotTable({"L7n2": mirror(table.diagram("L7n2")).render()})
+        with pytest.raises(AssertionError, match="does not match the published"):
+            tilde_v(mirrored)
+
+
+class TestChirality:
+    """Every family entry differs from its mirror in V, and the shipped
+    diagram meets its own value, so a flipped entry cannot pass."""
+
+    @pytest.mark.parametrize("entry", [*ANCHORS, "L7n2"])
+    def test_mirror_changes_jones_and_shipped_entry_matches(self, table, entry):
+        d = table.diagram(entry)
+        v = skein.jones(d)
+        assert skein.jones(mirror(d)) != v
+        if entry == "L7n2":
+            assert _T_INV_DELTA * v == TILDE_V
+        else:
+            assert v == jones_family(ANCHORS.index(entry))
 
 
 class TestLambda2Family:
@@ -228,6 +247,19 @@ class TestVerifyFamily:
         assert verify_family(3, table)["passing"]
         assert calls == [0, 1, 2, 3]
 
+    def test_moments_computed_once_per_n(self, table, monkeypatch):
+        orders = []
+        moment = LaurentPoly.moment
+
+        def counted(p, i):
+            orders.append(i)
+            return moment(p, i)
+
+        monkeypatch.setattr(LaurentPoly, "moment", counted)
+        assert verify_family(3, table)["passing"]
+        # the four moments of Vt, then v2 and v3 of each L_n
+        assert orders == [0, 1, 2, 3] + [2, 3] * 4
+
     def test_nmax_below_2_rejected(self, table):
         with pytest.raises(ValueError):
             verify_family(1, table)
@@ -237,6 +269,17 @@ class TestVerifyFamily:
         with pytest.raises(ValueError, match=(
                 f"n_max must be a non-negative integer, got {re.escape(repr(n_max))}$")):
             verify_family(n_max, table)
+
+    @pytest.mark.parametrize("entry", ANCHORS)
+    def test_mirrored_anchor_fails_its_jones_check(self, table, entry):
+        # an anchor of the opposite chirality is checked as shipped: its V
+        # misses the closed form, while its knot nabla and every other check
+        # still pass
+        entries = dict(table.entries)
+        entries[entry] = mirror(table.diagram(entry)).render()
+        rep = verify_family(2, KnotTable(entries))
+        assert not rep["passing"]
+        assert [c["name"] for c in rep["checks"] if not c["pass"]] == [f"jones[{entry}]"]
 
     def test_corrupted_entry_flags_specific_identity(self, table):
         entries = dict(table.entries)
