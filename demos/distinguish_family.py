@@ -16,20 +16,22 @@ from knotforge.family import ANCHORS
 
 table = load_table()
 anchors = dict(enumerate(ANCHORS))
+records = {}
 
 print("=== Polynomial invariants of the family anchors ===\n")
 for n, name in anchors.items():
     d = table.diagram(name)
     print(f"L_{n} = {name}  ({d.n_crossings} crossings, writhe {d.writhe()})")
-    print(f"  conway: {skein.conway(d).render('z')}")
-    print(f"  jones:  {skein.jones(d).render('t')}")
-    inv = surgery_invariants(d)
+    nabla, vee = skein.conway_jones(d)
+    print(f"  conway: {nabla.render('z')}")
+    print(f"  jones:  {vee.render('t')}")
+    inv = records[n] = surgery_invariants(d)
     print(f"  a2={inv.a2}  c4={inv.c4}  v2={inv.v2}  v3={inv.v3}")
     print(f"  lambda1={inv.lambda1}  lambda2={inv.lambda2}\n")
 
 print("=== Pairwise comparison of the (-1)-surgery manifolds ===\n")
 for i, j in itertools.combinations(anchors, 2):
-    rep = distinguish(table.diagram(anchors[i]), table.diagram(anchors[j]))
+    rep = distinguish(records[i], records[j])
     a, b = rep["lambda2_pair"]
     print(f"(L_{i}, L_{j}): lambda2 {a} vs {b} -> {rep['verdict']}")
 

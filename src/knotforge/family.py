@@ -21,7 +21,7 @@ from .diagram import PDDiagram, PDError, _parse_lines
 from .laurent import LaurentPoly
 from . import skein
 from .skein import _T_INV_DELTA
-from .invariants import ohtsuki_lambda2
+from .invariants import _invariants_from
 
 __all__ = [
     "KnotTable",
@@ -154,9 +154,8 @@ def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
 
 
 def lambda2_family(n: int) -> Fraction:
-    """lambda2 of (-1)-surgery on L_n from the closed-form moments; 72n + 270."""
-    _check_family_index(n)
-    value = ohtsuki_lambda2(Fraction(-12), Fraction(36 * n + 108), Fraction(-n))
+    """lambda2 of (-1)-surgery on L_n from the closed forms; 72n + 270."""
+    value = _invariants_from(conway_family(n), jones_family(n)).lambda2
     expected = Fraction(72 * n + 270)
     if value != expected:
         raise AssertionError(f"lambda2 closed form broke: {value} != {expected}")
@@ -164,13 +163,15 @@ def lambda2_family(n: int) -> Fraction:
 
 
 def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
-    """Recompute the family anchors and closed forms; report per-check results."""
+    """Recompute the family anchors and closed forms; report per-check results
+    and, under "invariants", the record of each anchor that passed both checks."""
     if type(n_max) is not int:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     table = table if table is not None else load_table()
     checks: list[dict] = []
+    invariants = {}
 
     def check(name: str, ok: bool, detail: str = ""):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
@@ -178,9 +179,11 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
     for n, entry in enumerate(ANCHORS):
         try:
             nabla, vee = skein.conway_jones(table.diagram(entry))
-            check(f"conway[{entry}]", nabla == conway_family(n),
-                  nabla.render("z"))
-            check(f"jones[{entry}]", vee == jones_family(n), vee.render())
+            conway_ok, jones_ok = nabla == conway_family(n), vee == jones_family(n)
+            check(f"conway[{entry}]", conway_ok, nabla.render("z"))
+            check(f"jones[{entry}]", jones_ok, vee.render())
+            if conway_ok and jones_ok:
+                invariants[entry] = _invariants_from(nabla, vee)
         except Exception as exc:  # noqa: BLE001 - report, do not raise
             check(f"anchor[{entry}]", False, f"{type(exc).__name__}: {exc}")
 
@@ -194,13 +197,14 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
         check("tilde_v", False, f"{type(exc).__name__}: {exc}")
 
     for n in range(n_max + 1):
-        v = jones_family(n)
-        v2, v3, lambda2 = v.moment(2), v.moment(3), lambda2_family(n)
-        ok = v2 == -12 and v3 == 36 * n + 108 and lambda2 == 72 * n + 270
-        check(f"closed_form[n={n}]", ok, f"v2={v2} v3={v3} lambda2={lambda2}")
+        inv = _invariants_from(conway_family(n), jones_family(n))
+        ok = inv.v2 == -12 and inv.v3 == 36 * n + 108 and inv.lambda2 == 72 * n + 270
+        check(f"closed_form[n={n}]", ok,
+              f"v2={inv.v2} v3={inv.v3} lambda2={inv.lambda2}")
 
     return {
         "passing": all(c["pass"] for c in checks),
         "n_max": n_max,
         "checks": checks,
+        "invariants": invariants,
     }

@@ -108,19 +108,15 @@ def surgery_invariants(d: PDDiagram) -> SurgeryInvariants:
     return _invariants_from(*skein.conway_jones(d))
 
 
-def distinguish(d1: PDDiagram, d2: PDDiagram) -> dict:
-    """Compare the (-1)-surgery invariants of two knots.
+def distinguish(inv1: SurgeryInvariants, inv2: SurgeryInvariants) -> dict:
+    """Compare the (-1)-surgery invariant records of two knots.
 
     Verdict is "distinguished" when lambda1 or lambda2 differ (the surgered
     manifolds are then not homeomorphic) and "inconclusive" otherwise —
     equality of these invariants proves nothing.
     """
-    inv1 = surgery_invariants(d1)
-    inv2 = surgery_invariants(d2)
     distinguished = inv1.lambda1 != inv2.lambda1 or inv1.lambda2 != inv2.lambda2
     return {
-        "first": inv1.as_dict(),
-        "second": inv2.as_dict(),
         "verdict": "distinguished" if distinguished else "inconclusive",
         "lambda2_pair": [str(inv1.lambda2), str(inv2.lambda2)],
     }

@@ -83,7 +83,7 @@ _A_TO_T_QUARTERS = -1
 _T_INV_DELTA = LaurentPoly({-1: 1, -3: -1})   # t^-1 (t^(1/2) - t^(-1/2)), doubled keys
 _LOOP = LaurentPoly({1: 1, -1: 1})             # t^(1/2) + t^(-1/2)
 _ONE = LaurentPoly.one()
-_ZERO = LaurentPoly.zero()
+_ZERO = LaurentPoly()
 # k -> _LOOP ** k, filled as walks meet larger unlinks.  The values are
 # immutable and depend on k alone, so every leaf of every walk shares them.
 _LOOP_POWERS: dict[int, LaurentPoly] = {}

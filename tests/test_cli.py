@@ -23,6 +23,16 @@ def run(capsys, *argv):
     return code, out
 
 
+def mirrored_table(tmp_path, entry) -> str:
+    """Path of a copy of the shipped table with entry replaced by its mirror."""
+    table = load_table()
+    entries = dict(table.entries)
+    entries[entry] = mirror(table.diagram(entry)).render()
+    alt = tmp_path / "t.txt"
+    alt.write_text("".join(f"name: {n}\n{pd}\n" for n, pd in entries.items()))
+    return str(alt)
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, _ = run(capsys, "tb", "--writhe", "1", "--cusps", "2")
@@ -211,18 +221,53 @@ class TestVerifyPaper:
     def test_mirrored_table_entry_fails(self, capsys, tmp_path, entry, check):
         # the table pins chirality: an entry of the opposite chirality is
         # checked as shipped, not mirrored back
-        table = load_table()
-        entries = dict(table.entries)
-        entries[entry] = mirror(table.diagram(entry)).render()
-        alt = tmp_path / "t.txt"
-        alt.write_text("".join(f"name: {n}\n{pd}\n"
-                               for n, pd in entries.items()))
-        code, out = run(capsys, "--no-timestamp",
-                        "verify-paper", "--nmax", "2", "--table", str(alt))
+        code, out = run(capsys, "--no-timestamp", "verify-paper", "--nmax", "2",
+                        "--table", mirrored_table(tmp_path, entry))
         assert code == cli.EXIT_CHECK_FAILED
         assert (f"check family/{check}: expected true actual false [FAIL]"
                 in out.splitlines())
         assert out.endswith("status: failed-checks\n")
+
+    # the lambda2 a mirrored anchor would give: its v3 changes sign
+    @pytest.mark.parametrize("entry, unchecked, mirror_lambda2", [
+        ("9_45", {"5_2,9_45", "9_45,11n63"}, "246"),
+        ("11n63", {"9_45,11n63"}, "294"),
+        ("L7n2", set(), None)])
+    def test_distinguish_compares_only_checked_anchors(
+            self, capsys, tmp_path, entry, unchecked, mirror_lambda2):
+        code, out = run(capsys, "--no-timestamp", "verify-paper", "--nmax", "2",
+                        "--table", mirrored_table(tmp_path, entry))
+        assert code == cli.EXIT_CHECK_FAILED
+        lines = out.splitlines()
+        pairs = {"5_2,9_45": "['270', '342']", "9_45,11n63": "['342', '414']"}
+        for pair, lambda2 in pairs.items():
+            if pair in unchecked:
+                assert (f"check distinguish[{pair}]: expected distinguished "
+                        "actual unchecked [FAIL]") in lines
+                assert not any(ln.startswith(f"lambda2[{pair}]") for ln in lines)
+            else:
+                assert (f"check distinguish[{pair}]: expected distinguished "
+                        "actual distinguished [PASS]") in lines
+                assert f"lambda2[{pair}] = {lambda2}" in lines
+        if mirror_lambda2 is not None:
+            assert mirror_lambda2 not in out
+
+    def test_walks_each_family_entry_once(self, capsys, monkeypatch):
+        from knotforge import skein
+        walked = []
+        conway_jones = skein.conway_jones
+
+        def counted(d):
+            walked.append(d)
+            return conway_jones(d)
+
+        monkeypatch.setattr(skein, "conway_jones", counted)
+        code, _ = run(capsys, "--no-timestamp", "verify-paper", "--nmax", "2")
+        assert code == 0
+        # the three anchors and L7n2, once each
+        table = load_table()
+        assert ([d.render() for d in walked]
+                == [table.diagram(e).render() for e in ("5_2", "9_45", "11n63", "L7n2")])
 
 
 class TestShippedConfigs:

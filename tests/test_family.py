@@ -148,7 +148,7 @@ class TestClosedForms:
 
     def test_jones_geometric_series_by_additions_to_200(self):
         # the series 1 + t^-2 + ... + t^(-2(n-1)) summed term by term
-        partial = LaurentPoly.zero()
+        partial = LaurentPoly()
         for n in range(201):
             expected = partial * TILDE_V + LaurentPoly.monomial(1, -2 * n) * V_L0
             assert jones_family(n) == expected
@@ -235,17 +235,24 @@ class TestVerifyFamily:
         closed = [c for c in rep["checks"] if c["name"].startswith("closed_form")]
         assert len(closed) == 11
 
-    def test_lambda2_family_computed_once_per_n(self, table, monkeypatch):
+    def test_invariants_built_once_per_anchor_and_per_n(self, table, monkeypatch):
         from knotforge import family
-        calls = []
+        built = []
+        invariants_from = family._invariants_from
 
-        def counted(n):
-            calls.append(n)
-            return lambda2_family(n)
+        def counted(nabla, vee):
+            built.append((nabla, vee))
+            return invariants_from(nabla, vee)
 
-        monkeypatch.setattr(family, "lambda2_family", counted)
-        assert verify_family(3, table)["passing"]
-        assert calls == [0, 1, 2, 3]
+        monkeypatch.setattr(family, "_invariants_from", counted)
+        rep = verify_family(3, table)
+        assert rep["passing"]
+        # the anchors' walked polynomials, then the closed forms of L_0..L_3
+        assert built == [(conway_family(n), jones_family(n))
+                         for n in (0, 1, 2, 0, 1, 2, 3)]
+        assert list(rep["invariants"]) == list(ANCHORS)
+        for n, entry in enumerate(ANCHORS):
+            assert rep["invariants"][entry].lambda2 == lambda2_family(n)
 
     def test_moments_computed_once_per_n(self, table, monkeypatch):
         orders = []
@@ -257,8 +264,9 @@ class TestVerifyFamily:
 
         monkeypatch.setattr(LaurentPoly, "moment", counted)
         assert verify_family(3, table)["passing"]
-        # the four moments of Vt, then v2 and v3 of each L_n
-        assert orders == [0, 1, 2, 3] + [2, 3] * 4
+        # v2 and v3 of each anchor, the four moments of Vt, then v2 and v3
+        # of each L_n
+        assert orders == [2, 3] * 3 + [0, 1, 2, 3] + [2, 3] * 4
 
     def test_nmax_below_2_rejected(self, table):
         with pytest.raises(ValueError):
@@ -280,6 +288,8 @@ class TestVerifyFamily:
         rep = verify_family(2, KnotTable(entries))
         assert not rep["passing"]
         assert [c["name"] for c in rep["checks"] if not c["pass"]] == [f"jones[{entry}]"]
+        # only the anchors that passed both checks keep a record
+        assert list(rep["invariants"]) == [a for a in ANCHORS if a != entry]
 
     def test_corrupted_entry_flags_specific_identity(self, table):
         entries = dict(table.entries)

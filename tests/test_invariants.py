@@ -134,19 +134,32 @@ class TestSurgeryInvariants:
 
 
 class TestDistinguish:
-    def test_5_2_vs_9_45(self, table):
-        rep = distinguish(table.diagram("5_2"), table.diagram("9_45"))
+    @pytest.fixture
+    def records(self, table):
+        return {name: surgery_invariants(table.diagram(name))
+                for name in ("5_2", "9_45", "11n63")}
+
+    def test_5_2_vs_9_45(self, records):
+        rep = distinguish(records["5_2"], records["9_45"])
         assert rep["verdict"] == "distinguished"
         assert rep["lambda2_pair"] == ["270", "342"]
 
-    def test_9_45_vs_11n63(self, table):
-        rep = distinguish(table.diagram("9_45"), table.diagram("11n63"))
+    def test_9_45_vs_11n63(self, records):
+        rep = distinguish(records["9_45"], records["11n63"])
         assert rep["verdict"] == "distinguished"
         assert rep["lambda2_pair"] == ["342", "414"]
 
-    def test_same_knot_inconclusive(self, table):
-        rep = distinguish(table.diagram("5_2"), table.diagram("5_2"))
+    def test_same_knot_inconclusive(self, records):
+        rep = distinguish(records["5_2"], records["5_2"])
         assert rep["verdict"] == "inconclusive"
+
+    def test_compares_records_without_walking(self, records, monkeypatch):
+        def walk(d):
+            raise AssertionError("distinguish walked a diagram")
+
+        monkeypatch.setattr(skein, "conway_jones", walk)
+        assert distinguish(records["5_2"], records["11n63"]) == {
+            "verdict": "distinguished", "lambda2_pair": ["270", "414"]}
 
     def test_constant_lambda2_gap(self):
         from knotforge.family import lambda2_family

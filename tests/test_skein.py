@@ -36,7 +36,7 @@ from test_laurent import polys
 
 F = Fraction
 ONE = LaurentPoly.one()
-ZERO = LaurentPoly.zero()
+ZERO = LaurentPoly()
 Z = LaurentPoly.monomial(1, 1)
 V_L0 = LaurentPoly.from_exponents(
     {-1: 1, -2: -1, -3: 2, -4: -1, -5: 1, -6: -1})
@@ -154,7 +154,7 @@ class TestSkeinIdentities:
                 minus = d if d._records[i].sign < 0 else d.switch_crossing(i)
                 zero = d.smooth_crossing(i)
                 assert conway(plus) - conway(minus) + Z * conway(zero) \
-                    == LaurentPoly.zero()
+                    == LaurentPoly()
 
     def test_jones_relation_at_every_crossing(self):
         t = LaurentPoly.monomial(1, 1)
