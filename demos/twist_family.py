@@ -13,7 +13,7 @@ Run:  python3 demos/twist_family.py
 
 from knotforge.diagram import parse_pd
 from knotforge.family import (
-    ANCHORS, TILDE_V, conway_family, jones_family, load_table, verify_family)
+    ANCHORS, conway_family, jones_family, load_table, tilde_v, verify_family)
 from knotforge import skein
 
 trefoil = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
@@ -34,8 +34,9 @@ for n, name in enumerate(ANCHORS):
     assert engine == closed
 
 print("\nIncrement polynomial (from the 2-component link J0):")
-print(" ", TILDE_V.render("t"))
-print("Its exponent moments:", [str(TILDE_V.moment(i)) for i in range(4)])
+vt = tilde_v(table)   # raises unless it is the published polynomial
+print(" ", vt.render("t"))
+print("Its exponent moments:", [str(vt.moment(i)) for i in range(4)])
 
 print("\n=== Full verification report up to n = 10 ===\n")
 report = verify_family(10, table)

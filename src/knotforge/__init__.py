@@ -27,7 +27,6 @@ from .family import (
     conway_family,
     jones_family,
     tilde_v,
-    lambda2_family,
     verify_family,
 )
 from .fourmanifold import (

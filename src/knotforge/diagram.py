@@ -44,7 +44,8 @@ class _Rec(NamedTuple):
 
     def switched(self) -> "_Rec":
         """The crossing with over and under strands exchanged."""
-        return _Rec(self.o_in, self.u_in, self.o_out, self.u_out, -self.sign)
+        # tuple.__new__ skips the NamedTuple constructor's argument handling
+        return tuple.__new__(_Rec, (self[1], self[0], self[3], self[2], -self[4]))
 
 
 def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
@@ -203,11 +204,8 @@ class PDDiagram:
         ``_reduce``).  Bigons are kept.  A diagram without curls is returned
         as it is.
         """
-        parent = list(range(2 * len(self.crossings) + 1))
-        named = _reduce(self._records, parent, False)
-        if len(named) == len(self._records):
-            return self
-        return _relabel(named, self.free_loops, parent)
+        return _reduced(self._records, list(range(2 * len(self.crossings) + 1)),
+                        self.free_loops, False, self)
 
     def insert_full_twists(self, site: tuple[int, int], n: int) -> "PDDiagram":
         """Insert n full twists of the two strands carrying the given edges.
@@ -442,17 +440,27 @@ def _reduce(recs: Sequence[tuple[int, ...]], parent: list[int], bigons: bool
     return [r for r, removed in zip(named, gone) if not removed]
 
 
+def _reduced(recs: Sequence[tuple[int, ...]], parent: list[int], free_loops: int,
+             bigons: bool, same: "PDDiagram | None" = None) -> PDDiagram:
+    """The diagram of recs, named by the class table parent, with free_loops
+    free loops, after ``_reduce``: its curls and, when ``bigons`` is set,
+    its bigons removed to a fixpoint, in one relabel.  ``same``, if given,
+    is the diagram whose records recs are; it is returned when none goes.
+    """
+    named = _reduce(recs, parent, bigons)
+    if same is not None and len(named) == len(recs):
+        return same
+    return _relabel(named, free_loops, parent)
+
+
 def _smooth_reduced(recs: Sequence[tuple[int, ...]], index: int,
                     free_loops: int) -> PDDiagram:
     """The skein walk's smoothing child: the smoothing of crossing index of
-    the strand records recs, with free_loops free loops, with its
-    Reidemeister-I curls and Reidemeister-II bigons removed to a fixpoint,
-    in one relabel.  The smoothing's flat class table (see ``_smoothing``)
-    goes straight to ``_reduce``.
-    """
-    parent = _smoothing(recs[index], 2 * len(recs))
-    return _relabel(_reduce(recs[:index] + recs[index + 1:], parent, True),
-                    free_loops, parent)
+    the strand records recs, with free_loops free loops, with its curls and
+    bigons removed by ``_reduced`` under the smoothing's flat class table
+    (see ``_smoothing``)."""
+    return _reduced(recs[:index] + recs[index + 1:],
+                    _smoothing(recs[index], 2 * len(recs)), free_loops, True)
 
 
 def _relabel(named: list[tuple[int, ...]], free_loops: int,

@@ -14,7 +14,6 @@ compares exactly: an entry of the opposite chirality fails its check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from importlib import resources
 
 from .diagram import PDDiagram, PDError, _parse_lines
@@ -29,7 +28,6 @@ __all__ = [
     "conway_family",
     "jones_family",
     "tilde_v",
-    "lambda2_family",
     "verify_family",
     "ANCHORS",
     "V_L0",
@@ -142,24 +140,19 @@ def jones_family(n: int) -> LaurentPoly:
     return partial * TILDE_V + LaurentPoly.monomial(1, -2 * n) * V_L0
 
 
+def _computed_tilde_v(table: KnotTable) -> LaurentPoly:
+    """Vt = t^-1 (t^(1/2) - t^(-1/2)) V(J_0) from the table's L7n2 diagram."""
+    return _T_INV_DELTA * skein.jones(table.diagram("L7n2"))
+
+
 def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
     """Vt computed from the L7n2 diagram; asserts the published 7-term value."""
-    table = table if table is not None else load_table()
-    computed = _T_INV_DELTA * skein.jones(table.diagram("L7n2"))
+    computed = _computed_tilde_v(table if table is not None else load_table())
     if computed != TILDE_V:
         raise AssertionError(
             "Vt from the table diagram does not match the published polynomial "
             "(convention bug): " + computed.render())
     return computed
-
-
-def lambda2_family(n: int) -> Fraction:
-    """lambda2 of (-1)-surgery on L_n from the closed forms; 72n + 270."""
-    value = _invariants_from(conway_family(n), jones_family(n)).lambda2
-    expected = Fraction(72 * n + 270)
-    if value != expected:
-        raise AssertionError(f"lambda2 closed form broke: {value} != {expected}")
-    return value
 
 
 def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
@@ -188,7 +181,7 @@ def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
             check(f"anchor[{entry}]", False, f"{type(exc).__name__}: {exc}")
 
     try:
-        vt = tilde_v(table)
+        vt = _computed_tilde_v(table)
         check("tilde_v", vt == TILDE_V, vt.render())
         moments = tuple(vt.moment(i) for i in range(4))
         check("tilde_v moments", moments == (0, 2, -4, -28),

@@ -23,21 +23,21 @@ with fewer crossings than its node, so the recursion terminates.  Nodes
 are memoised under their PD code as given, not under a canonical
 relabelling (see canonical_code).
 
-Reidemeister-I curls are removed once, on entry, before the crossing
-budget is checked; Reidemeister-II bigons are kept there, so the budget
-counts the crossings left after R1 reduction.  A switch keeps the curl
-test (under-out is over-in, or under-in is over-out), so the working
-records of a curl-free node stay curl-free.  The smoothing child also
-cancels the bigons that smoothing exposes, and those that switches left in
-the records.  It writes its two glued edge pairs into a flat class table,
-a list indexing each edge id to its class's smallest id (see
-diagram._smoothing).  One pass writes each record in class names and lists
-every curl and bigon; a removal glues the classes through its crossings
-and renames the two slots at the ends of each merged class, and only the
-crossings at those ends can become a curl or a bigon in turn (see
-diagram._reduce).  The records kept go straight to the relabel, so each
-child is mapped once and relabelled once.  Only a run of one or two edges
-that is under at no crossing goes back to the validator.
+On entry the crossing budget counts the crossings left after the curls
+are removed; then the bigons go too, as in every smoothing child (see
+diagram._reduced), so every node of the walk has no Reidemeister-I curl
+and no Reidemeister-II bigon.  A switch keeps the curl test (under-out is
+over-in, or under-in is over-out), so the working records of a node stay
+curl-free.  The smoothing child cancels the bigons that smoothing
+exposes, and those that switches left in the records.  It writes its two
+glued edge pairs into a flat class table, a list indexing each edge id to
+its class's smallest id (see diagram._smoothing).  One pass writes each
+record in class names and lists every curl and bigon; a removal glues the
+classes through its crossings and renames the two slots at the ends of
+each merged class, and only the crossings at those ends can become a curl
+or a bigon in turn (see diagram._reduce).  The records kept go straight to
+the relabel, so each child is mapped once and relabelled once.  Only a run
+of one or two edges that is under at no crossing goes back to the validator.
 
 There is one walk.  A node adds the terms of each smoothing child, shifted
 by the switches before it, and of the unlink at the end of its chain into
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .diagram import PDDiagram, _smooth_reduced
+from .diagram import PDDiagram, _reduced, _smooth_reduced
 from .laurent import LaurentPoly, _from_terms
 
 __all__ = [
@@ -166,7 +166,7 @@ def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
-    """(nabla, V) of d, which has no Reidemeister-I curl.
+    """(nabla, V) of d, which has no Reidemeister-I curl and no bigon.
 
     The crossings of ``_resolution_order`` are switched one by one in a
     working copy of d's records, and each is smoothed, in the state its
@@ -185,12 +185,8 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
     loops = d.free_loops
     chain = []
     for i in _resolution_order(recs):
-        u_in, o_in, u_out, o_out, s = recs[i]
-        chain.append((s, _skein_eval(_smooth_reduced(recs, i, loops), memo)))
-        # _Rec.switched, inline: calling it made a twist_family pass about
-        # 2 % slower (CPython 3.11.7, 2-vCPU x86_64), more than the
-        # benchmark's spread
-        recs[i] = (o_in, u_in, o_out, u_out, -s)
+        chain.append((recs[i][4], _skein_eval(_smooth_reduced(recs, i, loops), memo)))
+        recs[i] = recs[i].switched()
     val = _sum_chain(chain, _unlink(d.component_count()))
     memo.put(key, val)
     return val
@@ -237,7 +233,9 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d from one skein walk with a fresh memo.
 
     Raises CrossingBudgetExceeded when more than DEFAULT_CROSSING_BUDGET
-    crossings are left after Reidemeister-I reduction.
+    crossings are left after Reidemeister-I reduction.  The walk then starts
+    from that diagram without its Reidemeister-II bigons, and the curls
+    their removal exposes, removed to a fixpoint.
     """
     d = d.reduce_r1()
     if d.n_crossings > DEFAULT_CROSSING_BUDGET:
@@ -245,6 +243,7 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
             f"diagram has {d.n_crossings} crossings after R1 reduction, "
             f"budget is {DEFAULT_CROSSING_BUDGET}"
         )
+    d = _reduced(d._records, list(range(2 * d.n_crossings + 1)), d.free_loops, True, d)
     return _skein_eval(d, SkeinMemo())
 
 

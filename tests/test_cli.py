@@ -117,6 +117,14 @@ class TestExitCodes:
         big.write_text(d.render())
         assert cli.main(["invariants", "--pd", str(big)]) == 3
 
+    def test_budget_counts_crossings_before_r2(self, tmp_path):
+        # 25 crossings after R1 and 15 after R2: refused all the same
+        d = load_table().diagram("11n63").insert_full_twists((3, 25), -6)
+        assert (d.n_crossings, d.reduce_r1().n_crossings) == (25, 25)
+        big = tmp_path / "big.pd"
+        big.write_text(d.render())
+        assert cli.main(["invariants", "--pd", str(big)]) == 3
+
     def test_budget_counts_crossings_after_r1(self, capsys, tmp_path):
         # L_7 (23 crossings) with two curls: 25 crossings, 23 after R1
         d = with_curls(load_table().diagram("11n63").insert_full_twists((3, 25), 5), 2)

@@ -14,7 +14,6 @@ from knotforge.family import (
     KnotTable,
     conway_family,
     jones_family,
-    lambda2_family,
     load_table,
     tilde_v,
     verify_family,
@@ -22,7 +21,7 @@ from knotforge.family import (
 from knotforge import skein
 from knotforge.skein import _T_INV_DELTA
 
-from conftest import mirror
+from conftest import closed_form_lambda2, mirror
 
 F = Fraction
 
@@ -159,12 +158,12 @@ class TestClosedForms:
             assert jones_family(n).moment(0) == 1
 
     def test_negative_n_rejected(self):
-        for fn in (conway_family, jones_family, lambda2_family):
+        for fn in (conway_family, jones_family):
             with pytest.raises(ValueError):
                 fn(-1)
 
     @pytest.mark.parametrize("n", [1.5, True, False, 1.0, F(1), "1"])
-    @pytest.mark.parametrize("fn", [conway_family, jones_family, lambda2_family])
+    @pytest.mark.parametrize("fn", [conway_family, jones_family])
     def test_non_integer_n_rejected(self, fn, n):
         # a bool or a non-int names no L_n, even where it compares equal to one
         with pytest.raises(ValueError, match="family index must be a non-negative "
@@ -212,16 +211,15 @@ class TestChirality:
 
 class TestLambda2Family:
     def test_values(self):
-        assert lambda2_family(0) == 270
-        assert lambda2_family(2) == 414
-        assert lambda2_family(10) == 990
+        for n in range(11):
+            assert closed_form_lambda2(n) == 72 * n + 270
 
     def test_recomputed_from_jones_moments(self):
         from knotforge.invariants import ohtsuki_lambda2
         for n in (0, 5, 10):
             v = jones_family(n)
             assert ohtsuki_lambda2(v.moment(2), v.moment(3), -n) \
-                == lambda2_family(n)
+                == closed_form_lambda2(n)
 
 
 class TestVerifyFamily:
@@ -252,7 +250,7 @@ class TestVerifyFamily:
                          for n in (0, 1, 2, 0, 1, 2, 3)]
         assert list(rep["invariants"]) == list(ANCHORS)
         for n, entry in enumerate(ANCHORS):
-            assert rep["invariants"][entry].lambda2 == lambda2_family(n)
+            assert rep["invariants"][entry].lambda2 == 72 * n + 270
 
     def test_moments_computed_once_per_n(self, table, monkeypatch):
         orders = []
@@ -290,6 +288,19 @@ class TestVerifyFamily:
         assert [c["name"] for c in rep["checks"] if not c["pass"]] == [f"jones[{entry}]"]
         # only the anchors that passed both checks keep a record
         assert list(rep["invariants"]) == [a for a in ANCHORS if a != entry]
+
+    def test_mirrored_l7n2_fails_tilde_v_with_its_value(self, table):
+        # the check compares the computed Vt with the published one and
+        # reports the computed Vt, not an exception
+        mirrored = mirror(table.diagram("L7n2"))
+        entries = dict(table.entries)
+        entries["L7n2"] = mirrored.render()
+        rep = verify_family(2, KnotTable(entries))
+        check = next(c for c in rep["checks"] if c["name"] == "tilde_v")
+        assert not check["pass"]
+        assert check["detail"] == (_T_INV_DELTA * skein.jones(mirrored)).render()
+        assert not rep["passing"]
+        assert list(rep["invariants"]) == list(ANCHORS)
 
     def test_corrupted_entry_flags_specific_identity(self, table):
         entries = dict(table.entries)

@@ -16,6 +16,8 @@ from knotforge.invariants import (
 )
 from knotforge import skein
 
+from conftest import closed_form_lambda2
+
 F = Fraction
 
 
@@ -127,10 +129,9 @@ class TestSurgeryInvariants:
             assert inv.v2 == -6 * inv.a2
 
     def test_engine_equals_closed_form_on_anchors(self, table):
-        from knotforge.family import lambda2_family
         for n, name in ((0, "5_2"), (1, "9_45"), (2, "11n63")):
             assert surgery_invariants(table.diagram(name)).lambda2 \
-                == lambda2_family(n)
+                == closed_form_lambda2(n)
 
 
 class TestDistinguish:
@@ -162,6 +163,5 @@ class TestDistinguish:
             "verdict": "distinguished", "lambda2_pair": ["270", "414"]}
 
     def test_constant_lambda2_gap(self):
-        from knotforge.family import lambda2_family
         for n in range(1, 11):
-            assert lambda2_family(n) - lambda2_family(n - 1) == 72
+            assert closed_form_lambda2(n) - closed_form_lambda2(n - 1) == 72

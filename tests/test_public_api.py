@@ -1,9 +1,12 @@
-"""Every public method and property of PDDiagram and LaurentPoly is used by
-the package, the demos or the benchmarks.
+"""Every public method and property of PDDiagram and LaurentPoly, and every
+name the package re-exports, is used by the package, the demos or the
+benchmarks.
 
 A name that only the tests call is API kept for the tests alone; the tests
-read the private fields instead.  A use is an attribute access ``.name``
-anywhere in those trees outside the name's own definition.
+read the private fields instead.  A use of a member is an attribute access
+``.name`` anywhere in those trees outside the name's own definition; a use
+of a re-exported name is also a plain name read.  The ``__all__`` strings
+and the import statements that re-export a name are no use of it.
 """
 
 import ast
@@ -61,6 +64,43 @@ def test_no_public_member_is_used_by_tests_only():
     unused = sorted(f"{cls}.{name}" for cls, names in members.items()
                     for name in names - used - ALLOWED)
     assert unused == []
+
+
+def reexported_names() -> set[str]:
+    """The names knotforge/__init__.py imports from its modules."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def name_reads(tree: ast.AST) -> set[str]:
+    """The names and attribute names read in tree, each outside the body of
+    its own function or class definition."""
+    used = set()
+
+    def visit(node, own=frozenset()):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in own:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree)
+    return used
+
+
+def test_no_reexported_name_is_used_by_tests_only():
+    names = reexported_names()
+    assert {"PDDiagram", "surgery_invariants", "verify_family"} <= names
+    used = set()
+    files = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "benchmarks").glob("*.py")]
+    for path in files:
+        used |= name_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(names - used) == []
 
 
 def test_allowed_names_are_public_tracer_targets():

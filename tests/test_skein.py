@@ -393,6 +393,9 @@ class TestWalkRebuilds:
 
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
+        # the roots of L_0 and L_1 lose bigons, so each takes one relabel
+        roots = sum(reduce_root(d) is not d for d in diagrams)
+        assert roots == 2
         monkeypatch.setattr(diagram_module, "_relabel", counting("relabel", relabel))
         monkeypatch.setattr(diagram_module, "_validate", checked_validate)
         monkeypatch.setattr(diagram_module, "_trusted", marked_trusted)
@@ -405,7 +408,7 @@ class TestWalkRebuilds:
         # has a short run for the validator
         assert per_switch == []
         assert per_smoothing and set(per_smoothing) == {1}
-        assert calls["relabel"] == len(per_smoothing)
+        assert calls["relabel"] == len(per_smoothing) + roots
         assert calls["fallback"] == 0
 
     @pytest.mark.parametrize("n", [*range(8, 15), 20, 50, 100])
@@ -452,11 +455,23 @@ class TestFuzzedCodes:
         # builds every switch child as a diagram and resolves it on its own
         walked = planar = 0
         for d in islice(one_edit_codes(table, 2401, 10, 1), 600):
-            d = d.reduce_r1()
+            d = reduce_root(d)
             walked += 1
             planar += is_planar(d)
             assert conway_jones(d) == _walk_by_switch_children(d), d.render()
         assert 100 < planar < walked - 100
+
+    def test_roots_that_lose_bigons(self, table):
+        # the walk starts from the root with its bigons removed; on planar
+        # codes R2 keeps the link, so V is still the oracle's
+        reduced = 0
+        for d in islice(one_edit_codes(table, 2902, 12, 1), 800):
+            if not is_planar(d):
+                continue
+            if reduce_root(d).n_crossings < d.reduce_r1().n_crossings:
+                reduced += 1
+                assert jones(d) == jones_bracket_oracle(d), d.render()
+        assert reduced > 200
 
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i^0 .. i^3
@@ -573,8 +588,8 @@ class TestMemoKeys:
     """The labels of every skein child are pinned by the memo keys."""
 
     # digest of the keys conway_jones stores, in order, over the 7 table
-    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 385 keys
-    DIGEST = "77367d91cc031ffe558bbd5c3ff7fafe6dde355a5822dd87d719b00af4797c5e"
+    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 331 keys
+    DIGEST = "b8b5e797396f28b15db1715d070f075fdf897f6891fe601076453747b99d6e05"
 
     def test_memo_key_digest(self, table, monkeypatch):
         keys = []
@@ -591,7 +606,7 @@ class TestMemoKeys:
         diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
         for d in diagrams:
             conway_jones(d)
-        assert len(keys) == 385
+        assert len(keys) == 331
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
 
     def test_twist_family_node_counts(self, table, monkeypatch):
@@ -608,7 +623,8 @@ class TestMemoKeys:
         base = table.diagram("11n63")
         for n in range(8):
             conway_jones(base.insert_full_twists((3, 25), n - 2))
-        assert [m.hits + m.misses for m in memos] == [18, 17, 16, 17, 18, 19, 20, 21]
+        # the roots of L_0 and L_1 lose bigons: 17 -> 5 and 15 -> 11 crossings
+        assert [m.hits + m.misses for m in memos] == [3, 15, 16, 17, 18, 19, 20, 21]
 
 
 class TestBudgetAndMemo:
@@ -630,6 +646,14 @@ class TestBudgetAndMemo:
         big = with_curls(table.diagram("5_2").insert_full_twists((1, 4), 10), 1)
         with pytest.raises(CrossingBudgetExceeded, match="25 crossings after R1"):
             conway_jones(big)
+
+    def test_budget_counts_crossings_before_r2(self, table):
+        # L_0 with four more negative full twists: 25 crossings, all kept by
+        # R1, and 15 after R2; the walk would take it, the budget does not
+        d = table.diagram("11n63").insert_full_twists((3, 25), -6)
+        assert (d.reduce_r1().n_crossings, reduce_root(d).n_crossings) == (25, 15)
+        with pytest.raises(CrossingBudgetExceeded, match="25 crossings after R1"):
+            conway_jones(d)
 
     def test_memo_rejects_value_collision(self):
         memo = SkeinMemo()
@@ -689,11 +713,40 @@ def _curl_closing_by_smoothing(d):
     return _first_violation_by_walk(d)
 
 
+def test_every_node_is_curl_and_bigon_free(table, monkeypatch):
+    # the root and every smoothing child are reduced to a fixpoint, so the
+    # root's reduction finds nothing to remove at any node the walk visits
+    nodes = []
+    skein_eval = skein_module._skein_eval
+
+    def recording(d, memo):
+        nodes.append(d)
+        return skein_eval(d, memo)
+
+    monkeypatch.setattr(skein_module, "_skein_eval", recording)
+    base = table.diagram("11n63")
+    diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
+    diagrams += random_planar_diagrams(seed=67, count=200, max_crossings=10)
+    for d in diagrams:
+        conway_jones(d)
+    assert len(nodes) > 500
+    for d in nodes:
+        assert reduce_root(d) is d, d.render()
+
+
+def reduce_root(d):
+    """d as conway_jones walks it: its curls removed, then its bigons and
+    the curls their removal exposes, to a fixpoint."""
+    d = d.reduce_r1()
+    return diagram_module._reduced(d._records, list(range(2 * d.n_crossings + 1)),
+                                   d.free_loops, True, d)
+
+
 def _walk_by_switch_children(d):
-    """Reference: (nabla, V) of a curl-free d by the skein relation at the
-    first crossing of its resolution order, recursing into its switch
-    child, a diagram whose order is computed afresh, and its reduced
-    smoothing child, with no memo."""
+    """Reference: (nabla, V) of a d that reduce_root keeps as it is, by the
+    skein relation at the first crossing of its resolution order, recursing
+    into its switch child, a diagram whose order is computed afresh, and its
+    reduced smoothing child, with no memo."""
     order = _resolution_order(d._records)
     if not order:
         c = d.component_count()
