@@ -19,7 +19,6 @@ from importlib import resources
 from .diagram import PDDiagram, PDError, _parse_lines
 from .laurent import LaurentPoly
 from . import skein
-from .skein import _T_INV_DELTA
 from .invariants import _invariants_from
 
 __all__ = [
@@ -42,6 +41,7 @@ V_L0 = LaurentPoly.from_exponents(
     {-1: 1, -2: -1, -3: 2, -4: -1, -5: 1, -6: -1})
 TILDE_V = LaurentPoly.from_exponents(
     {-1: 2, -2: -3, -3: 3, -4: -3, -5: 2, -6: -2, -7: 1})
+_T_INV_DELTA = LaurentPoly({-1: 1, -3: -1})  # t^-1 (t^(1/2) - t^(-1/2)), doubled keys
 
 # expected component count per entry name (knot vs. link)
 _EXPECTED_COMPONENTS = {
@@ -51,18 +51,13 @@ _EXPECTED_COMPONENTS = {
 
 
 class KnotTable:
-    """Named PD diagrams loaded from a stanza-format data file."""
+    """Named PD diagrams parsed from stanza-format table text."""
 
-    def __init__(self, entries: dict[str, str]):
-        self._fill({name: (text, 1) for name, text in entries.items()})
-
-    def _fill(self, stanzas: dict[str, tuple[str, int]]) -> None:
-        """Parse each entry's text, whose first line is the given file line."""
-        self.entries = {name: text for name, (text, _) in stanzas.items()}
-        self._cache: dict[str, PDDiagram] = {}
-        for name, (text, first) in stanzas.items():
+    def __init__(self, text: str):
+        self._diagrams: dict[str, PDDiagram] = {}
+        for name, (lines, first) in _parse_table_text(text).items():
             try:
-                d = _parse_lines(text.splitlines(), first)
+                d = _parse_lines(lines, first)
             except PDError as exc:
                 raise PDError(f"table entry {name!r}: {exc}") from None
             expected = _EXPECTED_COMPONENTS.get(name)
@@ -70,24 +65,21 @@ class KnotTable:
                 raise ValueError(
                     f"table entry {name!r} has {d.component_count()} components, "
                     f"expected {expected}")
-            self._cache[name] = d
-
-    def names(self) -> list[str]:
-        return sorted(self.entries)
+            self._diagrams[name] = d
 
     def diagram(self, name: str) -> PDDiagram:
-        if name not in self._cache:
+        if name not in self._diagrams:
             raise KeyError(f"no table entry named {name!r}")
-        return self._cache[name]
+        return self._diagrams[name]
 
 
-def _parse_table_text(text: str) -> dict[str, tuple[str, int]]:
-    """Split a stanza-format table into entry name -> (PD text, first line).
+def _parse_table_text(text: str) -> dict[str, tuple[list[str], int]]:
+    """Split a stanza-format table into entry name -> (PD lines, first line).
 
-    An entry's text is its stanza's own lines; the number of the first of
-    them in the file lets a ``PDError`` position name the file line.
+    An entry's lines are its stanza's own; the number of the first of them
+    in the file lets a ``PDError`` position name the file line.
     """
-    entries: dict[str, tuple[str, int]] = {}
+    entries: dict[str, tuple[list[str], int]] = {}
     current: str | None = None
     lines = text.splitlines()
     start = 0
@@ -95,7 +87,7 @@ def _parse_table_text(text: str) -> dict[str, tuple[str, int]]:
         line = raw.split("#", 1)[0].strip()
         if line.startswith("name:"):
             if current is not None:
-                entries[current] = ("\n".join(lines[start:ln - 1]), start + 1)
+                entries[current] = (lines[start:ln - 1], start + 1)
             current = line.split(":", 1)[1].strip()
             if not current:
                 raise ValueError(f"table line {ln}: 'name:' gives no entry name")
@@ -105,7 +97,7 @@ def _parse_table_text(text: str) -> dict[str, tuple[str, int]]:
         elif line and current is None:
             raise ValueError(f"table data before first 'name:' stanza: {line!r}")
     if current is not None:
-        entries[current] = ("\n".join(lines[start:]), start + 1)
+        entries[current] = (lines[start:], start + 1)
     return entries
 
 
@@ -116,9 +108,7 @@ def load_table(path: str | None = None) -> KnotTable:
             text = fh.read()
     else:
         text = (resources.files("knotforge") / "data" / TABLE_FILENAME).read_text()
-    table = KnotTable.__new__(KnotTable)
-    table._fill(_parse_table_text(text))
-    return table
+    return KnotTable(text)
 
 
 def _check_family_index(n) -> None:
@@ -157,7 +147,11 @@ def tilde_v(table: KnotTable | None = None) -> LaurentPoly:
 
 def verify_family(n_max: int, table: KnotTable | None = None) -> dict:
     """Recompute the family anchors and closed forms; report per-check results
-    and, under "invariants", the record of each anchor that passed both checks."""
+    and, under "invariants", the record of each anchor that passed both checks.
+
+    The "tilde_v moments" check is implied by "tilde_v" and cannot see the
+    chirality of J_0: a mirrored L7n2 gives the same moments (0, 2, -4, -28),
+    so only "tilde_v" fails on it."""
     if type(n_max) is not int:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     if n_max < 2:

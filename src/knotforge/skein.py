@@ -23,9 +23,9 @@ with fewer crossings than its node, so the recursion terminates.  Nodes
 are memoised under their PD code as given, not under a canonical
 relabelling (see canonical_code).
 
-On entry the crossing budget counts the crossings left after the curls
-are removed; then the bigons go too, as in every smoothing child (see
-diagram._reduced), so every node of the walk has no Reidemeister-I curl
+On entry the root loses its curls and bigons to a fixpoint, as every
+smoothing child does (see diagram._reduced), and the crossing budget
+counts what is left; so every node of the walk has no Reidemeister-I curl
 and no Reidemeister-II bigon.  A switch keeps the curl test (under-out is
 over-in, or under-in is over-out), so the working records of a node stay
 curl-free.  The smoothing child cancels the bigons that smoothing
@@ -80,8 +80,7 @@ BRACKET_ORACLE_BUDGET = 20
 # oracle to reproduce the skein engine's Jones value on the 5_2 table code.
 _A_TO_T_QUARTERS = -1
 
-_T_INV_DELTA = LaurentPoly({-1: 1, -3: -1})   # t^-1 (t^(1/2) - t^(-1/2)), doubled keys
-_LOOP = LaurentPoly({1: 1, -1: 1})             # t^(1/2) + t^(-1/2)
+_LOOP = LaurentPoly({1: 1, -1: 1})  # t^(1/2) + t^(-1/2)
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly()
 # k -> _LOOP ** k, filled as walks meet larger unlinks.  The values are
@@ -232,18 +231,17 @@ def _sum_chain(chain, last) -> tuple[LaurentPoly, LaurentPoly]:
 def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d from one skein walk with a fresh memo.
 
-    Raises CrossingBudgetExceeded when more than DEFAULT_CROSSING_BUDGET
-    crossings are left after Reidemeister-I reduction.  The walk then starts
-    from that diagram without its Reidemeister-II bigons, and the curls
-    their removal exposes, removed to a fixpoint.
+    The walk starts from d with its Reidemeister-I curls and
+    Reidemeister-II bigons removed to a fixpoint.  Raises
+    CrossingBudgetExceeded when that diagram has more than
+    DEFAULT_CROSSING_BUDGET crossings.
     """
-    d = d.reduce_r1()
+    d = _reduced(d._records, list(range(2 * d.n_crossings + 1)), d.free_loops, True, d)
     if d.n_crossings > DEFAULT_CROSSING_BUDGET:
         raise CrossingBudgetExceeded(
-            f"diagram has {d.n_crossings} crossings after R1 reduction, "
+            f"diagram has {d.n_crossings} crossings after reduction, "
             f"budget is {DEFAULT_CROSSING_BUDGET}"
         )
-    d = _reduced(d._records, list(range(2 * d.n_crossings + 1)), d.free_loops, True, d)
     return _skein_eval(d, SkeinMemo())
 
 

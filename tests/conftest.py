@@ -14,9 +14,23 @@ from knotforge.laurent import LaurentPoly
 from knotforge.skein import _A_TO_T_QUARTERS
 
 
+# the names of the shipped table's entries, sorted
+TABLE_NAMES = ("11n63", "5_2", "9_45", "L7n2", "hopf+", "trefoil", "unknot")
+
+
 @pytest.fixture(scope="session")
 def table():
     return load_table()
+
+
+def shipped_entries(table) -> dict[str, str]:
+    """Entry name -> the rendered PD text of each shipped table entry."""
+    return {name: table.diagram(name).render() for name in TABLE_NAMES}
+
+
+def table_text(entries: dict[str, str]) -> str:
+    """The stanza-format table text of entry name -> PD text."""
+    return "".join(f"name: {name}\n{pd}\n" for name, pd in entries.items())
 
 
 def mirror(d: PDDiagram) -> PDDiagram:

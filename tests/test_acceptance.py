@@ -30,7 +30,7 @@ from knotforge.fourmanifold import (
     total_defect,
 )
 
-from conftest import closed_form_lambda2, mirror, random_planar_diagrams
+from conftest import TABLE_NAMES, closed_form_lambda2, mirror, random_planar_diagrams
 from test_fourmanifold import brute_force_sg_k, double_config, handle_manifold
 
 
@@ -94,7 +94,7 @@ def test_criterion_5_lambda_invariants(table):
 
 
 def test_criterion_6_oracle_equivalence(table):
-    for name in table.names():
+    for name in TABLE_NAMES:
         d = table.diagram(name)
         assert skein.jones_bracket_oracle(d) == skein.jones(d), name
     for d in random_planar_diagrams(seed=2718, count=200, max_crossings=10):

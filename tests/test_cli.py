@@ -10,7 +10,7 @@ from knotforge import cli
 from knotforge import fourmanifold as fm
 from knotforge.family import load_table
 
-from conftest import mirror, with_curls
+from conftest import mirror, shipped_entries, table_text, with_curls
 
 
 def data_path(filename: str) -> str:
@@ -26,10 +26,10 @@ def run(capsys, *argv):
 def mirrored_table(tmp_path, entry) -> str:
     """Path of a copy of the shipped table with entry replaced by its mirror."""
     table = load_table()
-    entries = dict(table.entries)
+    entries = shipped_entries(table)
     entries[entry] = mirror(table.diagram(entry)).render()
     alt = tmp_path / "t.txt"
-    alt.write_text("".join(f"name: {n}\n{pd}\n" for n, pd in entries.items()))
+    alt.write_text(table_text(entries))
     return str(alt)
 
 
@@ -117,13 +117,26 @@ class TestExitCodes:
         big.write_text(d.render())
         assert cli.main(["invariants", "--pd", str(big)]) == 3
 
-    def test_budget_counts_crossings_before_r2(self, tmp_path):
-        # 25 crossings after R1 and 15 after R2: refused all the same
+    def test_budget_counts_crossings_after_r2(self, capsys, tmp_path):
+        # L_0 with four more negative full twists: 25 crossings, all kept by
+        # R1, and 15 after R2, so the walk takes it
         d = load_table().diagram("11n63").insert_full_twists((3, 25), -6)
         assert (d.n_crossings, d.reduce_r1().n_crossings) == (25, 25)
+        pd = tmp_path / "bigons.pd"
+        pd.write_text(d.render())
+        code, out = run(capsys, "invariants", "--pd", str(pd))
+        assert code == 0
+        assert "conway = 4*z^4 + 2*z^2 + 1" in out
+        assert "lambda2 = -18" in out
+
+    def test_budget_refuses_what_reduction_keeps(self, capsys, tmp_path):
+        # L_8: 25 crossings before and after reduction
+        d = load_table().diagram("11n63").insert_full_twists((3, 25), 6)
+        assert d.n_crossings == 25
         big = tmp_path / "big.pd"
         big.write_text(d.render())
         assert cli.main(["invariants", "--pd", str(big)]) == 3
+        assert "25 crossings after reduction" in capsys.readouterr().err
 
     def test_budget_counts_crossings_after_r1(self, capsys, tmp_path):
         # L_7 (23 crossings) with two curls: 25 crossings, 23 after R1
@@ -137,12 +150,10 @@ class TestExitCodes:
 
     def test_failed_checks(self, tmp_path):
         # corrupted table: the 9_45 stanza holds the 5_2 diagram
-        table = load_table()
-        entries = dict(table.entries)
+        entries = shipped_entries(load_table())
         entries["9_45"] = entries["5_2"]
         alt = tmp_path / "knot_table.txt"
-        alt.write_text("".join(f"name: {n}\n{pd}\n"
-                               for n, pd in entries.items()))
+        alt.write_text(table_text(entries))
         assert cli.main(["verify-paper", "--nmax", "2",
                          "--table", str(alt)]) == 1
 
@@ -210,12 +221,10 @@ class TestVerifyPaper:
         assert cli.main(["verify-paper", "--nmax", "1"]) == 2
 
     def test_corrupted_table_names_broken_identity(self, capsys, tmp_path):
-        table = load_table()
-        entries = dict(table.entries)
+        entries = shipped_entries(load_table())
         entries["9_45"] = entries["5_2"]
         alt = tmp_path / "t.txt"
-        alt.write_text("".join(f"name: {n}\n{pd}\n"
-                               for n, pd in entries.items()))
+        alt.write_text(table_text(entries))
         code, out = run(capsys, "--json", "--no-timestamp",
                         "verify-paper", "--nmax", "2", "--table", str(alt))
         assert code == 1

@@ -20,8 +20,8 @@ from knotforge.diagram import (
 from knotforge import skein
 from knotforge.laurent import LaurentPoly
 
-from conftest import (class_table, is_planar, mirror, random_planar_diagrams,
-                      with_curls)
+from conftest import (TABLE_NAMES, class_table, is_planar, mirror,
+                      random_planar_diagrams, with_curls)
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
@@ -186,7 +186,7 @@ class TestParse:
         assert str(info.value) == message
 
     def test_round_trip_on_table(self, table):
-        for name in table.names():
+        for name in TABLE_NAMES:
             d = table.diagram(name)
             assert parse_pd(d.render()) == d
 
@@ -272,7 +272,7 @@ class TestRecords:
     def test_records_are_a_tuple_of_recs(self, table):
         # tests read and iterate d._records in place, so no builder may hand
         # out a list that a caller could edit under the diagram
-        for name in table.names():
+        for name in TABLE_NAMES:
             d = table.diagram(name)
             built = [d, mirror(d),
                      *(d.switch_crossing(i) for i in range(d.n_crossings)),
@@ -289,7 +289,7 @@ class TestValidatorOutcomes:
     DIGEST = "47147951442bf51a57c311cac37d843b83fb72726737654b90f59292f01e1efe"
 
     def test_one_edit_fuzz_digest(self, table):
-        bases = [table.diagram(name) for name in table.names()]
+        bases = [table.diagram(name) for name in TABLE_NAMES]
         bases += random_planar_diagrams(seed=3, count=300, max_crossings=10)
         bases = [d for d in bases if d.n_crossings]
         rng = random.Random(2014)
@@ -443,7 +443,7 @@ class TestDoubleMirror:
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
         diagrams += random_planar_diagrams(seed=23, count=300, max_crossings=10)
-        diagrams += [table.diagram(name) for name in table.names()]
+        diagrams += [table.diagram(name) for name in TABLE_NAMES]
         calls = []
         validate = diagram_module._validate
         monkeypatch.setattr(diagram_module, "_validate",
@@ -666,7 +666,7 @@ class TestSmoothR1:
         base = table.diagram("11n63")
         bases = [base.insert_full_twists((3, 25), n - 2) for n in range(4)]
         # with_curls splices into edge 1, so the crossingless unknot is left out
-        bases += [d for d in map(table.diagram, table.names()) if d.n_crossings]
+        bases += [d for d in map(table.diagram, TABLE_NAMES) if d.n_crossings]
         counts = [self._check_children(with_curls(d, k))
                   for d in bases for k in range(1, 5)]
         assert sum(c for c, _, _ in counts) > 500

@@ -17,18 +17,20 @@ from knotforge.family import (
     load_table,
     tilde_v,
     verify_family,
+    _T_INV_DELTA,
+    _parse_table_text,
 )
 from knotforge import skein
-from knotforge.skein import _T_INV_DELTA
 
-from conftest import closed_form_lambda2, mirror
+from conftest import (TABLE_NAMES, closed_form_lambda2, mirror, shipped_entries,
+                      table_text)
 
 F = Fraction
 
 
 class TestTable:
     def test_all_expected_entries(self, table):
-        assert set(table.names()) >= {
+        assert set(table._diagrams) == set(TABLE_NAMES) == {
             "unknot", "trefoil", "hopf+", "5_2", "9_45", "11n63", "L7n2"}
 
     def test_every_entry_parses_with_right_components(self, table):
@@ -43,7 +45,8 @@ class TestTable:
 
     def test_component_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="components"):
-            KnotTable({"5_2": "X(4,1,3,2) X(2,3,1,4)"})  # a 2-component code
+            # a 2-component code
+            KnotTable(table_text({"5_2": "X(4,1,3,2) X(2,3,1,4)"}))
 
     def test_explicit_path(self, tmp_path):
         path = tmp_path / "alt.txt"
@@ -87,24 +90,23 @@ class TestTable:
 
     @pytest.mark.parametrize("text, error", [
         ("", "invalid PD code: a diagram needs at least one crossing or free loop"),
-        ("X(1,2,3)", "line 1, token 1: crossing needs 4 labels, got 3"),
+        ("X(1,2,3)", "line 4, token 1: crossing needs 4 labels, got 3"),
     ])
     def test_pd_error_names_its_entry(self, text, error):
         with pytest.raises(PDError) as info:
-            KnotTable({"trefoil": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "bad": text})
+            KnotTable(table_text({"trefoil": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",
+                                  "bad": text}))
         assert str(info.value) == f"table entry 'bad': {error}"
 
-    def test_entries_hold_only_their_stanzas(self, tmp_path):
-        # an entry's text is its stanza's own lines, with no padding for the
+    def test_entries_hold_only_their_stanzas(self):
+        # an entry holds its stanza's own lines, with no padding for the
         # file lines before it, so loading a table takes time linear in it
         text = "".join(f"name: k{i}\nX(1,4,2,5) X(3,6,4,1)\nX(5,2,6,3)\n"
                        for i in range(2000))
-        path = tmp_path / "big.txt"
-        path.write_text(text)
-        t = load_table(str(path))
-        assert len(t.entries) == 2000
-        assert t.entries["k1999"] == "X(1,4,2,5) X(3,6,4,1)\nX(5,2,6,3)"
-        assert sum(map(len, t.entries.values())) <= len(text)
+        entries = _parse_table_text(text)
+        assert len(entries) == 2000
+        assert entries["k1999"] == (["X(1,4,2,5) X(3,6,4,1)", "X(5,2,6,3)"], 5999)
+        assert sum(len(lines) for lines, _ in entries.values()) == 4000
 
 
 class TestClosedForms:
@@ -182,14 +184,14 @@ class TestTildeV:
     def test_convention_bug_detected(self, tmp_path):
         # a wrong-chirality J_0 stand-in (mirror of hopf is not J_0 at all):
         # tilde_v must fail loudly, not return a wrong polynomial
-        bad = KnotTable({"L7n2": "X(4,1,3,2) X(2,3,1,4)"})
+        bad = KnotTable(table_text({"L7n2": "X(4,1,3,2) X(2,3,1,4)"}))
         with pytest.raises(AssertionError):
             tilde_v(bad)
 
     def test_mirrored_entry_refused(self, table):
         # the table pins chirality: an L7n2 of the opposite chirality fails
         # instead of being mirrored back
-        mirrored = KnotTable({"L7n2": mirror(table.diagram("L7n2")).render()})
+        mirrored = KnotTable(table_text({"L7n2": mirror(table.diagram("L7n2")).render()}))
         with pytest.raises(AssertionError, match="does not match the published"):
             tilde_v(mirrored)
 
@@ -281,9 +283,9 @@ class TestVerifyFamily:
         # an anchor of the opposite chirality is checked as shipped: its V
         # misses the closed form, while its knot nabla and every other check
         # still pass
-        entries = dict(table.entries)
+        entries = shipped_entries(table)
         entries[entry] = mirror(table.diagram(entry)).render()
-        rep = verify_family(2, KnotTable(entries))
+        rep = verify_family(2, KnotTable(table_text(entries)))
         assert not rep["passing"]
         assert [c["name"] for c in rep["checks"] if not c["pass"]] == [f"jones[{entry}]"]
         # only the anchors that passed both checks keep a record
@@ -293,9 +295,12 @@ class TestVerifyFamily:
         # the check compares the computed Vt with the published one and
         # reports the computed Vt, not an exception
         mirrored = mirror(table.diagram("L7n2"))
-        entries = dict(table.entries)
+        entries = shipped_entries(table)
         entries["L7n2"] = mirrored.render()
-        rep = verify_family(2, KnotTable(entries))
+        rep = verify_family(2, KnotTable(table_text(entries)))
+        # the moments of a mirrored Vt are the published ones, so only the
+        # tilde_v check can see J_0's chirality
+        assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["tilde_v"]
         check = next(c for c in rep["checks"] if c["name"] == "tilde_v")
         assert not check["pass"]
         assert check["detail"] == (_T_INV_DELTA * skein.jones(mirrored)).render()
@@ -303,9 +308,9 @@ class TestVerifyFamily:
         assert list(rep["invariants"]) == list(ANCHORS)
 
     def test_corrupted_entry_flags_specific_identity(self, table):
-        entries = dict(table.entries)
+        entries = shipped_entries(table)
         entries["9_45"] = entries["5_2"]  # wrong knot under the 9_45 name
-        rep = verify_family(2, KnotTable(entries))
+        rep = verify_family(2, KnotTable(table_text(entries)))
         assert not rep["passing"]
         failing = {c["name"] for c in rep["checks"] if not c["pass"]}
         assert "conway[9_45]" in failing

@@ -1,6 +1,6 @@
-"""Every public method and property of PDDiagram and LaurentPoly, and every
-name the package re-exports, is used by the package, the demos or the
-benchmarks.
+"""Every public method and property of PDDiagram, LaurentPoly and KnotTable,
+and every name the package re-exports, is used by the package, the demos or
+the benchmarks.
 
 A name that only the tests call is API kept for the tests alone; the tests
 read the private fields instead.  A use of a member is an attribute access
@@ -16,10 +16,12 @@ from test_tracer_targets import tracer_targets
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "knotforge"
-CLASSES = {"PDDiagram": SRC / "diagram.py", "LaurentPoly": SRC / "laurent.py"}
-# the benchmark tracer wraps PDDiagram.smooth_crossing by its dotted name,
-# which no attribute access spells, and test_tracer_targets requires it
-ALLOWED = {"smooth_crossing"}
+CLASSES = {"PDDiagram": SRC / "diagram.py", "LaurentPoly": SRC / "laurent.py",
+           "KnotTable": SRC / "family.py"}
+# the benchmark tracer wraps PDDiagram.smooth_crossing and
+# PDDiagram.reduce_r1 by their dotted names, which no attribute access
+# spells, and test_tracer_targets requires them
+ALLOWED = {"smooth_crossing", "reduce_r1"}
 
 
 def public_members() -> dict[str, set[str]]:

@@ -26,6 +26,7 @@ from knotforge.skein import (
 )
 
 from conftest import (
+    TABLE_NAMES,
     bracket_state_sum_reference,
     is_planar,
     mirror,
@@ -52,7 +53,7 @@ def one_edit_codes(table, seed, max_crossings, max_loops):
     2..max_crossings crossings, kept when they validate, planar or not, with
     0..max_loops free loops; an endless seeded stream."""
     rng = random.Random(seed)
-    bases = [table.diagram(name) for name in table.names()]
+    bases = [table.diagram(name) for name in TABLE_NAMES]
     bases += random_planar_diagrams(seed=seed, count=200, max_crossings=10)
     grown = []
     for d in bases:
@@ -277,7 +278,7 @@ class TestClassicalIdentities:
         return mu, nabla.coeff(mu - 1)
 
     def test_table_twist_family_and_seeded_streams(self, table):
-        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams = [table.diagram(name) for name in TABLE_NAMES]
         base = table.diagram("11n63")
         diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
         for seed in (29, 911, 5):
@@ -312,7 +313,7 @@ class TestConwayJones:
             assert det_v % 2 == 1, d.render()   # a knot's determinant is odd
 
     def test_every_table_entry(self, table):
-        for name in table.names():
+        for name in TABLE_NAMES:
             self._check(table.diagram(name))
 
     def test_twist_family(self, table):
@@ -343,7 +344,7 @@ class TestConventions:
 
     def test_jones_at_one_is_two_to_the_components_minus_one(self, table):
         # the standard value is (-2)^(mu - 1)
-        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams = [table.diagram(name) for name in TABLE_NAMES]
         diagrams += random_planar_diagrams(seed=29, count=200, max_crossings=10)
         links = 0
         for d in diagrams:
@@ -508,7 +509,7 @@ class TestIntegerCoefficients:
         return all(type(c) is int for c in p.doubled_terms().values())
 
     def test_table_and_twist_family(self, table):
-        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams = [table.diagram(name) for name in TABLE_NAMES]
         base = table.diagram("11n63")
         diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
         for d in diagrams:
@@ -529,12 +530,12 @@ class TestOracle:
         assert jones_bracket_oracle(d) == jones(d) == V_L0
 
     def test_every_table_entry(self, table):
-        for name in table.names():
+        for name in TABLE_NAMES:
             d = table.diagram(name)
             assert jones_bracket_oracle(d) == jones(d), name
 
     def test_table_mirrors(self, table):
-        for name in table.names():
+        for name in TABLE_NAMES:
             d = mirror(table.diagram(name))
             assert jones_bracket_oracle(d) == jones(d), name
 
@@ -555,8 +556,8 @@ class TestOracle:
     DIGEST = "d8dc33719fe8ba5626cf7d42fe165a6a12aaa5226cf80317e064f99ac5be6850"
 
     def test_oracle_digest(self, table):
-        bases = [table.diagram(name) for name in table.names()]
-        bases += [mirror(table.diagram(name)) for name in table.names()]
+        bases = [table.diagram(name) for name in TABLE_NAMES]
+        bases += [mirror(table.diagram(name)) for name in TABLE_NAMES]
         bases.append(table.diagram("11n63").insert_full_twists((3, 25), -2))
         bases += random_planar_diagrams(seed=1409, count=300, max_crossings=10)
         values = [jones_bracket_oracle(PDDiagram(d.crossings, d.free_loops + k)).render()
@@ -575,7 +576,7 @@ class TestOracle:
         assert 0 < planar < checked and large > 50
 
     def test_free_loops_multiply_by_the_loop_value(self, table):
-        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams = [table.diagram(name) for name in TABLE_NAMES]
         diagrams += random_planar_diagrams(seed=1412, count=100, max_crossings=10)
         for d in diagrams:
             v = jones_bracket_oracle(d)
@@ -601,7 +602,7 @@ class TestMemoKeys:
 
         monkeypatch.setattr(SkeinMemo, "put", recording_put)
         base = table.diagram("11n63")
-        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams = [table.diagram(name) for name in TABLE_NAMES]
         diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
         diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
         for d in diagrams:
@@ -644,15 +645,26 @@ class TestBudgetAndMemo:
         assert conway_jones(d) == (conway_family(7), jones_family(7))
         # a curl is not free when what is left is over the budget
         big = with_curls(table.diagram("5_2").insert_full_twists((1, 4), 10), 1)
-        with pytest.raises(CrossingBudgetExceeded, match="25 crossings after R1"):
+        with pytest.raises(CrossingBudgetExceeded, match="25 crossings after reduction"):
             conway_jones(big)
 
-    def test_budget_counts_crossings_before_r2(self, table):
+    def test_budget_counts_crossings_after_r2(self, table):
         # L_0 with four more negative full twists: 25 crossings, all kept by
-        # R1, and 15 after R2; the walk would take it, the budget does not
+        # R1, and 15 after R2, so the walk takes it
         d = table.diagram("11n63").insert_full_twists((3, 25), -6)
-        assert (d.reduce_r1().n_crossings, reduce_root(d).n_crossings) == (25, 15)
-        with pytest.raises(CrossingBudgetExceeded, match="25 crossings after R1"):
+        reduced = reduce_root(d)
+        assert is_planar(d)
+        assert (d.reduce_r1().n_crossings, reduced.n_crossings) == (25, 15)
+        nabla, v = conway_jones(d)
+        assert nabla == LaurentPoly.from_exponents({0: 1, 2: 2, 4: 4})
+        assert v == jones_bracket_oracle(reduced)
+
+    def test_budget_refuses_what_reduction_keeps(self, table):
+        # L_8: 25 crossings before and after reduction
+        d = table.diagram("11n63").insert_full_twists((3, 25), 6)
+        assert is_planar(d)
+        assert (d.n_crossings, reduce_root(d).n_crossings) == (25, 25)
+        with pytest.raises(CrossingBudgetExceeded, match="25 crossings after reduction"):
             conway_jones(d)
 
     def test_memo_rejects_value_collision(self):
@@ -663,7 +675,7 @@ class TestBudgetAndMemo:
             memo.put("k", Z)
 
     def test_mirror_conjugates_jones(self, table):
-        diagrams = [table.diagram(name) for name in table.names()]
+        diagrams = [table.diagram(name) for name in TABLE_NAMES]
         diagrams += random_planar_diagrams(seed=59, count=200, max_crossings=10)
         for d in diagrams:
             m = mirror(d)
@@ -734,10 +746,29 @@ def test_every_node_is_curl_and_bigon_free(table, monkeypatch):
         assert reduce_root(d) is d, d.render()
 
 
+def test_no_walk_reduces_curls_alone(table, monkeypatch):
+    # the root and every smoothing child lose curls and bigons in one pass;
+    # no walk runs a curl-only pass
+    passes = []
+    reduce = diagram_module._reduce
+
+    def recording(recs, parent, bigons):
+        passes.append(bigons)
+        return reduce(recs, parent, bigons)
+
+    monkeypatch.setattr(diagram_module, "_reduce", recording)
+    base = table.diagram("11n63")
+    diagrams = [table.diagram(name) for name in TABLE_NAMES]
+    diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
+    diagrams += islice(one_edit_codes(table, 3001, 12, 1), 300)
+    for d in diagrams:
+        conway_jones(d)
+    assert len(passes) > 1000 and all(passes)
+
+
 def reduce_root(d):
-    """d as conway_jones walks it: its curls removed, then its bigons and
-    the curls their removal exposes, to a fixpoint."""
-    d = d.reduce_r1()
+    """d as conway_jones walks it: its curls and bigons removed to a
+    fixpoint."""
     return diagram_module._reduced(d._records, list(range(2 * d.n_crossings + 1)),
                                    d.free_loops, True, d)
 
@@ -762,7 +793,7 @@ def test_resolution_order_is_the_switch_chain(table):
     # down each switch chain: the walk's order resolves first a violation
     # whose smoothing closes a curl, a switch leaves the rest of the order
     # as it was, and the order runs out exactly at a descending diagram
-    diagrams = [table.diagram(name) for name in table.names()]
+    diagrams = [table.diagram(name) for name in TABLE_NAMES]
     base = table.diagram("11n63")
     diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
     diagrams += random_planar_diagrams(seed=61, count=300, max_crossings=10)
