@@ -16,6 +16,7 @@ table code ``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)`` is a trefoil of writhe +3.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
@@ -201,7 +202,7 @@ class PDDiagram:
         The curls are glued away on the strand records, in a class table
         over edge ids kept in a list: one pass finds the curls, then a
         worklist removes them and the crossings they turn into curls (see
-        ``_reduce``).  Bigons are kept.  A diagram without curls is returned
+        ``_reduced``).  Bigons are kept.  A diagram without curls is returned
         as it is.
         """
         return _reduced(self._records, list(range(2 * len(self.crossings) + 1)),
@@ -313,16 +314,19 @@ def _bigon(named: list[tuple[int, ...]], head: list[int], k: int) -> int:
     return -1
 
 
-def _reduce(recs: Sequence[tuple[int, ...]], parent: list[int], bigons: bool
-            ) -> list[tuple[int, ...]]:
-    """recs without their Reidemeister-I curls and, when ``bigons`` is set,
-    their Reidemeister-II bigons, written in class names.
+def _reduced(recs: Sequence[tuple[int, ...]], parent: list[int], free_loops: int,
+             bigons: bool, same: "PDDiagram | None" = None) -> PDDiagram:
+    """The diagram of recs, named by the class table parent, with free_loops
+    free loops, after its Reidemeister-I curls and, when ``bigons`` is set,
+    its Reidemeister-II bigons are removed to a fixpoint, in one relabel.
+    ``same``, if given, is the diagram whose records recs are; it is
+    returned when none goes.
 
     ``parent`` is a flat class table over edge ids (see ``_smoothing``):
     every id points at its class's name, its smallest id.  So one list index
-    reads a class name.  On return the ids that point at themselves name
-    the classes left, and the records kept are written in those names,
-    ready for ``_relabel``.
+    reads a class name.  After the removals the ids that point at
+    themselves name the classes left, and the records kept, written in
+    those names, go to ``_relabel``.
 
     A curl is a crossing where the strand leaving under comes back over, or
     the strand leaving over comes back under.  A bigon is a pair of
@@ -363,18 +367,10 @@ def _reduce(recs: Sequence[tuple[int, ...]], parent: list[int], bigons: bool
         if u_out == o_in or u_in == o_out:
             curls.append(i)
         i += 1
-    pairs = []
-    if bigons:
-        # the test of _bigon, inline: it reads every record of every child,
-        # and a call per record made a twist_family pass 1.6-1.9 % slower
-        # (CPython 3.11.7, 2-vCPU x86_64), more than the benchmark's spread
-        for k, (u_in, o_in, u_out, o_out, s) in enumerate(named):
-            j = head[u_out]
-            x = named[j]
-            if x[0] == u_out and x[4] != s and j != k and (o_out == x[1] or x[3] == o_in):
-                pairs.append(k)
+    # ascending, so already a heap
+    pairs = [k for k in range(i) if _bigon(named, head, k) >= 0] if bigons else []
     if not curls and not pairs:
-        return named
+        return same if same is not None else _relabel(named, free_loops, parent)
     gone = [False] * i
 
     def glue(c_in: int, mid: int, c_out: int) -> None:
@@ -437,20 +433,8 @@ def _reduce(recs: Sequence[tuple[int, ...]], parent: list[int], bigons: bool
                 glue(k_in, k_out, j_out)
             else:
                 glue(j_in, j_out, k_out)
-    return [r for r, removed in zip(named, gone) if not removed]
-
-
-def _reduced(recs: Sequence[tuple[int, ...]], parent: list[int], free_loops: int,
-             bigons: bool, same: "PDDiagram | None" = None) -> PDDiagram:
-    """The diagram of recs, named by the class table parent, with free_loops
-    free loops, after ``_reduce``: its curls and, when ``bigons`` is set,
-    its bigons removed to a fixpoint, in one relabel.  ``same``, if given,
-    is the diagram whose records recs are; it is returned when none goes.
-    """
-    named = _reduce(recs, parent, bigons)
-    if same is not None and len(named) == len(recs):
-        return same
-    return _relabel(named, free_loops, parent)
+    return _relabel([r for r, removed in zip(named, gone) if not removed],
+                    free_loops, parent)
 
 
 def _smooth_reduced(recs: Sequence[tuple[int, ...]], index: int,
@@ -560,6 +544,12 @@ def parse_pd(text: str) -> PDDiagram:
     return _parse_lines(text.splitlines() if text else [], 1)
 
 
+# the integers of the text format: ASCII digits after an optional minus,
+# which passes here so that the validator refuses it with its own message
+_LOOPS = re.compile(r"loops=-?[0-9]+")
+_CROSSING = re.compile(r"X\((-?[0-9]+),(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)\)")
+
+
 def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
     """``parse_pd`` of lines whose first is line ``first`` of its file."""
     crossings = []
@@ -570,24 +560,22 @@ def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
                 if loops is not None:
                     raise PDError(
                         f"line {ln}, token {tn}: second loop-count header {tok!r}")
-                try:
-                    loops = int(tok[len("loops="):])
-                except ValueError:
+                if not _LOOPS.fullmatch(tok):
                     raise PDError(f"line {ln}, token {tn}: "
-                                  f"malformed loop count {tok!r}") from None
+                                  f"malformed loop count {tok!r}")
+                loops = int(tok[len("loops="):])
                 continue
-            if not (tok.startswith("X(") and tok.endswith(")")):
-                raise PDError(f"line {ln}, token {tn}: malformed token {tok!r}, "
-                              "expected X(a,b,c,d)")
-            fields = tok[2:-1].split(",")
-            if len(fields) != 4:
-                raise PDError(f"line {ln}, token {tn}: crossing needs 4 labels, "
-                              f"got {len(fields)}")
-            try:
-                crossings.append(tuple(int(f) for f in fields))
-            except ValueError:
-                raise PDError(
-                    f"line {ln}, token {tn}: non-integer label in {tok!r}") from None
+            m = _CROSSING.fullmatch(tok)
+            if m is None:
+                if not (tok.startswith("X(") and tok.endswith(")")):
+                    raise PDError(f"line {ln}, token {tn}: malformed token {tok!r}, "
+                                  "expected X(a,b,c,d)")
+                n_labels = tok.count(",") + 1
+                if n_labels != 4:
+                    raise PDError(f"line {ln}, token {tn}: crossing needs 4 labels, "
+                                  f"got {n_labels}")
+                raise PDError(f"line {ln}, token {tn}: non-integer label in {tok!r}")
+            crossings.append(tuple(map(int, m.groups())))
     try:
         return PDDiagram(crossings, loops or 0)
     except PDError as exc:

@@ -98,7 +98,7 @@ def parse_block_form(text: str) -> IntersectionForm:
         term = term.strip()
         if not term:
             raise ValueError("empty block term")
-        m = re.fullmatch(r"(\d*)\s*(H|<\s*(-?\d+)\s*>)", term)
+        m = re.fullmatch(r"([0-9]*)\s*(H|<\s*(-?[0-9]+)\s*>)", term)
         if not m:
             raise ValueError(f"unrecognized block term: {term!r}")
         count = int(m.group(1)) if m.group(1) else 1

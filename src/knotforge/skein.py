@@ -24,20 +24,14 @@ are memoised under their PD code as given, not under a canonical
 relabelling (see canonical_code).
 
 On entry the root loses its curls and bigons to a fixpoint, as every
-smoothing child does (see diagram._reduced), and the crossing budget
-counts what is left; so every node of the walk has no Reidemeister-I curl
-and no Reidemeister-II bigon.  A switch keeps the curl test (under-out is
-over-in, or under-in is over-out), so the working records of a node stay
-curl-free.  The smoothing child cancels the bigons that smoothing
-exposes, and those that switches left in the records.  It writes its two
-glued edge pairs into a flat class table, a list indexing each edge id to
-its class's smallest id (see diagram._smoothing).  One pass writes each
-record in class names and lists every curl and bigon; a removal glues the
-classes through its crossings and renames the two slots at the ends of
-each merged class, and only the crossings at those ends can become a curl
-or a bigon in turn (see diagram._reduce).  The records kept go straight to
-the relabel, so each child is mapped once and relabelled once.  Only a run
-of one or two edges that is under at no crossing goes back to the validator.
+smoothing child does, and the crossing budget counts what is left; so
+every node of the walk has no Reidemeister-I curl and no Reidemeister-II
+bigon.  Curls go first, then bigons in record order (see diagram._reduced,
+which also relabels each child once).  PDDiagram.reduce_r1 keeps bigons,
+and the walk does not call it.  A switch keeps the curl test (under-out
+is over-in, or under-in is over-out), so the working records of a node
+stay curl-free; the smoothing child loses the bigons that smoothing
+exposes and those that switches left in the records.
 
 There is one walk.  A node adds the terms of each smoothing child, shifted
 by the switches before it, and of the unlink at the end of its chain into
@@ -134,12 +128,14 @@ def _resolution_order(recs) -> list[int]:
     With head[e] and tail[e] the crossings that edge e enters and leaves,
     the oriented smoothing glues u_in to o_out and o_in to u_out, so it at
     once turns a neighbour into a curl when tail[u_in] is head[o_out] or
-    tail[o_in] is head[u_out].  The order is the curl-closing violations
-    by increasing u_in, then the other violations by increasing u_in; it is
-    empty exactly when the diagram is descending.  A switch keeps every
-    label, so it keeps head, tail and every other crossing's test, and
-    turns its own violation into none: switching the first crossing leaves
-    the rest of the order as the switched diagram's order.
+    tail[o_in] is head[u_out].  That test means a curl on planar codes
+    only: on a non-planar one it also marks a smoothing that makes a
+    one-edge loop over at both ends.  The order is the curl-closing
+    violations by increasing u_in, then the other violations by increasing
+    u_in; it is empty exactly when the diagram is descending.  A switch
+    keeps every label, so it keeps head, tail and every other crossing's
+    test, and turns its own violation into none: switching the first
+    crossing leaves the rest of the order as the switched diagram's order.
     """
     n_ids = 2 * len(recs) + 1
     head = [0] * n_ids

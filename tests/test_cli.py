@@ -148,6 +148,25 @@ class TestExitCodes:
         assert code == 0
         assert "lambda2 = 774" in out
 
+    def test_verify_paper_input_error_on_missing_anchor(self, capsys, tmp_path):
+        entries = shipped_entries(load_table())
+        del entries["9_45"]
+        alt = tmp_path / "knot_table.txt"
+        alt.write_text(table_text(entries))
+        assert cli.main(["verify-paper", "--nmax", "2", "--table", str(alt)]) == 2
+        assert capsys.readouterr().err == "error: no table entry named '9_45'\n"
+
+    def test_verify_paper_budget_on_anchor(self, capsys, tmp_path):
+        # the 11n63 stanza holds L_8: 25 crossings after reduction
+        entries = shipped_entries(load_table())
+        entries["11n63"] = load_table().diagram("11n63").insert_full_twists(
+            (3, 25), 6).render()
+        alt = tmp_path / "knot_table.txt"
+        alt.write_text(table_text(entries))
+        assert cli.main(["verify-paper", "--nmax", "2", "--table", str(alt)]) == 3
+        assert capsys.readouterr().err == (
+            "error: diagram has 25 crossings after reduction, budget is 24\n")
+
     def test_failed_checks(self, tmp_path):
         # corrupted table: the 9_45 stanza holds the 5_2 diagram
         entries = shipped_entries(load_table())

@@ -111,6 +111,14 @@ class TestParse:
         assert d.component_count() == 1
         assert d.writhe() in (1, -1)
 
+    def test_equality_hash_and_repr(self):
+        d = parse_pd(TREFOIL)
+        same = PDDiagram(d.crossings)
+        assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+        assert d != parse_pd("loops=1 " + TREFOIL)
+        assert d != TREFOIL and d != d.crossings
+        assert repr(d) == f"PDDiagram({TREFOIL!r})"
+
     def test_comments_and_whitespace(self):
         text = "# a trefoil\nX(1,4,2,5)  X(3,6,4,1) # mid\n X(5,2,6,3)\n"
         assert parse_pd(text) == parse_pd(TREFOIL)
@@ -179,6 +187,19 @@ class TestParse:
         (lambda: parse_pd("loops=-1"),
          "invalid PD code: free_loops must be non-negative"),
         (lambda: parse_pd("loops=x"), "line 1, token 1: malformed loop count 'loops=x'"),
+        # int() reads each of these; the format spells ASCII digits only
+        (lambda: parse_pd("loops=1_0"),
+         "line 1, token 1: malformed loop count 'loops=1_0'"),
+        (lambda: parse_pd("loops=+1"),
+         "line 1, token 1: malformed loop count 'loops=+1'"),
+        (lambda: parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,0_3)"),
+         "line 1, token 3: non-integer label in 'X(5,2,6,0_3)'"),
+        (lambda: parse_pd("X(1,4,2,5) X(3,6,4,1)\nX(5,2,6,+3)"),
+         "line 2, token 1: non-integer label in 'X(5,2,6,+3)'"),
+        (lambda: parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,\u0663)"),
+         "line 1, token 3: non-integer label in 'X(5,2,6,\u0663)'"),
+        (lambda: parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,-3)"),
+         "invalid PD code: edge labels must be positive integers, got -3"),
     ])
     def test_refusal_text(self, make, message):
         with pytest.raises(PDError) as info:
@@ -573,7 +594,7 @@ class TestReduceR1:
 
     def test_trefoil_unchanged(self):
         d = parse_pd(TREFOIL)
-        assert d.reduce_r1() == d
+        assert d.reduce_r1() is d
 
     def test_curl_stacked_on_trefoil(self):
         stacked = parse_pd(STACKED_CURL)

@@ -1,7 +1,11 @@
 """The twist family: table anchors, closed forms, and the verifier."""
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,18 @@ class TestTable:
         with pytest.raises(ValueError, match="components"):
             # a 2-component code
             KnotTable(table_text({"5_2": "X(4,1,3,2) X(2,3,1,4)"}))
+
+    def test_shipped_table_read_as_utf8(self):
+        # without an encoding, read_text() reads in the locale's (ASCII under
+        # LC_ALL=C), and this interpreter flag makes that an EncodingWarning
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", "import knotforge; knotforge.load_table()"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_explicit_path(self, tmp_path):
         path = tmp_path / "alt.txt"

@@ -101,6 +101,15 @@ class TestParseBlockForm:
                 parse_block_form(bad)
 
     @pytest.mark.parametrize("text, term", [
+        ("\u0662<1> + <-3>", "\u0662<1>"), ("2<1> + <-\u0663>", "<-\u0663>"),
+        ("<\uff11>", "<\uff11>")])
+    def test_only_ascii_digits(self, text, term):
+        # int() reads Arabic-Indic and fullwidth digits; the notation does not
+        with pytest.raises(ValueError) as info:
+            parse_block_form(text)
+        assert str(info.value) == f"unrecognized block term: {term!r}"
+
+    @pytest.mark.parametrize("text, term", [
         ("0<1>", "0<1>"), ("0H + <1>", "0H"), ("<-1> + 00 H", "00 H")])
     def test_zero_count_rejected(self, text, term):
         # a zero count would drop its block and build a smaller form
@@ -114,6 +123,10 @@ class TestHashable:
         g = IntersectionForm([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
         assert f == g and hash(f) == hash(g)
         assert len({f, g, parse_block_form("H + <-1>")}) == 2
+
+    def test_not_equal_to_its_matrix(self):
+        f = parse_block_form("<-1> + H")
+        assert f != f.matrix and not f == f.matrix
 
     def test_manifold_data_hashes(self):
         x = ManifoldData(form=parse_block_form("<-1> + H"), euler=4,

@@ -43,6 +43,8 @@ class TestConwayCoefficients:
         half = LaurentPoly.monomial(1, F(1, 2))
         with pytest.raises(ValueError):
             c4(half)
+        with pytest.raises(ValueError, match="integral exponents"):
+            a2(half)
 
 
 class TestMoments:

@@ -66,6 +66,10 @@ class TestCoeff:
     def test_half_integer_lookup(self):
         assert V_J0.coeff(F(-3, 2)) == -1
 
+    def test_whole_fraction_exponent(self):
+        assert LaurentPoly.monomial(5, F(-4, 1)) == LaurentPoly.monomial(5, -4)
+        assert V_L0.coeff(F(-3, 1)) == 2
+
 
 class TestIntegerCoefficients:
     """Coefficients live in Z; rationals and floats are refused at the door."""
@@ -203,6 +207,14 @@ def test_equality_and_hash_by_terms():
          + LaurentPoly.from_exponents({F(-3, 2): -7}))
     assert a == b and hash(a) == hash(b)
     assert a != a + LaurentPoly.one()
+
+
+@pytest.mark.parametrize("other", [1, 0, "1", None])
+def test_other_types_neither_equal_nor_add(other):
+    one = LaurentPoly.one()
+    assert one != other and not one == other
+    with pytest.raises(TypeError):
+        one + other
 
 
 def test_render_deterministic_descending():

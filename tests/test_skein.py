@@ -750,13 +750,15 @@ def test_no_walk_reduces_curls_alone(table, monkeypatch):
     # the root and every smoothing child lose curls and bigons in one pass;
     # no walk runs a curl-only pass
     passes = []
-    reduce = diagram_module._reduce
+    reduced = diagram_module._reduced
 
-    def recording(recs, parent, bigons):
+    def recording(recs, parent, free_loops, bigons, same=None):
         passes.append(bigons)
-        return reduce(recs, parent, bigons)
+        return reduced(recs, parent, free_loops, bigons, same)
 
-    monkeypatch.setattr(diagram_module, "_reduce", recording)
+    # skein imports the name for the root's reduction
+    monkeypatch.setattr(diagram_module, "_reduced", recording)
+    monkeypatch.setattr(skein_module, "_reduced", recording)
     base = table.diagram("11n63")
     diagrams = [table.diagram(name) for name in TABLE_NAMES]
     diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
