@@ -538,12 +538,16 @@ def _trusted(records: tuple[_Rec, ...], free_loops: int,
 def parse_pd(text: str) -> PDDiagram:
     """Parse the PD text format.
 
-    Whitespace-separated tokens ``X(a,b,c,d)``, at most one ``loops=k``
-    header, and ``#`` comments running to end of line.
+    Tokens ``X(a,b,c,d)`` separated by ASCII whitespace, at most one
+    ``loops=k`` header, and ``#`` comments running to end of line.  Lines
+    end at ``\n``; other whitespace, such as U+3000 or U+2028, is part of
+    a token, which it makes malformed.
     """
-    return _parse_lines(text.splitlines() if text else [], 1)
+    return _parse_lines(text.split("\n") if text else [], 1)
 
 
+# a token of the text format: a run of anything but ASCII whitespace
+_TOKEN = re.compile(r"[^ \t\n\r\f\v]+")
 # the integers of the text format: ASCII digits after an optional minus,
 # which passes here so that the validator refuses it with its own message
 _LOOPS = re.compile(r"loops=-?[0-9]+")
@@ -555,7 +559,7 @@ def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
     crossings = []
     loops = None
     for ln, line in enumerate(lines, start=first):
-        for tn, tok in enumerate(line.split("#", 1)[0].split(), start=1):
+        for tn, tok in enumerate(_TOKEN.findall(line.split("#", 1)[0]), start=1):
             if tok.startswith("loops="):
                 if loops is not None:
                     raise PDError(
@@ -567,7 +571,9 @@ def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
                 continue
             m = _CROSSING.fullmatch(tok)
             if m is None:
-                if not (tok.startswith("X(") and tok.endswith(")")):
+                # one ")" and at the end: two crossings joined by a
+                # character that is no separator make one malformed token
+                if not (tok.startswith("X(") and tok.find(")") == len(tok) - 1):
                     raise PDError(f"line {ln}, token {tn}: malformed token {tok!r}, "
                                   "expected X(a,b,c,d)")
                 n_labels = tok.count(",") + 1

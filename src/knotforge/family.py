@@ -81,7 +81,8 @@ def _parse_table_text(text: str) -> dict[str, tuple[list[str], int]]:
     """
     entries: dict[str, tuple[list[str], int]] = {}
     current: str | None = None
-    lines = text.splitlines()
+    # lines end at "\n" only, as in parse_pd
+    lines = text.removesuffix("\n").split("\n")
     start = 0
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

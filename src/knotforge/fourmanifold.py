@@ -91,14 +91,15 @@ def parse_block_form(text: str) -> IntersectionForm:
     """Parse block notation like "<-1> + H + 3<-1> + 8<1>" into a matrix.
 
     "<d>" is a 1x1 block (d), "H" the hyperbolic 2x2 block [[0,1],[1,0]],
-    and an integer prefix repeats a block.
+    and an integer prefix repeats a block.  Terms are separated by "+" and
+    ASCII whitespace only.
     """
     blocks: list[list[list[int]]] = []
     for term in text.split("+"):
-        term = term.strip()
+        term = term.strip(" \t\n\r\f\v")
         if not term:
             raise ValueError("empty block term")
-        m = re.fullmatch(r"([0-9]*)\s*(H|<\s*(-?[0-9]+)\s*>)", term)
+        m = re.fullmatch(r"([0-9]*)\s*(H|<\s*(-?[0-9]+)\s*>)", term, re.ASCII)
         if not m:
             raise ValueError(f"unrecognized block term: {term!r}")
         count = int(m.group(1)) if m.group(1) else 1

@@ -33,12 +33,17 @@ is over-in, or under-in is over-out), so the working records of a node
 stay curl-free; the smoothing child loses the bigons that smoothing
 exposes and those that switches left in the records.
 
-There is one walk.  A node adds the terms of each smoothing child, shifted
-by the switches before it, and of the unlink at the end of its chain into
-one (nabla, V) pair, in one pass (see _sum_chain).  Unlink leaves share
-one nabla = 1, one nabla = 0, and their Jones value from a table of powers
-of the loop value.  conway_jones returns the pair; conway and jones
-project it.  Each call starts from a fresh memo.
+There is one walk.  A leaf is a diagram whose value is read, not walked:
+an unlink (no crossings), or a closed 2-braid sigma_1^(s k), the (2, k)
+torus link of crossing sign s, with free loops (see _closed_two_braid).
+Every other diagram is a node.  A node adds the terms of each smoothing
+child, shifted by the switches before it, and of the unlink at the end of
+its chain into one (nabla, V) pair, in one pass (see _sum_chain).  Unlink
+leaves share one nabla = 1, one nabla = 0, and their Jones value from a
+table of powers of the loop value.  Closed 2-braid leaves take theirs from
+a table keyed by (k, s, free loops), filled by the skein recurrence of the
+2-braids (see _two_braid); they are not memoised.  conway_jones returns
+the pair; conway and jones project it.  Each call starts from a fresh memo.
 
 The oracle, jones_bracket_oracle, is the Kauffman bracket as a plain sum
 over all 2^N states, one state at a time.  A state unions the edge pairs
@@ -80,6 +85,10 @@ _ZERO = LaurentPoly()
 # k -> _LOOP ** k, filled as walks meet larger unlinks.  The values are
 # immutable and depend on k alone, so every leaf of every walk shares them.
 _LOOP_POWERS: dict[int, LaurentPoly] = {}
+# (k, s, loops) -> (nabla, V) of the closed 2-braid sigma_1^(s k) with loops
+# free loops, filled as walks meet them (see _two_braid); shared like
+# _LOOP_POWERS.
+_TWO_BRAIDS: dict[tuple[int, int, int], tuple[LaurentPoly, LaurentPoly]] = {}
 
 
 class CrossingBudgetExceeded(RuntimeError):
@@ -160,18 +169,75 @@ def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
     return (_ONE if c == 1 else _ZERO, v)
 
 
+def _closed_two_braid(d: PDDiagram) -> "tuple[int, int] | None":
+    """(k, s) when the strand records of d, a diagram with crossings, are
+    those of the closed 2-braid sigma_1^(s k) up to relabelling, else None.
+    Only d's records and runs are read.
+
+    Along the closed braid each strand meets the k crossings in turn,
+    alternately over and under, and every crossing has sign s.  For odd k
+    the braid closes into one run of 2k edges that meets each crossing
+    twice, k edges apart: each over-in lies k edges after its under-in, and
+    the under-ins have one parity.  For even k it closes into two runs of k
+    edges, which meet the crossings in the same cyclic order (parallel):
+    the second run's in-edge at each crossing lies one fixed number of
+    edges after the first run's, and the first run is under exactly at the
+    in-edges of one parity.  The (2, k) torus link with one component
+    reversed meets them in opposite orders and is refused.
+    """
+    recs, runs = d._records, d._runs
+    k = len(recs)
+    s = recs[0][4]
+    if len(runs) == 1:
+        parity = recs[0][0] & 1
+        for u_in, o_in, _, _, sign in recs:
+            if sign != s or (o_in - u_in) % (2 * k) != k or u_in & 1 != parity:
+                return None
+        return k, s
+    if len(runs) != 2 or k % 2 or runs[0][1] != k:
+        return None
+    keys = set()
+    for u_in, o_in, _, _, sign in recs:
+        # a and b: the in-edges on the first run (1..k) and the second
+        a, b = (u_in, o_in) if u_in <= k else (o_in, u_in)
+        if sign != s or a > k or b <= k:
+            return None
+        keys.add(((b - a) % k, (a + (a == u_in)) & 1))
+    return (k, s) if len(keys) == 1 else None
+
+
+def _two_braid(k: int, s: int, loops: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(nabla, V) of the closed 2-braid sigma_1^(s k) with loops free loops.
+
+    At one crossing of sign s a switch leaves sigma_1^(s (k - 2)) after a
+    Reidemeister-II move and the smoothing leaves sigma_1^(s (k - 1)), so
+    ``_sum_chain`` of that one crossing steps the values up from k = 0 and
+    k = 1, the unlinks of loops + 2 and loops + 1 components.
+    """
+    val = _TWO_BRAIDS.get((k, s, loops))
+    if val is None:
+        prev, val = _unlink(loops + 2), _unlink(loops + 1)
+        for _ in range(k - 1):
+            prev, val = val, _sum_chain([(s, val)], prev)
+        val = _TWO_BRAIDS.setdefault((k, s, loops), val)
+    return val
+
+
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d, which has no Reidemeister-I curl and no bigon.
 
-    The crossings of ``_resolution_order`` are switched one by one in a
-    working copy of d's records, and each is smoothed, in the state its
-    predecessors' switches left, into a child that the walk evaluates.
-    The switched diagram at the end is descending, an unlink, and
-    ``_sum_chain`` folds it with the children.  Every child has fewer
-    crossings than d.
+    A leaf returns its value at once.  Otherwise the crossings of
+    ``_resolution_order`` are switched one by one in a working copy of d's
+    records, and each is smoothed, in the state its predecessors' switches
+    left, into a child that the walk evaluates.  The switched diagram at
+    the end is descending, an unlink, and ``_sum_chain`` folds it with the
+    children.  Every child has fewer crossings than d.
     """
     if not d.crossings:
         return _unlink(d.component_count())
+    braid = _closed_two_braid(d)
+    if braid is not None:
+        return _two_braid(*braid, d.free_loops)
     key = canonical_code(d)
     cached = memo.get(key)
     if cached is not None:

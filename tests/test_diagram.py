@@ -111,6 +111,18 @@ class TestParse:
         assert d.component_count() == 1
         assert d.writhe() in (1, -1)
 
+    @pytest.mark.parametrize("text, token", [
+        ("X(1,4,2,5) X(3,6,4,1)\u3000X(5,2,6,3)", "X(3,6,4,1)\u3000X(5,2,6,3)"),
+        ("X(1,4,2,5)\u2028X(3,6,4,1) X(5,2,6,3)", "X(1,4,2,5)\u2028X(3,6,4,1)"),
+        ("X(1,4,2,5) X(3,6,4,1)\u00a0X(5,2,6,3)", "X(3,6,4,1)\u00a0X(5,2,6,3)")])
+    def test_only_ascii_whitespace_separates(self, text, token):
+        # str.split() would take U+3000, U+2028 and U+00A0 for separators
+        # and read the trefoil
+        with pytest.raises(PDError, match="malformed token") as info:
+            parse_pd(text)
+        assert repr(token) in str(info.value)
+        assert parse_pd("X(1,4,2,5)\tX(3,6,4,1)\r\nX(5,2,6,3)\f") == parse_pd(TREFOIL)
+
     def test_equality_hash_and_repr(self):
         d = parse_pd(TREFOIL)
         same = PDDiagram(d.crossings)
@@ -367,6 +379,8 @@ class TestTrustedRebuild:
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
         diagrams += random_planar_diagrams(seed=23, count=300, max_crossings=10)
         diagrams += random_planar_diagrams(seed=24, count=300, max_crossings=10)
+        diagrams += random_planar_diagrams(seed=25, count=300, max_crossings=10)
+        diagrams += random_planar_diagrams(seed=26, count=300, max_crossings=10)
         # no diagram above smooths into a child with a short run; this
         # planar code, one edit from a planar one (one_edit_codes(table, 23,
         # 12, 1)), smooths into a child with a two-edge run over at both its

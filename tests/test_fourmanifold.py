@@ -110,6 +110,17 @@ class TestParseBlockForm:
         assert str(info.value) == f"unrecognized block term: {term!r}"
 
     @pytest.mark.parametrize("text, term", [
+        ("2\u00a0<1> + H", "2\u00a0<1>"), ("<1>\u3000+ H", "<1>\u3000"),
+        ("<\u20031>", "<\u20031>")])
+    def test_only_ascii_whitespace(self, text, term):
+        # \s and str.strip() without re.ASCII would read "2\u00a0<1> + H" as
+        # a form of rank 4
+        with pytest.raises(ValueError) as info:
+            parse_block_form(text)
+        assert str(info.value) == f"unrecognized block term: {term!r}"
+        assert parse_block_form("2\t<1>\n+ H ").rank == 4
+
+    @pytest.mark.parametrize("text, term", [
         ("0<1>", "0<1>"), ("0H + <1>", "0H"), ("<-1> + 00 H", "00 H")])
     def test_zero_count_rejected(self, text, term):
         # a zero count would drop its block and build a smaller form

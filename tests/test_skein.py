@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import islice
+from itertools import combinations, islice
 from fractions import Fraction
 
 import pytest
@@ -17,8 +17,10 @@ from knotforge.skein import (
     BRACKET_ORACLE_BUDGET,
     CrossingBudgetExceeded,
     SkeinMemo,
+    _closed_two_braid,
     _resolution_order,
     _sum_chain,
+    _two_braid,
     conway,
     conway_jones,
     jones,
@@ -265,8 +267,10 @@ def _hoste_cofactor(d):
 
 class TestClassicalIdentities:
     """Checks of the walk that read nothing it computes: V of a knot is 1 mod
-    t^2 + t + 1, and the z^(mu-1) coefficient of nabla is (-1)^(mu-1) times a
-    cofactor of the linking-number Laplacian (Hoste, Proc. AMS 95, 1985)."""
+    t^2 + t + 1, V of a knot at t = i is (-1) to its Arf invariant, the z^2
+    coefficient of nabla mod 2 (Murakami, Math. Ann. 270, 1985), and the
+    z^(mu-1) coefficient of nabla is (-1)^(mu-1) times a cofactor of the
+    linking-number Laplacian (Hoste, Proc. AMS 95, 1985)."""
 
     @staticmethod
     def _check(d):
@@ -274,6 +278,7 @@ class TestClassicalIdentities:
         mu = d.component_count()
         if mu == 1:
             assert _one_mod_t2_t_1(v) == (1, 0), d.render()
+            assert _at_t_equals_i(v) == ((-1) ** nabla.coeff(2), 0), d.render()
         assert nabla.coeff(mu - 1) == (-1) ** (mu - 1) * _hoste_cofactor(d), d.render()
         return mu, nabla.coeff(mu - 1)
 
@@ -416,8 +421,9 @@ class TestWalkRebuilds:
     def test_twist_family_beyond_the_crossing_budget(self, table, monkeypatch, n):
         # L_8 .. L_14 have 25 .. 37 crossings, above DEFAULT_CROSSING_BUDGET,
         # and L_100 has 209.  A smoothing that closes a curl collapses the
-        # twist region, and a switch is no node of its own, so the walk
-        # visits n + 14 nodes, hits and misses
+        # twist region, a switch is no node of its own, and the Hopf links
+        # and trefoils at the bottom are leaves, so the walk visits n + 2
+        # nodes, hits and misses
         memos = []
 
         class CountedMemo(SkeinMemo):
@@ -429,7 +435,7 @@ class TestWalkRebuilds:
         monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", d.n_crossings)
         monkeypatch.setattr(skein_module, "SkeinMemo", CountedMemo)
         assert conway_jones(d) == (conway_family(n), jones_family(n))
-        assert [m.hits + m.misses for m in memos] == [n + 14]
+        assert [m.hits + m.misses for m in memos] == [n + 2]
 
 
 class TestFuzzedCodes:
@@ -499,6 +505,17 @@ def _eval_at_i(p, z_at_2i):
 
 def _norm(g):
     return g[0] ** 2 + g[1] ** 2
+
+
+def _at_t_equals_i(v):
+    """A knot's V, whose exponents are integers, at t = i, as (re, im)."""
+    re = im = 0
+    for k, c in v.doubled_terms().items():
+        assert k % 2 == 0
+        a, b = _I_POWERS[k // 2 % 4]
+        re += c * a
+        im += c * b
+    return re, im
 
 
 class TestIntegerCoefficients:
@@ -589,8 +606,9 @@ class TestMemoKeys:
     """The labels of every skein child are pinned by the memo keys."""
 
     # digest of the keys conway_jones stores, in order, over the 7 table
-    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 331 keys
-    DIGEST = "b8b5e797396f28b15db1715d070f075fdf897f6891fe601076453747b99d6e05"
+    # entries, L_0..L_7 and 200 random_planar_diagrams(seed=911); 69 keys,
+    # since closed 2-braids are leaves and not memoised
+    DIGEST = "88dc39adbd968022a6375267d6d829e27026da5d65d43c9a4815770f61f51600"
 
     def test_memo_key_digest(self, table, monkeypatch):
         keys = []
@@ -607,12 +625,12 @@ class TestMemoKeys:
         diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
         for d in diagrams:
             conway_jones(d)
-        assert len(keys) == 331
+        assert len(keys) == 69
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
 
     def test_twist_family_node_counts(self, table, monkeypatch):
-        # nodes are memo lookups, hits and misses, one per diagram with
-        # crossings that the walk visits
+        # nodes are memo lookups, hits and misses, one per diagram that the
+        # walk visits and that is no leaf
         memos = []
 
         class CountedMemo(SkeinMemo):
@@ -625,7 +643,7 @@ class TestMemoKeys:
         for n in range(8):
             conway_jones(base.insert_full_twists((3, 25), n - 2))
         # the roots of L_0 and L_1 lose bigons: 17 -> 5 and 15 -> 11 crossings
-        assert [m.hits + m.misses for m in memos] == [3, 15, 16, 17, 18, 19, 20, 21]
+        assert [m.hits + m.misses for m in memos] == [1, 3, 4, 5, 6, 7, 8, 9]
 
 
 class TestBudgetAndMemo:
@@ -739,6 +757,7 @@ def test_every_node_is_curl_and_bigon_free(table, monkeypatch):
     base = table.diagram("11n63")
     diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
     diagrams += random_planar_diagrams(seed=67, count=200, max_crossings=10)
+    diagrams += random_planar_diagrams(seed=68, count=200, max_crossings=10)
     for d in diagrams:
         conway_jones(d)
     assert len(nodes) > 500
@@ -813,3 +832,161 @@ def test_resolution_order_is_the_switch_chain(table):
         assert _first_violation_by_walk(d) is None, d.render()
     # the rule, not only its fallback, picks crossings
     assert closing > 0 and switches > 500
+
+
+def two_braid_records(k, s):
+    """The strand records of the closed 2-braid sigma_1^(s k), k >= 1, in a
+    fixed labelling: for odd k one run 1..2k, under on its odd labels; for
+    even k the runs 1..k and k+1..2k, entering crossing j on j + 1 and
+    k + 1 + j, the first run over where j is even."""
+    if k % 2:
+        n = 2 * k
+        return [(u, (u + k - 1) % n + 1, u % n + 1, (u + k) % n + 1, s)
+                for u in range(1, n + 1, 2)]
+    recs = []
+    for j in range(k):
+        a, b = j + 1, k + 1 + j
+        na, nb = (j + 1) % k + 1, k + 1 + (j + 1) % k
+        recs.append((a, b, na, nb, s) if j % 2 else (b, a, nb, na, s))
+    return recs
+
+
+def antiparallel_records(k, s, first_over_at_even):
+    """The records of the closed twist of k crossings (k even) whose second
+    run meets the crossings in the opposite order: the (2, k) torus link
+    with one component reversed, over/under alternating along each run."""
+    recs = []
+    for j in range(k):
+        a, na = j + 1, (j + 1) % k + 1
+        b, nb = 2 * k - j, k + 1 + (k - j) % k
+        over = (j % 2 == 0) == first_over_at_even
+        recs.append((b, a, nb, na, s) if over else (a, b, na, nb, s))
+    return recs
+
+
+def two_braid_label_maps(k):
+    """Every relabelling of a closed 2-braid's code: a rotation of each run
+    and, for two runs, a choice of which run comes first."""
+    if k % 2:
+        n = 2 * k
+        return [[0] + [(e - 1 + r) % n + 1 for e in range(1, n + 1)] for r in range(n)]
+    maps = []
+    for r1 in range(k):
+        for r2 in range(k):
+            for swap in (0, k):
+                first = [(e - 1 + r1) % k + 1 + swap for e in range(1, k + 1)]
+                second = [(e + r2) % k + 1 + k - swap for e in range(k)]
+                maps.append([0] + first + second)
+    return maps
+
+
+def code_of(recs):
+    """The PD code of strand records: a positive crossing has its over-strand
+    entering at slot b."""
+    return [(a, b, c, d) if s > 0 else (a, d, c, b) for a, b, c, d, s in recs]
+
+
+def two_braid_reference(d):
+    """Reference: (k, s) when d's records are those of sigma_1^(s k) under
+    some relabelling, else None, by trying every relabelling."""
+    k = d.n_crossings
+    have = {tuple(r) for r in d._records}
+    for s in (1, -1):
+        base = two_braid_records(k, s)
+        for f in two_braid_label_maps(k):
+            if {(f[a], f[b], f[c], f[e], sign) for a, b, c, e, sign in base} == have:
+                return k, s
+    return None
+
+
+class TestClosedTwoBraidLeaf:
+    """Closed 2-braids sigma_1^(s k) with free loops are leaves of the walk:
+    their value comes from the T(2, k) skein recurrence, without children,
+    and equals the recursion through switch children and the oracle."""
+
+    @staticmethod
+    def _relabelled(k, s, rng):
+        f = rng.choice(two_braid_label_maps(k))
+        code = code_of([(f[a], f[b], f[c], f[e], sign)
+                        for a, b, c, e, sign in two_braid_records(k, s)])
+        rng.shuffle(code)
+        return code
+
+    def test_hopf_link_and_trefoil(self, table):
+        hopf, trefoil = table.diagram("hopf+"), table.diagram("trefoil")
+        assert (_closed_two_braid(hopf), _closed_two_braid(trefoil)) == (
+            (2, 1), (3, 1))
+        assert _two_braid(2, 1, 0) == (
+            -Z, LaurentPoly.from_exponents({F(-1, 2): 1, F(-5, 2): 1}))
+        assert _two_braid(3, 1, 0) == (
+            LaurentPoly.from_exponents({0: 1, 2: 1}),
+            LaurentPoly.from_exponents({-1: 1, -3: 1, -4: -1}))
+
+    def test_leaves_equal_the_recursion_and_the_oracle(self):
+        rng = random.Random(3201)
+        checked = 0
+        for k in range(2, 13):
+            for s in (1, -1):
+                for loops in range(3):
+                    for _ in range(2):
+                        d = PDDiagram(self._relabelled(k, s, rng), loops)
+                        assert is_planar(d) and reduce_root(d) is d
+                        assert _closed_two_braid(d) == two_braid_reference(d) == (k, s)
+                        value = conway_jones(d)
+                        assert value == _walk_by_switch_children(d), d.render()
+                        assert value[1] == jones_bracket_oracle(d), d.render()
+                        checked += 1
+        assert checked == 11 * 2 * 3 * 2
+
+    def test_leaves_build_no_children(self, monkeypatch):
+        built = []
+        smooth = skein_module._smooth_reduced
+        monkeypatch.setattr(skein_module, "_smooth_reduced",
+                            lambda *args: built.append(args) or smooth(*args))
+        for k in range(2, 9):
+            conway_jones(PDDiagram(code_of(two_braid_records(k, -1)), 1))
+        assert built == []
+
+    def test_antiparallel_twists_miss_the_leaf(self):
+        planar = 0
+        for k in range(4, 13, 2):
+            for s in (1, -1):
+                for first_over_at_even in (True, False):
+                    d = PDDiagram(code_of(antiparallel_records(k, s, first_over_at_even)))
+                    assert reduce_root(d) is d
+                    assert _closed_two_braid(d) is None and two_braid_reference(d) is None
+                    value = conway_jones(d)
+                    assert value == _walk_by_switch_children(d), d.render()
+                    if is_planar(d):
+                        planar += 1
+                        assert value[1] == jones_bracket_oracle(d), d.render()
+        # every sign and over pattern gives a planar code
+        assert planar == 20
+
+    def test_one_edit_neighbours_miss_the_leaf(self):
+        # every code one slot swap away from a relabelled closed 2-braid of
+        # 2..8 crossings that validates (a label edit never does)
+        rng = random.Random(3202)
+        neighbours = reduced_hits = 0
+        for k in range(2, 9):
+            for s in (1, -1):
+                base = [list(x) for x in self._relabelled(k, s, rng)]
+                slots = [(i, j) for i in range(k) for j in range(4)]
+                for (i, j), (m, n) in combinations(slots, 2):
+                    if base[i][j] == base[m][n]:
+                        continue
+                    xs = [list(x) for x in base]
+                    xs[i][j], xs[m][n] = xs[m][n], xs[i][j]
+                    try:
+                        d = PDDiagram(xs, (i + m) % 2)
+                    except PDError:
+                        continue
+                    neighbours += 1
+                    assert _closed_two_braid(d) is None and two_braid_reference(d) is None
+                    r = reduce_root(d)
+                    if r.n_crossings:
+                        assert _closed_two_braid(r) == two_braid_reference(r), r.render()
+                        reduced_hits += _closed_two_braid(r) is not None
+                        assert conway_jones(d) == _walk_by_switch_children(r), d.render()
+        # some neighbours reduce to a shorter closed 2-braid, which is a leaf
+        assert (neighbours, reduced_hits) == (326, 28)
