@@ -277,6 +277,53 @@ class PDDiagram:
         return f"PDDiagram({self.render()!r})"
 
 
+def _planar(crossings: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the 4-valent graph of a valid PD code embeds in the plane
+    with the counterclockwise slot order of its code as rotation.
+
+    Slot 4i + k is slot k of crossing i.  A face leaves each slot it
+    reaches by the next slot counterclockwise and the edge there, so the
+    faces are the cycles of that map.  The test is Euler's formula
+    V - E + F = 2C with V = N crossings, E = 2N edges and C the connected
+    pieces of the graph: face tracing gives each piece its own outer face.
+    Smoothing a crossing and removing curls and bigons keep a planar code
+    planar.
+    """
+    n_slots = 4 * len(crossings)
+    # other[s] is the slot at the far end of slot s's edge
+    other = [0] * n_slots
+    first = [-1] * (n_slots // 2 + 1)
+    for s, e in enumerate([e for x in crossings for e in x]):
+        t = first[e]
+        if t < 0:
+            first[e] = s
+        else:
+            other[s], other[t] = t, s
+    faces = 0
+    seen = bytearray(n_slots)
+    for start in range(n_slots):
+        if seen[start]:
+            continue
+        faces += 1
+        s = start
+        while not seen[s]:
+            seen[s] = 1
+            s = other[s + 1 if s % 4 != 3 else s - 3]
+    # pieces: crossings joined by edges, in a union-find with path halving
+    piece = list(range(len(crossings)))
+    pieces = len(crossings)
+    for s in range(n_slots):
+        a, b = s // 4, other[s] // 4
+        while piece[a] != a:
+            piece[a] = a = piece[piece[a]]
+        while piece[b] != b:
+            piece[b] = b = piece[piece[b]]
+        if a != b:
+            piece[b] = a
+            pieces -= 1
+    return faces - len(crossings) == 2 * pieces
+
+
 def _smoothing(t: _Rec, n_edges: int) -> list[int]:
     """The flat class table over ids 1..n_edges of the oriented smoothing of
     t, for either sign: under-in is glued to over-out, over-in to under-out.

@@ -85,11 +85,12 @@ def _parse_table_text(text: str) -> dict[str, tuple[list[str], int]]:
     lines = text.removesuffix("\n").split("\n")
     start = 0
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        # ASCII whitespace only, as between the tokens of a PD line
+        line = raw.split("#", 1)[0].strip(" \t\n\r\f\v")
         if line.startswith("name:"):
             if current is not None:
                 entries[current] = (lines[start:ln - 1], start + 1)
-            current = line.split(":", 1)[1].strip()
+            current = line.split(":", 1)[1].strip(" \t\n\r\f\v")
             if not current:
                 raise ValueError(f"table line {ln}: 'name:' gives no entry name")
             if current in entries:

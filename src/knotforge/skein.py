@@ -13,15 +13,28 @@ value of one smoothing.  A node orders its violations once (see
 _resolution_order): those whose oriented smoothing at once turns a
 neighbour into a curl, then the others, each by increasing u_in.
 Smoothing a twist-region crossing that way collapses its region, so the
-child is small and often a memo hit.  A switch keeps every label, and so
-every other crossing's place in the order: the order is the chain of picks
-that recursing into one switch child after another would make.  The node
-switches the records of a working list one by one and evaluates the
-smoothing child of each crossing in the state the switches before it left;
-no switched diagram is built.  Every recursive call is a smoothing child,
-with fewer crossings than its node, so the recursion terminates.  Nodes
-are memoised under their PD code as given, not under a canonical
-relabelling (see canonical_code).
+child is small.  A switch keeps every label, and so every other crossing's
+place in the order: the order is the chain of picks that recursing into
+one switch child after another would make.  The node switches the records
+of a working list one by one and evaluates the smoothing child of each
+crossing in the state the switches before it left; no switched diagram is
+built.  Every recursive call is a smoothing child, with fewer crossings
+than its node, so the recursion terminates.  Nodes are memoised under
+their PD code as given, not under a canonical relabelling (see
+canonical_code).
+
+A twist region is a connected class of clasp pairs: two crossings joined
+by two edges running opposite ways, so that smoothing either turns the
+other into a curl.  On a planar code, smoothing any crossing of a region
+leaves the others curls, switched or not, so every such child is one link
+after Reidemeister-I moves (Lickorish, An Introduction to Knot Theory,
+GTM 175).  A node therefore builds one child for a run of crossings of
+one region down its chain and takes it over for the rest of the run, so
+L_n builds 14 children for every n >= 1.  This is an isotopy
+argument, so it is gated on the planarity of the walk's root
+(diagram._planar), which smoothing, R1 and R2 keep, evaluated at most
+once per walk and only when a node could take a child over.  A walk from
+a non-planar root builds every child.
 
 On entry the root loses its curls and bigons to a fixpoint, as every
 smoothing child does, and the crossing budget counts what is left; so
@@ -56,9 +69,10 @@ writhe and the component count, and keeps nothing between calls.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import comb
 
-from .diagram import PDDiagram, _reduced, _smooth_reduced
+from .diagram import PDDiagram, _planar, _reduced, _smooth_reduced
 from .laurent import LaurentPoly, _from_terms
 
 __all__ = [
@@ -130,34 +144,54 @@ def canonical_code(d: PDDiagram):
     return (d.crossings, d.free_loops)
 
 
-def _resolution_order(recs) -> list[int]:
-    """The crossings a node resolves down its switch chain, in order.
+def _resolution_order(recs) -> list[tuple[int, int]]:
+    """The crossings a node resolves down its switch chain, in order, each
+    with the name of its twist region.
 
     A violation is a crossing met on its under-strand first (u_in < o_in).
     With head[e] and tail[e] the crossings that edge e enters and leaves,
     the oriented smoothing glues u_in to o_out and o_in to u_out, so it at
     once turns a neighbour into a curl when tail[u_in] is head[o_out] or
-    tail[o_in] is head[u_out].  That test means a curl on planar codes
-    only: on a non-planar one it also marks a smoothing that makes a
-    one-edge loop over at both ends.  The order is the curl-closing
-    violations by increasing u_in, then the other violations by increasing
-    u_in; it is empty exactly when the diagram is descending.  A switch
-    keeps every label, so it keeps head, tail and every other crossing's
-    test, and turns its own violation into none: switching the first
-    crossing leaves the rest of the order as the switched diagram's order.
+    tail[o_in] is head[u_out]; the crossing and that neighbour are a clasp
+    pair.  That test means a curl on planar codes only: on a non-planar one
+    it also marks a smoothing that makes a one-edge loop over at both ends.
+    The order is the curl-closing violations by increasing u_in, then the
+    other violations by increasing u_in; it is empty exactly when the
+    diagram is descending.  A twist region is a connected class of clasp
+    pairs over all crossings, named by one of its crossings.  A switch
+    keeps every label, so it keeps head, tail, the regions and every other
+    crossing's test, and turns its own violation into none: switching the
+    first crossing leaves the rest of the order as the switched diagram's
+    order.
     """
     n_ids = 2 * len(recs) + 1
     head = [0] * n_ids
     tail = [0] * n_ids
     for i, (u_in, o_in, u_out, o_out, _) in enumerate(recs):
         head[u_in] = head[o_in] = tail[u_out] = tail[o_out] = i
+    # a union-find over crossings with path halving
+    region = list(range(len(recs)))
+
+    def find(x: int) -> int:
+        while region[x] != x:
+            region[x] = x = region[region[x]]
+        return x
+
     keyed = []
     for i, (u_in, o_in, u_out, o_out, _) in enumerate(recs):
+        closes = False
+        j = tail[u_in]
+        if j == head[o_out]:
+            closes = True
+            region[find(j)] = find(i)
+        j = tail[o_in]
+        if j == head[u_out]:
+            closes = True
+            region[find(j)] = find(i)
         if u_in < o_in:
-            closes = tail[u_in] == head[o_out] or tail[o_in] == head[u_out]
             keyed.append((not closes, u_in, i))
     keyed.sort()
-    return [i for _, _, i in keyed]
+    return [(i, find(i)) for _, _, i in keyed]
 
 
 def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -223,7 +257,8 @@ def _two_braid(k: int, s: int, loops: int) -> tuple[LaurentPoly, LaurentPoly]:
     return val
 
 
-def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
+def _skein_eval(d: PDDiagram, memo: SkeinMemo,
+                planar: Callable[[], bool]) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d, which has no Reidemeister-I curl and no bigon.
 
     A leaf returns its value at once.  Otherwise the crossings of
@@ -232,6 +267,12 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
     left, into a child that the walk evaluates.  The switched diagram at
     the end is descending, an unlink, and ``_sum_chain`` folds it with the
     children.  Every child has fewer crossings than d.
+
+    A crossing takes over the value of the child built last when that
+    child smoothed a crossing of its twist region and every switch made
+    since lay in the region too (see the module docstring).  ``planar()``
+    says whether the walk's root, and so every diagram of the walk, is
+    planar; it is asked only when a child could be taken over.
     """
     if not d.crossings:
         return _unlink(d.component_count())
@@ -245,8 +286,12 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
     recs = list(d._records)
     loops = d.free_loops
     chain = []
-    for i in _resolution_order(recs):
-        chain.append((recs[i][4], _skein_eval(_smooth_reduced(recs, i, loops), memo)))
+    last = -1
+    for i, region in _resolution_order(recs):
+        if region != last or not planar():
+            child = _skein_eval(_smooth_reduced(recs, i, loops), memo, planar)
+            last = region
+        chain.append((recs[i][4], child))
         recs[i] = recs[i].switched()
     val = _sum_chain(chain, _unlink(d.component_count()))
     memo.put(key, val)
@@ -296,7 +341,9 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     The walk starts from d with its Reidemeister-I curls and
     Reidemeister-II bigons removed to a fixpoint.  Raises
     CrossingBudgetExceeded when that diagram has more than
-    DEFAULT_CROSSING_BUDGET crossings.
+    DEFAULT_CROSSING_BUDGET crossings.  Whether that diagram is planar is
+    computed at most once, when a node first could take a twist region's
+    child over (see _skein_eval).
     """
     d = _reduced(d._records, list(range(2 * d.n_crossings + 1)), d.free_loops, True, d)
     if d.n_crossings > DEFAULT_CROSSING_BUDGET:
@@ -304,7 +351,16 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
             f"diagram has {d.n_crossings} crossings after reduction, "
             f"budget is {DEFAULT_CROSSING_BUDGET}"
         )
-    return _skein_eval(d, SkeinMemo())
+    root_planar = None
+
+    def planar() -> bool:
+        # asked only where a node could take a child over, at most once
+        nonlocal root_planar
+        if root_planar is None:
+            root_planar = _planar(d.crossings)
+        return root_planar
+
+    return _skein_eval(d, SkeinMemo(), planar)
 
 
 def conway(d: PDDiagram) -> LaurentPoly:

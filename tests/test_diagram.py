@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+from itertools import islice
 
 import pytest
 
@@ -12,6 +13,7 @@ from knotforge.diagram import (
     PDDiagram,
     PDError,
     _Rec,
+    _planar,
     _relabel,
     _validate,
     parse_pd,
@@ -22,6 +24,7 @@ from knotforge.laurent import LaurentPoly
 
 from conftest import (TABLE_NAMES, class_table, is_planar, mirror,
                       random_planar_diagrams, with_curls)
+from test_skein import one_edit_codes
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
@@ -229,14 +232,25 @@ class TestParse:
 
 
 class TestIsPlanar:
-    # the test helper counts one outer face per connected piece of the graph
+    # the test helper and the package's predicate count one outer face per
+    # connected piece of the graph
     @pytest.mark.parametrize("code, planar", [
         (TREFOIL, True),
         ("X(3,1,4,2) X(2,4,1,3) X(7,5,8,6) X(6,8,5,7)", True),      # split two-Hopf
         ("X(1,6,2,7) X(5,7,6,1) X(4,8,5,10) X(9,2,10,3) X(8,4,9,3)", False),
     ])
     def test_euler_formula_per_piece(self, code, planar):
-        assert is_planar(parse_pd(code)) is planar
+        d = parse_pd(code)
+        assert is_planar(d) is planar
+        assert _planar(d.crossings) is planar
+
+    def test_package_predicate_equals_the_helper_on_fuzzed_codes(self, table):
+        # the helper is kept as the independent reference
+        planar = 0
+        for d in islice(one_edit_codes(table, 2401, 10, 1), 600):
+            assert _planar(d.crossings) is is_planar(d), d.render()
+            planar += is_planar(d)
+        assert planar == 425
 
 
 def _signs(d):

@@ -77,6 +77,16 @@ class TestTable:
         with pytest.raises(ValueError, match=r"^table entry 'b' is given twice$"):
             load_table(str(path))
 
+    @pytest.mark.parametrize("name", ["\u3000k\u3000", "\u3000", "\u00a0k"])
+    def test_names_keep_non_ascii_whitespace(self, name):
+        # names are stripped of ASCII whitespace only, as the PD lines are
+        # split at it only: U+3000 and U+00A0 are part of the name
+        t = KnotTable(f"name: {name} \nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n")
+        assert t.diagram(name).n_crossings == 3
+        assert list(_parse_table_text(f"name:{name}\t\nloops=1\n")) == [name]
+        with pytest.raises(KeyError):
+            t.diagram(name.strip())
+
     @pytest.mark.parametrize("text, error", [
         ("name: a\nloops=1\n\nname:\nX(1,2,1,2)\n",
          "table line 4: 'name:' gives no entry name"),

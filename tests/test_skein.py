@@ -421,9 +421,9 @@ class TestWalkRebuilds:
     def test_twist_family_beyond_the_crossing_budget(self, table, monkeypatch, n):
         # L_8 .. L_14 have 25 .. 37 crossings, above DEFAULT_CROSSING_BUDGET,
         # and L_100 has 209.  A smoothing that closes a curl collapses the
-        # twist region, a switch is no node of its own, and the Hopf links
-        # and trefoils at the bottom are leaves, so the walk visits n + 2
-        # nodes, hits and misses
+        # twist region, the region's other crossings take that child over,
+        # a switch is no node of its own, and the Hopf links and trefoils
+        # at the bottom are leaves, so the walk visits 3 nodes, all misses
         memos = []
 
         class CountedMemo(SkeinMemo):
@@ -435,7 +435,119 @@ class TestWalkRebuilds:
         monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", d.n_crossings)
         monkeypatch.setattr(skein_module, "SkeinMemo", CountedMemo)
         assert conway_jones(d) == (conway_family(n), jones_family(n))
-        assert [m.hits + m.misses for m in memos] == [n + 2]
+        assert [(m.hits, m.misses) for m in memos] == [(0, 3)]
+
+
+def taken_over_children(diagrams, monkeypatch):
+    """Walk each diagram and log the children its nodes take over.
+
+    Returns, for each diagram, the pairs (value, fresh) of every crossing
+    whose smoothing child a node took over from an earlier crossing of its
+    chain instead of building it: the value taken over, and the value of
+    the child built afresh in that crossing's state, walked with no
+    take-over at all.  Also returns the number of chain steps whose
+    crossing lies in the twist region of the step before, which the walk
+    may take over.
+    """
+    skein_eval = skein_module._skein_eval
+    order_of = skein_module._resolution_order
+    smooth = skein_module._smooth_reduced
+    frames, nodes = [], []
+
+    def evaluating(d, memo, planar):
+        frames.append({"d": d, "order": None, "built": [], "values": []})
+        try:
+            val = skein_eval(d, memo, planar)
+        finally:
+            frame = frames.pop()
+        if frame["order"] is not None:
+            nodes.append(frame)
+        if frames:
+            frames[-1]["values"].append(val)
+        return val
+
+    def ordering(recs):
+        order = order_of(recs)
+        frames[-1]["order"] = order
+        return order
+
+    def smoothing(recs, i, loops):
+        frames[-1]["built"].append(i)
+        return smooth(recs, i, loops)
+
+    logs = []
+    with monkeypatch.context() as m:
+        m.setattr(skein_module, "_skein_eval", evaluating)
+        m.setattr(skein_module, "_resolution_order", ordering)
+        m.setattr(skein_module, "_smooth_reduced", smoothing)
+        m.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", 10 ** 6)
+        for d in diagrams:
+            conway_jones(d)
+            logs.append(nodes[:])
+            nodes.clear()
+    out, steps = [], 0
+    for walk in logs:
+        pairs = []
+        for node in walk:
+            recs, loops = list(node["d"]._records), node["d"].free_loops
+            built = dict(zip(node["built"], node["values"]))
+            assert len(built) == len(node["built"])
+            last = previous = None
+            for i, region in node["order"]:
+                steps += region == previous
+                previous = region
+                if i in built:
+                    last = built[i]
+                else:
+                    fresh = skein_eval(smooth(recs, i, loops), SkeinMemo(), lambda: False)
+                    pairs.append((last, fresh))
+                recs[i] = recs[i].switched()
+        out.append(pairs)
+    return out, steps
+
+
+class TestTwistRegionChildren:
+    """A node's crossings of one twist region share one smoothing child."""
+
+    def test_smoothing_children_of_the_twist_family(self, table, monkeypatch):
+        # L_n is one long antiparallel twist region on a fixed 11n63 core,
+        # so the walk builds a fixed number of children for every n >= 1
+        built = []
+        smooth = skein_module._smooth_reduced
+        monkeypatch.setattr(skein_module, "_smooth_reduced",
+                            lambda *args: built.append(None) or smooth(*args))
+        monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", 209)
+        base = table.diagram("11n63")
+        counts = []
+        for n in range(1, 101):
+            built.clear()
+            d = base.insert_full_twists((3, 25), n - 2)
+            assert conway_jones(d) == (conway_family(n), jones_family(n))
+            counts.append(len(built))
+        assert counts == [14] * 100
+
+    def test_children_taken_over_equal_fresh_ones(self, table, monkeypatch):
+        base = table.diagram("11n63")
+        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(15)]
+        diagrams += random_planar_diagrams(seed=67, count=200, max_crossings=10)
+        diagrams += random_planar_diagrams(seed=911, count=200, max_crossings=10)
+        codes = [reduce_root(d) for d in islice(one_edit_codes(table, 2401, 10, 1), 600)]
+        diagrams += [d for d in codes if is_planar(d)]
+        walks, _ = taken_over_children(diagrams, monkeypatch)
+        for d, walk in zip(diagrams, walks):
+            for value, fresh in walk:
+                assert value == fresh, d.render()
+        # L_n takes n - 1 children over for n >= 1 and builds 14
+        assert [len(walk) for walk in walks[:15]] == [1, 0, *range(1, 14)]
+        # and the seeded streams and fuzzed codes take over children too
+        assert sum(map(len, walks[15:])) > 100
+
+    def test_non_planar_roots_take_nothing_over(self, table, monkeypatch):
+        codes = [reduce_root(d) for d in islice(one_edit_codes(table, 2401, 10, 1), 600)]
+        codes = [d for d in codes if not is_planar(d)]
+        walks, steps = taken_over_children(codes, monkeypatch)
+        # their chains do have steps in the region of the step before
+        assert steps > 20 and not any(walks)
 
 
 class TestFuzzedCodes:
@@ -642,8 +754,9 @@ class TestMemoKeys:
         base = table.diagram("11n63")
         for n in range(8):
             conway_jones(base.insert_full_twists((3, 25), n - 2))
-        # the roots of L_0 and L_1 lose bigons: 17 -> 5 and 15 -> 11 crossings
-        assert [m.hits + m.misses for m in memos] == [1, 3, 4, 5, 6, 7, 8, 9]
+        # the roots of L_0 and L_1 lose bigons: 17 -> 5 and 15 -> 11 crossings;
+        # the crossings of L_n's twist region share one smoothing child
+        assert [m.hits + m.misses for m in memos] == [1, 3, 3, 3, 3, 3, 3, 3]
 
 
 class TestBudgetAndMemo:
@@ -749,9 +862,9 @@ def test_every_node_is_curl_and_bigon_free(table, monkeypatch):
     nodes = []
     skein_eval = skein_module._skein_eval
 
-    def recording(d, memo):
+    def recording(d, memo, planar):
         nodes.append(d)
-        return skein_eval(d, memo)
+        return skein_eval(d, memo, planar)
 
     monkeypatch.setattr(skein_module, "_skein_eval", recording)
     base = table.diagram("11n63")
@@ -781,7 +894,7 @@ def test_no_walk_reduces_curls_alone(table, monkeypatch):
     base = table.diagram("11n63")
     diagrams = [table.diagram(name) for name in TABLE_NAMES]
     diagrams += [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
-    diagrams += islice(one_edit_codes(table, 3001, 12, 1), 300)
+    diagrams += islice(one_edit_codes(table, 3001, 12, 1), 360)
     for d in diagrams:
         conway_jones(d)
     assert len(passes) > 1000 and all(passes)
@@ -803,7 +916,7 @@ def _walk_by_switch_children(d):
     if not order:
         c = d.component_count()
         return (ONE if c == 1 else ZERO, LOOP ** (c - 1))
-    i = order[0]
+    i, _ = order[0]
     smoothed = diagram_module._smooth_reduced(d._records, i, d.free_loops)
     return _combine_by_operators(d._records[i].sign,
                                  _walk_by_switch_children(d.switch_crossing(i)),
@@ -823,9 +936,10 @@ def test_resolution_order_is_the_switch_chain(table):
         d = d.reduce_r1()
         order = _resolution_order(d._records)
         while order:
-            assert order[0] == _curl_closing_by_smoothing(d), d.render()
-            closing += order[0] != _first_violation_by_walk(d)
-            d = d.switch_crossing(order[0])
+            i, _ = order[0]
+            assert i == _curl_closing_by_smoothing(d), d.render()
+            closing += i != _first_violation_by_walk(d)
+            d = d.switch_crossing(i)
             order = order[1:]
             assert _resolution_order(d._records) == order, d.render()
             switches += 1
