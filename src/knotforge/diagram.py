@@ -218,6 +218,8 @@ class PDDiagram:
         diagram).  The sign of n selects the handedness; n followed by -n
         at the same site cancels by Reidemeister-II moves.
         """
+        if not isinstance(site, (tuple, list)) or len(site) != 2:
+            raise PDError(f"twist site must be a pair of edges, got {site!r}")
         x, y = site
         if type(n) is not int:
             raise PDError(f"twist count must be an integer, got {n!r}")

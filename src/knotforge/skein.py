@@ -47,16 +47,15 @@ stay curl-free; the smoothing child loses the bigons that smoothing
 exposes and those that switches left in the records.
 
 There is one walk.  A leaf is a diagram whose value is read, not walked:
-an unlink (no crossings), or a closed 2-braid sigma_1^(s k), the (2, k)
-torus link of crossing sign s, with free loops (see _closed_two_braid).
-Every other diagram is a node.  A node adds the terms of each smoothing
-child, shifted by the switches before it, and of the unlink at the end of
-its chain into one (nabla, V) pair, in one pass (see _sum_chain).  Unlink
-leaves share one nabla = 1, one nabla = 0, and their Jones value from a
-table of powers of the loop value.  Closed 2-braid leaves take theirs from
-a table keyed by (k, s, free loops), filled by the skein recurrence of the
-2-braids (see _two_braid); they are not memoised.  conway_jones returns
-the pair; conway and jones project it.  Each call starts from a fresh memo.
+a closed 2-braid sigma_1^(s k), the (2, k) torus link of crossing sign s,
+with free loops (see _closed_two_braid), or a crossingless one, since the
+c-component unlink is sigma_1^1 with c - 1 free loops.  Leaves read one
+table keyed by (k, s, free loops), filled by the skein recurrence of the
+2-braids (see _two_braid), and are not memoised.  Every other diagram is
+a node.  A node adds the terms of each smoothing child, shifted by the
+switches before it, and of the unlink at the end of its chain into one
+(nabla, V) pair, in one pass (see _sum_chain).  conway_jones returns the
+pair; conway and jones project it.  Each call starts from a fresh memo.
 
 The oracle, jones_bracket_oracle, is the Kauffman bracket as a plain sum
 over all 2^N states, one state at a time.  A state unions the edge pairs
@@ -93,15 +92,8 @@ BRACKET_ORACLE_BUDGET = 20
 # oracle to reproduce the skein engine's Jones value on the 5_2 table code.
 _A_TO_T_QUARTERS = -1
 
-_LOOP = LaurentPoly({1: 1, -1: 1})  # t^(1/2) + t^(-1/2)
-_ONE = LaurentPoly.one()
-_ZERO = LaurentPoly()
-# k -> _LOOP ** k, filled as walks meet larger unlinks.  The values are
-# immutable and depend on k alone, so every leaf of every walk shares them.
-_LOOP_POWERS: dict[int, LaurentPoly] = {}
 # (k, s, loops) -> (nabla, V) of the closed 2-braid sigma_1^(s k) with loops
-# free loops, filled as walks meet them (see _two_braid); shared like
-# _LOOP_POWERS.
+# free loops (see _two_braid); every leaf of every walk shares the values.
 _TWO_BRAIDS: dict[tuple[int, int, int], tuple[LaurentPoly, LaurentPoly]] = {}
 
 
@@ -194,65 +186,49 @@ def _resolution_order(recs) -> list[tuple[int, int]]:
     return [(i, find(i)) for _, _, i in keyed]
 
 
-def _unlink(c: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """(nabla, V) of the c-component unlink."""
-    k = max(c - 1, 0)
-    v = _LOOP_POWERS.get(k)
-    if v is None:
-        v = _LOOP_POWERS.setdefault(k, _LOOP ** k)
-    return (_ONE if c == 1 else _ZERO, v)
-
-
 def _closed_two_braid(d: PDDiagram) -> "tuple[int, int] | None":
-    """(k, s) when the strand records of d, a diagram with crossings, are
-    those of the closed 2-braid sigma_1^(s k) up to relabelling, else None.
-    Only d's records and runs are read.
+    """(k, s) when d, a diagram with crossings, is the closed 2-braid
+    sigma_1^(s k) up to relabelling, else None; only d's records are read.
 
-    Along the closed braid each strand meets the k crossings in turn,
-    alternately over and under, and every crossing has sign s.  For odd k
-    the braid closes into one run of 2k edges that meets each crossing
-    twice, k edges apart: each over-in lies k edges after its under-in, and
-    the under-ins have one parity.  For even k it closes into two runs of k
-    edges, which meet the crossings in the same cyclic order (parallel):
-    the second run's in-edge at each crossing lies one fixed number of
-    edges after the first run's, and the first run is under exactly at the
-    in-edges of one parity.  The (2, k) torus link with one component
-    reversed meets them in opposite orders and is refused.
+    Every crossing has sign s, and both strands leaving one enter the next,
+    the under one entering over.  So from crossing 0 the walk steps to the
+    crossing o_out enters under, checks that u_out enters it over, and must
+    first come back after k steps; a split union of 2-braids comes back early.
     """
-    recs, runs = d._records, d._runs
-    k = len(recs)
-    s = recs[0][4]
-    if len(runs) == 1:
-        parity = recs[0][0] & 1
-        for u_in, o_in, _, _, sign in recs:
-            if sign != s or (o_in - u_in) % (2 * k) != k or u_in & 1 != parity:
-                return None
-        return k, s
-    if len(runs) != 2 or k % 2 or runs[0][1] != k:
-        return None
-    keys = set()
-    for u_in, o_in, _, _, sign in recs:
-        # a and b: the in-edges on the first run (1..k) and the second
-        a, b = (u_in, o_in) if u_in <= k else (o_in, u_in)
-        if sign != s or a > k or b <= k:
+    recs = d._records
+    k, s = len(recs), recs[0][4]
+    under = [(0, 0)] * (2 * k + 1)  # under[e]: the record e enters under, else (0, 0)
+    for r in recs:
+        under[r[0]] = r
+    r = recs[0]
+    for step in range(1, k + 1):
+        _, _, u_out, o_out, sign = r
+        r = under[o_out]
+        if sign != s or r[1] != u_out or (r is recs[0]) != (step == k):
             return None
-        keys.add(((b - a) % k, (a + (a == u_in)) & 1))
-    return (k, s) if len(keys) == 1 else None
+    return k, s
 
 
 def _two_braid(k: int, s: int, loops: int) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of the closed 2-braid sigma_1^(s k) with loops free loops.
 
-    At one crossing of sign s a switch leaves sigma_1^(s (k - 2)) after a
+    The one leaf table _TWO_BRAIDS is filled on demand.  sigma_1^0 is the
+    2-component unlink and sigma_1^1 the unknot, so every unlink is the
+    k = 1, s = 1 entry with its other components as free loops.  At one
+    crossing of sign s a switch leaves sigma_1^(s (k - 2)) after a
     Reidemeister-II move and the smoothing leaves sigma_1^(s (k - 1)), so
-    ``_sum_chain`` of that one crossing steps the values up from k = 0 and
-    k = 1, the unlinks of loops + 2 and loops + 1 components.
+    ``_sum_chain`` of that one crossing gives the value at k >= 2.
     """
+    if k < 2:
+        k, s, loops = 1, 1, loops + 1 - k
     val = _TWO_BRAIDS.get((k, s, loops))
     if val is None:
-        prev, val = _unlink(loops + 2), _unlink(loops + 1)
-        for _ in range(k - 1):
-            prev, val = val, _sum_chain([(s, val)], prev)
+        if k == 1:
+            # an unlink: nabla 1 on one component, else 0; V gains a loop value per loop
+            val = (LaurentPoly({0: int(not loops)}), LaurentPoly({1: 1, -1: 1}) ** loops)
+        else:
+            val = _sum_chain([(s, _two_braid(k - 1, s, loops))],
+                             _two_braid(k - 2, s, loops))
         val = _TWO_BRAIDS.setdefault((k, s, loops), val)
     return val
 
@@ -261,12 +237,13 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo,
                 planar: Callable[[], bool]) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d, which has no Reidemeister-I curl and no bigon.
 
-    A leaf returns its value at once.  Otherwise the crossings of
-    ``_resolution_order`` are switched one by one in a working copy of d's
-    records, and each is smoothed, in the state its predecessors' switches
-    left, into a child that the walk evaluates.  The switched diagram at
-    the end is descending, an unlink, and ``_sum_chain`` folds it with the
-    children.  Every child has fewer crossings than d.
+    A leaf, crossingless or a closed 2-braid, returns its ``_two_braid``
+    value at once.  Otherwise the crossings of ``_resolution_order`` are
+    switched one by one in a working copy of d's records, and each is
+    smoothed, in the state its predecessors' switches left, into a child
+    that the walk evaluates.  The switched diagram at the end is
+    descending, an unlink, and ``_sum_chain`` folds it with the children.
+    Every child has fewer crossings than d.
 
     A crossing takes over the value of the child built last when that
     child smoothed a crossing of its twist region and every switch made
@@ -275,7 +252,7 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo,
     planar; it is asked only when a child could be taken over.
     """
     if not d.crossings:
-        return _unlink(d.component_count())
+        return _two_braid(1, 1, d.component_count() - 1)
     braid = _closed_two_braid(d)
     if braid is not None:
         return _two_braid(*braid, d.free_loops)
@@ -293,7 +270,7 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo,
             last = region
         chain.append((recs[i][4], child))
         recs[i] = recs[i].switched()
-    val = _sum_chain(chain, _unlink(d.component_count()))
+    val = _sum_chain(chain, _two_braid(1, 1, d.component_count() - 1))
     memo.put(key, val)
     return val
 

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 import knotforge.diagram
-from knotforge.diagram import PDDiagram, _Rec, _relabel
+from knotforge.diagram import PDDiagram, PDError, _Rec, _relabel
 from knotforge.family import conway_family, jones_family, load_table
 from knotforge.invariants import _invariants_from
 from knotforge.laurent import LaurentPoly
@@ -145,6 +145,42 @@ def random_planar_diagrams(seed: int, count: int, max_crossings: int):
         if d.n_crossings <= max_crossings and is_planar(d):
             out.append(d)
     return out
+
+
+def one_edit_codes(table, seed, max_crossings, max_loops):
+    """Codes one slot swap or label edit away from a planar code of
+    2..max_crossings crossings, kept when they validate, planar or not, with
+    0..max_loops free loops; an endless seeded stream."""
+    rng = random.Random(seed)
+    bases = [table.diagram(name) for name in TABLE_NAMES]
+    bases += random_planar_diagrams(seed=seed, count=200, max_crossings=10)
+    grown = []
+    for d in bases:
+        # full twists at random sites that keep the code planar, to bring in
+        # the two largest sizes
+        for _ in range(40):
+            if not 0 < d.n_crossings <= max_crossings - 2:
+                break
+            x, y = rng.sample(range(1, 2 * d.n_crossings + 1), 2)
+            cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
+            if is_planar(cand):
+                d = cand
+        grown.append(d)
+    bases = [d for d in bases + grown if 2 <= d.n_crossings <= max_crossings]
+    while True:
+        xs = [list(x) for x in rng.choice(bases).crossings]
+        n = len(xs)
+        i, j = rng.randrange(n), rng.randrange(4)
+        if rng.randrange(2):
+            k, l = rng.randrange(n), rng.randrange(4)
+            xs[i][j], xs[k][l] = xs[k][l], xs[i][j]
+        else:
+            xs[i][j] = rng.randrange(1, 2 * n + 1)
+        try:
+            d = PDDiagram(xs, rng.randrange(max_loops + 1))
+        except PDError:
+            continue
+        yield d
 
 
 def with_curls(d: PDDiagram, count: int) -> PDDiagram:

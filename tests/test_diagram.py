@@ -22,9 +22,8 @@ from knotforge.diagram import (
 from knotforge import skein
 from knotforge.laurent import LaurentPoly
 
-from conftest import (TABLE_NAMES, class_table, is_planar, mirror,
+from conftest import (TABLE_NAMES, class_table, is_planar, mirror, one_edit_codes,
                       random_planar_diagrams, with_curls)
-from test_skein import one_edit_codes
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
@@ -767,6 +766,11 @@ class TestInsertFullTwists:
     def test_non_integer_count_rejected(self, n):
         with pytest.raises(PDError, match="twist count must be an integer"):
             parse_pd(TREFOIL).insert_full_twists((1, 4), n)
+
+    @pytest.mark.parametrize("site", [(1, 2, 3), (1,), 5, None, "14"])
+    def test_site_that_is_no_pair_rejected(self, site):
+        with pytest.raises(PDError, match="twist site must be a pair of edges"):
+            parse_pd(TREFOIL).insert_full_twists(site, 1)
 
     @pytest.mark.parametrize("site", [(True, 4), (1, 4.0)])
     def test_non_integer_site_edge_rejected(self, site):

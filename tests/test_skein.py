@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, zip_longest
 from fractions import Fraction
 
 import pytest
@@ -32,6 +32,7 @@ from conftest import (
     bracket_state_sum_reference,
     is_planar,
     mirror,
+    one_edit_codes,
     random_planar_diagrams,
     with_curls,
 )
@@ -48,42 +49,6 @@ TILDE_V = LaurentPoly.from_exponents(
 T_INV = LaurentPoly.monomial(1, -1)
 DELTA = LaurentPoly.from_exponents({F(1, 2): 1, F(-1, 2): -1})
 LOOP = LaurentPoly.from_exponents({F(1, 2): 1, F(-1, 2): 1})
-
-
-def one_edit_codes(table, seed, max_crossings, max_loops):
-    """Codes one slot swap or label edit away from a planar code of
-    2..max_crossings crossings, kept when they validate, planar or not, with
-    0..max_loops free loops; an endless seeded stream."""
-    rng = random.Random(seed)
-    bases = [table.diagram(name) for name in TABLE_NAMES]
-    bases += random_planar_diagrams(seed=seed, count=200, max_crossings=10)
-    grown = []
-    for d in bases:
-        # full twists at random sites that keep the code planar, to bring in
-        # the two largest sizes
-        for _ in range(40):
-            if not 0 < d.n_crossings <= max_crossings - 2:
-                break
-            x, y = rng.sample(range(1, 2 * d.n_crossings + 1), 2)
-            cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
-            if is_planar(cand):
-                d = cand
-        grown.append(d)
-    bases = [d for d in bases + grown if 2 <= d.n_crossings <= max_crossings]
-    while True:
-        xs = [list(x) for x in rng.choice(bases).crossings]
-        n = len(xs)
-        i, j = rng.randrange(n), rng.randrange(4)
-        if rng.randrange(2):
-            k, l = rng.randrange(n), rng.randrange(4)
-            xs[i][j], xs[k][l] = xs[k][l], xs[i][j]
-        else:
-            xs[i][j] = rng.randrange(1, 2 * n + 1)
-        try:
-            d = PDDiagram(xs, rng.randrange(max_loops + 1))
-        except PDError:
-            continue
-        yield d
 
 
 class TestConway:
@@ -1076,6 +1041,32 @@ class TestClosedTwoBraidLeaf:
                         assert value[1] == jones_bracket_oracle(d), d.render()
         # every sign and over pattern gives a planar code
         assert planar == 20
+
+    def test_split_unions_miss_the_leaf(self):
+        # two Hopf links, two trefoils and Hopf + trefoil, each piece
+        # relabelled and the second's labels shifted past the first's, with
+        # the two pieces' crossings interleaved in the code: the walk from
+        # crossing 0 stays in one piece and comes back early
+        rng = random.Random(3401)
+        checked = 0
+        for k1, k2 in ((2, 2), (3, 3), (2, 3), (3, 2)):
+            for s1 in (1, -1):
+                for s2 in (1, -1):
+                    first = self._relabelled(k1, s1, rng)
+                    second = [tuple(e + 2 * k1 for e in x)
+                              for x in self._relabelled(k2, s2, rng)]
+                    code = [x for pair in zip_longest(first, second) for x in pair if x]
+                    loops = checked % 2
+                    d = PDDiagram(code, loops)
+                    # a Hopf link has two components, a trefoil one
+                    assert d.component_count() == 4 - k1 % 2 - k2 % 2 + loops
+                    assert reduce_root(d) is d
+                    assert _closed_two_braid(d) is None and two_braid_reference(d) is None
+                    value = conway_jones(d)
+                    assert value == _walk_by_switch_children(d), d.render()
+                    assert value[1] == jones_bracket_oracle(d), d.render()
+                    checked += 1
+        assert checked == 16
 
     def test_one_edit_neighbours_miss_the_leaf(self):
         # every code one slot swap away from a relabelled closed 2-braid of
