@@ -138,7 +138,9 @@ def _validate(crossings: tuple[tuple[int, ...], ...], free_loops: int
 class PDDiagram:
     """An oriented link diagram given by PD code plus free unknot loops.
 
-    Immutable; every operation returns a new diagram.
+    Immutable; every operation returns a new diagram.  The constructor
+    refuses a code that ``_validate`` refuses or that is not planar (see
+    ``_planar``); the builders skip both checks (see ``_trusted``).
     """
 
     __slots__ = ("crossings", "free_loops", "_runs", "_records")
@@ -146,6 +148,8 @@ class PDDiagram:
     def __init__(self, crossings: Iterable[Sequence[int]], free_loops: int = 0):
         crossings = tuple(tuple(x) for x in crossings)
         self._runs, self._records = _validate(crossings, free_loops)
+        if not _planar(crossings):
+            raise PDError("code is not planar: V - E + F != 2C over its slot rotation")
         self.crossings = crossings
         self.free_loops = free_loops
 
@@ -216,7 +220,9 @@ class PDDiagram:
         of two equal-sign crossings, and the over-strand role alternates
         between the two strands (the pattern of the alternating (2,2n)
         diagram).  The sign of n selects the handedness; n followed by -n
-        at the same site cancels by Reidemeister-II moves.
+        at the same site cancels by Reidemeister-II moves.  The result is not
+        tested for planarity: a site whose edges share no face gives a
+        non-planar diagram, which the constructor refuses.
         """
         if not isinstance(site, (tuple, list)) or len(site) != 2:
             raise PDError(f"twist site must be a pair of edges, got {site!r}")
@@ -285,45 +291,47 @@ def _planar(crossings: Sequence[tuple[int, ...]]) -> bool:
 
     Slot 4i + k is slot k of crossing i.  A face leaves each slot it
     reaches by the next slot counterclockwise and the edge there, so the
-    faces are the cycles of that map.  The test is Euler's formula
-    V - E + F = 2C with V = N crossings, E = 2N edges and C the connected
-    pieces of the graph: face tracing gives each piece its own outer face.
-    Smoothing a crossing and removing curls and bigons keep a planar code
-    planar.
+    faces are the cycles of that map, ``step``.  The test is Euler's
+    formula V - E + F = 2C with V = N crossings, E = 2N edges and C the
+    connected pieces of the graph: face tracing gives each piece its own
+    outer face.  Smoothing a crossing and removing curls and bigons keep a
+    planar code planar.
     """
-    n_slots = 4 * len(crossings)
-    # other[s] is the slot at the far end of slot s's edge
-    other = [0] * n_slots
-    first = [-1] * (n_slots // 2 + 1)
-    for s, e in enumerate([e for x in crossings for e in x]):
-        t = first[e]
-        if t < 0:
-            first[e] = s
-        else:
-            other[s], other[t] = t, s
-    faces = 0
-    seen = bytearray(n_slots)
-    for start in range(n_slots):
-        if seen[start]:
-            continue
-        faces += 1
-        s = start
-        while not seen[s]:
-            seen[s] = 1
-            s = other[s + 1 if s % 4 != 3 else s - 3]
+    n = len(crossings)
+    # step[s] is the slot a face reaches from slot s; -1 once traced
+    step = [0] * (4 * n)
+    first = [-1] * (2 * n + 1)
     # pieces: crossings joined by edges, in a union-find with path halving
-    piece = list(range(len(crossings)))
-    pieces = len(crossings)
-    for s in range(n_slots):
-        a, b = s // 4, other[s] // 4
-        while piece[a] != a:
-            piece[a] = a = piece[piece[a]]
-        while piece[b] != b:
-            piece[b] = b = piece[piece[b]]
-        if a != b:
-            piece[b] = a
-            pieces -= 1
-    return faces - len(crossings) == 2 * pieces
+    piece = list(range(n))
+    pieces = n
+    s = 0
+    for x in crossings:
+        for e in x:
+            t = first[e]
+            if t < 0:
+                first[e] = s
+            else:
+                # edge e joins slots t and s: a face leaving by the slot
+                # before either crosses to the other
+                step[s - 1 if s & 3 else s + 3] = t
+                step[t - 1 if t & 3 else t + 3] = s
+                a, b = s >> 2, t >> 2
+                while piece[a] != a:
+                    piece[a] = a = piece[piece[a]]
+                while piece[b] != b:
+                    piece[b] = b = piece[piece[b]]
+                if a != b:
+                    piece[b] = a
+                    pieces -= 1
+            s += 1
+    faces = 0
+    for start in range(4 * n):
+        if step[start] >= 0:
+            faces += 1
+            s = start
+            while step[s] >= 0:
+                step[s], s = -1, step[s]
+    return faces - n == 2 * pieces
 
 
 def _smoothing(t: _Rec, n_edges: int) -> list[int]:
@@ -562,8 +570,10 @@ def _trusted(records: tuple[_Rec, ...], free_loops: int,
     of every diagram they build is written here.  The one check is for a
     run of one or two edges that is under at no crossing: it reads both ways
     along its over-strands, so its code does not orient it.  A diagram with
-    one goes through the validating constructor and takes the validator's
-    tie-break.
+    one takes its runs and records from ``_validate`` and so the validator's
+    tie-break.  Planarity is not tested: smoothing, R1 and R2 keep a code
+    planar, and a twist at a site that breaks it is the one builder that
+    makes a non-planar diagram.
     """
     # positive crossings have the over-strand entering at slot b
     crossings = tuple([(a, b, c, d) if s > 0 else (a, d, c, b)
@@ -572,7 +582,7 @@ def _trusted(records: tuple[_Rec, ...], free_loops: int,
     if short:
         unders = {r.u_in for r in records}
         if any(lo not in unders and hi not in unders for lo, hi in short):
-            return PDDiagram(crossings, free_loops)
+            runs, records = _validate(crossings, free_loops)
     d = PDDiagram.__new__(PDDiagram)
     d.crossings = crossings
     d.free_loops = free_loops
@@ -607,8 +617,11 @@ def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
     """``parse_pd`` of lines whose first is line ``first`` of its file."""
     crossings = []
     loops = None
+    # the first and last file lines that hold a token, which a code error names
+    lo = hi = 0
     for ln, line in enumerate(lines, start=first):
         for tn, tok in enumerate(_TOKEN.findall(line.split("#", 1)[0]), start=1):
+            lo, hi = lo or ln, ln
             if tok.startswith("loops="):
                 if loops is not None:
                     raise PDError(
@@ -634,7 +647,8 @@ def _parse_lines(lines: Sequence[str], first: int) -> PDDiagram:
     try:
         return PDDiagram(crossings, loops or 0)
     except PDError as exc:
-        raise PDError(f"invalid PD code: {exc}") from None
+        where = "" if not lo else f"line {lo}: " if lo == hi else f"lines {lo}-{hi}: "
+        raise PDError(f"{where}invalid PD code: {exc}") from None
 
 
 # -- Legendrian front bookkeeping -------------------------------------------

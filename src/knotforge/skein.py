@@ -30,21 +30,20 @@ leaves the others curls, switched or not, so every such child is one link
 after Reidemeister-I moves (Lickorish, An Introduction to Knot Theory,
 GTM 175).  A node therefore builds one child for a run of crossings of
 one region down its chain and takes it over for the rest of the run, so
-L_n builds 14 children for every n >= 1.  This is an isotopy
-argument, so it is gated on the planarity of the walk's root
-(diagram._planar), which smoothing, R1 and R2 keep, evaluated at most
-once per walk and only when a node could take a child over.  A walk from
-a non-planar root builds every child.
+L_n builds 14 children for every n >= 1.  This is an isotopy argument,
+and it holds on every diagram of the walk: PDDiagram refuses a
+non-planar code, and smoothing, R1 and R2 keep a code planar.
 
 On entry the root loses its curls and bigons to a fixpoint, as every
-smoothing child does, and the crossing budget counts what is left; so
-every node of the walk has no Reidemeister-I curl and no Reidemeister-II
-bigon.  Curls go first, then bigons in record order (see diagram._reduced,
-which also relabels each child once).  PDDiagram.reduce_r1 keeps bigons,
-and the walk does not call it.  A switch keeps the curl test (under-out
-is over-in, or under-in is over-out), so the working records of a node
-stay curl-free; the smoothing child loses the bigons that smoothing
-exposes and those that switches left in the records.
+smoothing child does, and the crossing budget counts the crossings left,
+and apart from them the free loops; so every node of the walk has no
+Reidemeister-I curl and no Reidemeister-II bigon.  Curls go first, then
+bigons in record order (see diagram._reduced, which also relabels each
+child once).  PDDiagram.reduce_r1 keeps bigons, and the walk does not
+call it.  A switch keeps the curl test (under-out is over-in, or
+under-in is over-out), so the working records of a node stay curl-free;
+the smoothing child loses the bigons that smoothing exposes and those
+that switches left in the records.
 
 There is one walk.  A leaf is a diagram whose value is read, not walked:
 a closed 2-braid sigma_1^(s k), the (2, k) torus link of crossing sign s,
@@ -68,10 +67,9 @@ writhe and the component count, and keeps nothing between calls.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from math import comb
 
-from .diagram import PDDiagram, _planar, _reduced, _smooth_reduced
+from .diagram import PDDiagram, _reduced, _smooth_reduced
 from .laurent import LaurentPoly, _from_terms
 
 __all__ = [
@@ -145,11 +143,9 @@ def _resolution_order(recs) -> list[tuple[int, int]]:
     the oriented smoothing glues u_in to o_out and o_in to u_out, so it at
     once turns a neighbour into a curl when tail[u_in] is head[o_out] or
     tail[o_in] is head[u_out]; the crossing and that neighbour are a clasp
-    pair.  That test means a curl on planar codes only: on a non-planar one
-    it also marks a smoothing that makes a one-edge loop over at both ends.
-    The order is the curl-closing violations by increasing u_in, then the
-    other violations by increasing u_in; it is empty exactly when the
-    diagram is descending.  A twist region is a connected class of clasp
+    pair.  The order is the curl-closing violations by increasing u_in,
+    then the other violations by increasing u_in; it is empty exactly when
+    the diagram is descending.  A twist region is a connected class of clasp
     pairs over all crossings, named by one of its crossings.  A switch
     keeps every label, so it keeps head, tail, the regions and every other
     crossing's test, and turns its own violation into none: switching the
@@ -233,8 +229,7 @@ def _two_braid(k: int, s: int, loops: int) -> tuple[LaurentPoly, LaurentPoly]:
     return val
 
 
-def _skein_eval(d: PDDiagram, memo: SkeinMemo,
-                planar: Callable[[], bool]) -> tuple[LaurentPoly, LaurentPoly]:
+def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
     """(nabla, V) of d, which has no Reidemeister-I curl and no bigon.
 
     A leaf, crossingless or a closed 2-braid, returns its ``_two_braid``
@@ -247,9 +242,7 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo,
 
     A crossing takes over the value of the child built last when that
     child smoothed a crossing of its twist region and every switch made
-    since lay in the region too (see the module docstring).  ``planar()``
-    says whether the walk's root, and so every diagram of the walk, is
-    planar; it is asked only when a child could be taken over.
+    since lay in the region too (see the module docstring).
     """
     if not d.crossings:
         return _two_braid(1, 1, d.component_count() - 1)
@@ -265,8 +258,8 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo,
     chain = []
     last = -1
     for i, region in _resolution_order(recs):
-        if region != last or not planar():
-            child = _skein_eval(_smooth_reduced(recs, i, loops), memo, planar)
+        if region != last:
+            child = _skein_eval(_smooth_reduced(recs, i, loops), memo)
             last = region
         chain.append((recs[i][4], child))
         recs[i] = recs[i].switched()
@@ -318,26 +311,15 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     The walk starts from d with its Reidemeister-I curls and
     Reidemeister-II bigons removed to a fixpoint.  Raises
     CrossingBudgetExceeded when that diagram has more than
-    DEFAULT_CROSSING_BUDGET crossings.  Whether that diagram is planar is
-    computed at most once, when a node first could take a twist region's
-    child over (see _skein_eval).
+    DEFAULT_CROSSING_BUDGET crossings, or more free loops, whose loop-value
+    power (see _two_braid) takes time about cubic in their number.
     """
     d = _reduced(d._records, list(range(2 * d.n_crossings + 1)), d.free_loops, True, d)
-    if d.n_crossings > DEFAULT_CROSSING_BUDGET:
-        raise CrossingBudgetExceeded(
-            f"diagram has {d.n_crossings} crossings after reduction, "
-            f"budget is {DEFAULT_CROSSING_BUDGET}"
-        )
-    root_planar = None
-
-    def planar() -> bool:
-        # asked only where a node could take a child over, at most once
-        nonlocal root_planar
-        if root_planar is None:
-            root_planar = _planar(d.crossings)
-        return root_planar
-
-    return _skein_eval(d, SkeinMemo(), planar)
+    for count, what in ((d.n_crossings, "crossings"), (d.free_loops, "free loops")):
+        if count > DEFAULT_CROSSING_BUDGET:
+            raise CrossingBudgetExceeded(f"diagram has {count} {what} after reduction, "
+                                         f"budget is {DEFAULT_CROSSING_BUDGET}")
+    return _skein_eval(d, SkeinMemo())
 
 
 def conway(d: PDDiagram) -> LaurentPoly:

@@ -1,14 +1,25 @@
 """Shared fixtures and helpers for the test suite."""
 
+import ast
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, inf
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import knotforge.diagram
-from knotforge.diagram import PDDiagram, PDError, _Rec, _relabel
+from knotforge.diagram import PDDiagram, PDError, _Rec, _relabel, _validate
 from knotforge.family import conway_family, jones_family, load_table
+from knotforge.fourmanifold import (
+    ManifoldData,
+    MapCatalog,
+    SurfaceComponent,
+    SurfaceConfig,
+    parse_block_form,
+)
 from knotforge.invariants import _invariants_from
 from knotforge.laurent import LaurentPoly
 from knotforge.skein import _A_TO_T_QUARTERS
@@ -53,24 +64,27 @@ def closed_form_lambda2(n: int) -> Fraction:
     return _invariants_from(conway_family(n), jones_family(n)).lambda2
 
 
-def is_planar(d: PDDiagram) -> bool:
-    """Whether the 4-valent diagram graph embeds in the plane.
+def is_planar(crossings) -> bool:
+    """Whether the 4-valent graph of the crossing tuples of a valid PD code
+    embeds in the plane.
 
     Counts faces of the rotation system given by the CCW slot order at each
     crossing and checks the Euler formula V - E + F = 2C, where C is the
     number of connected components of the underlying graph: face tracing
-    counts each piece's outer face once per piece.
+    counts each piece's outer face once per piece.  The independent
+    reference for ``diagram._planar``; it reads tuples, not a diagram, so it
+    can test a code that ``PDDiagram`` refuses.
     """
-    n = d.n_crossings
+    n = len(crossings)
     if n == 0:
         return True
     ends: dict[int, list[tuple[int, int]]] = {}
-    for i, x in enumerate(d.crossings):
+    for i, x in enumerate(crossings):
         for k, e in enumerate(x):
             ends.setdefault(e, []).append((i, k))
 
     def other(i, k):
-        occ = ends[d.crossings[i][k]]
+        occ = ends[crossings[i][k]]
         return occ[1] if occ[0] == (i, k) else occ[0]
 
     faces, seen = 0, set()
@@ -138,19 +152,20 @@ def random_planar_diagrams(seed: int, count: int, max_crossings: int):
                 if x == y:
                     continue
                 cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
-                if cand.n_crossings <= max_crossings and is_planar(cand):
+                if cand.n_crossings <= max_crossings and is_planar(cand.crossings):
                     d = cand
             else:
                 d = PDDiagram(d.crossings, d.free_loops + rng.randrange(2))
-        if d.n_crossings <= max_crossings and is_planar(d):
+        if d.n_crossings <= max_crossings and is_planar(d.crossings):
             out.append(d)
     return out
 
 
-def one_edit_codes(table, seed, max_crossings, max_loops):
-    """Codes one slot swap or label edit away from a planar code of
-    2..max_crossings crossings, kept when they validate, planar or not, with
-    0..max_loops free loops; an endless seeded stream."""
+def one_edit_labels(table, seed, max_crossings, max_loops):
+    """Crossing tuples one slot swap or label edit away from a planar code
+    of 2..max_crossings crossings, kept when ``_validate`` accepts them,
+    planar or not, each with 0..max_loops free loops; an endless seeded
+    stream of (crossings, free loops)."""
     rng = random.Random(seed)
     bases = [table.diagram(name) for name in TABLE_NAMES]
     bases += random_planar_diagrams(seed=seed, count=200, max_crossings=10)
@@ -163,7 +178,7 @@ def one_edit_codes(table, seed, max_crossings, max_loops):
                 break
             x, y = rng.sample(range(1, 2 * d.n_crossings + 1), 2)
             cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
-            if is_planar(cand):
+            if is_planar(cand.crossings):
                 d = cand
         grown.append(d)
     bases = [d for d in bases + grown if 2 <= d.n_crossings <= max_crossings]
@@ -176,11 +191,36 @@ def one_edit_codes(table, seed, max_crossings, max_loops):
             xs[i][j], xs[k][l] = xs[k][l], xs[i][j]
         else:
             xs[i][j] = rng.randrange(1, 2 * n + 1)
+        crossings = tuple(map(tuple, xs))
+        loops = rng.randrange(max_loops + 1)
         try:
-            d = PDDiagram(xs, rng.randrange(max_loops + 1))
+            _validate(crossings, loops)
         except PDError:
             continue
-        yield d
+        yield crossings, loops
+
+
+def one_edit_codes(table, seed, max_crossings, max_loops):
+    """The diagrams of ``one_edit_labels`` that ``PDDiagram`` accepts: its
+    planar codes."""
+    for crossings, loops in one_edit_labels(table, seed, max_crossings, max_loops):
+        if is_planar(crossings):
+            yield PDDiagram(crossings, loops)
+
+
+def unchecked(crossings, free_loops: int = 0) -> PDDiagram:
+    """The diagram of a valid PD code, planar or not, built as the
+    package's builders build theirs: records and runs from ``_validate``,
+    handed to ``_trusted``, which writes the same code back.
+
+    For the non-planar internals that stay: the validator's tie-break and
+    ``_smoothing``'s shared-id branch, which a twist insertion can reach.
+    """
+    crossings = tuple(map(tuple, crossings))
+    runs, records = _validate(crossings, free_loops)
+    d = knotforge.diagram._trusted(records, free_loops, runs)
+    assert d.crossings == crossings
+    return d
 
 
 def with_curls(d: PDDiagram, count: int) -> PDDiagram:
@@ -306,3 +346,54 @@ def signature_reference(matrix) -> int:
                 for c in left:
                     a[r][c] -= f * a[p][c]
     return sig
+
+
+# small coefficients make cancellations likely; huge ones exercise bignums
+coeffs = st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
+polys = st.dictionaries(st.integers(-8, 8), coeffs, max_size=6).map(LaurentPoly)
+
+
+def double_config(g: int):
+    """The double-manifold configuration: form <-1>+<1>, chi 4, F0 two
+    genus-g surfaces of self-intersection -1 and +1, F1 one genus-(1+2g)
+    null-homologous surface."""
+    m = ManifoldData(form=parse_block_form("<-1> + <1>"), euler=4,
+                     boundary_kind="closed")
+    f0 = SurfaceConfig((
+        SurfaceComponent(genus=g, cls=(1, 0)),
+        SurfaceComponent(genus=g, cls=(0, 1)),
+    ))
+    f1 = SurfaceConfig((SurfaceComponent(genus=1 + 2 * g, cls=(0, 0)),))
+    return m, f0, f1
+
+
+def handle_manifold(p: int) -> ManifoldData:
+    kind = "homology-sphere-boundary" if abs(p) == 1 else "other-boundary"
+    return ManifoldData(form=parse_block_form(f"<{p}>"), euler=2,
+                        boundary_kind=kind)
+
+
+def brute_force_sg_k(cat: MapCatalog, k: int):
+    best = inf
+    for config in cat.maps:
+        admissible = [c.genus for c in config.components
+                      if c.kind in cat.allowed_singularities
+                      and tuple(c.cls) in cat.admissible_classes]
+        for subset in itertools.combinations(admissible, k):
+            best = min(best, max(subset))
+    return best
+
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+
+
+def tracer_targets() -> list[tuple[str, str]]:
+    """The (module, attribute path) pairs of TARGETS and MEMO_TARGET."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("TARGETS", "MEMO_TARGET"):
+                tables[name] = ast.literal_eval(node.value)
+    return [(module, path) for _, module, path in tables["TARGETS"]] + [
+        tables["MEMO_TARGET"]]

@@ -30,8 +30,8 @@ from knotforge.fourmanifold import (
     total_defect,
 )
 
-from conftest import TABLE_NAMES, closed_form_lambda2, mirror, random_planar_diagrams
-from test_fourmanifold import brute_force_sg_k, double_config, handle_manifold
+from conftest import (TABLE_NAMES, brute_force_sg_k, closed_form_lambda2, double_config,
+                      handle_manifold, mirror, random_planar_diagrams)
 
 
 def data_path(filename: str) -> str:

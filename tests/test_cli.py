@@ -12,6 +12,9 @@ from knotforge.family import load_table
 
 from conftest import mirror, shipped_entries, table_text, with_curls
 
+NON_PLANAR = "X(1,6,2,7) X(5,7,6,1) X(4,8,5,10) X(9,2,10,3) X(8,4,9,3)"
+NOT_PLANAR = "code is not planar: V - E + F != 2C over its slot rotation"
+
 
 def data_path(filename: str) -> str:
     return str(resources.files("knotforge") / "data" / filename)
@@ -55,6 +58,22 @@ class TestExitCodes:
         assert cli.main(["invariants", "--name", "6_1"]) == 2
         assert capsys.readouterr().err == "error: no table entry named '6_1'\n"
 
+    def test_input_error_on_non_planar_pd_file(self, capsys, tmp_path):
+        # a twist at a site whose edges share no face builds a non-planar code
+        twisted = load_table().diagram("5_2").insert_full_twists((1, 4), 1).render()
+        for code in (NON_PLANAR, twisted):
+            pd = tmp_path / "non_planar.pd"
+            pd.write_text(f"# a code with no planar embedding\n{code}\n")
+            assert cli.main(["invariants", "--pd", str(pd)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: line 2: invalid PD code: {NOT_PLANAR}\n")
+
+    def test_split_pd_file_is_accepted(self, capsys, tmp_path):
+        pd = tmp_path / "two_hopf.pd"
+        pd.write_text("X(3,1,4,2) X(2,4,1,3) X(7,5,8,6) X(6,8,5,7)\n")
+        code, out = run(capsys, "invariants", "--pd", str(pd))
+        assert code == 0 and "components = 4" in out
+
     @pytest.mark.parametrize("text, message", [
         ("name: b\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\nname: b\nX(1,2,1,2)\n",
          "table entry 'b' is given twice"),
@@ -65,6 +84,11 @@ class TestExitCodes:
          "table entry 'b': line 4, token 1: crossing needs 4 labels, got 3"),
         ("name: b\nloops=1\nname:\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n",
          "table line 3: 'name:' gives no entry name"),
+        ("name: a\nloops=1\nname: b  # not planar\n"
+         "X(1,6,2,7) X(5,7,6,1)\nX(4,8,5,10) X(9,2,10,3) X(8,4,9,3)\n",
+         f"table entry 'b': lines 4-5: invalid PD code: {NOT_PLANAR}"),
+        (f"name: b\n{load_table().diagram('5_2').insert_full_twists((1, 4), 1).render()}\n",
+         f"table entry 'b': line 2: invalid PD code: {NOT_PLANAR}"),
     ])
     def test_input_error_on_bad_table_stanza(self, capsys, tmp_path, text, message):
         path = tmp_path / "knot_table.txt"
@@ -111,11 +135,24 @@ class TestExitCodes:
         assert cli.main(["saeki", "--config", str(cfg)]) == 2
 
     def test_budget_exceeded(self, tmp_path):
-        d = load_table().diagram("5_2").insert_full_twists((1, 4), 10)
+        # 5_2 with ten full twists at a site that keeps it planar
+        d = load_table().diagram("5_2").insert_full_twists((2, 4), 10)
         assert d.n_crossings == 25
         big = tmp_path / "big.pd"
         big.write_text(d.render())
         assert cli.main(["invariants", "--pd", str(big)]) == 3
+
+    def test_free_loops_over_the_budget(self, capsys, tmp_path):
+        # the value of c free loops is a power whose cost grows about as c^3,
+        # so the budget counts them too
+        loops = tmp_path / "loops.pd"
+        loops.write_text("loops=25\n")
+        assert cli.main(["invariants", "--pd", str(loops)]) == 3
+        assert capsys.readouterr().err == (
+            "error: diagram has 25 free loops after reduction, budget is 24\n")
+        loops.write_text("loops=24\n")
+        code, out = run(capsys, "invariants", "--pd", str(loops))
+        assert code == 0 and "conway = 0" in out
 
     def test_budget_counts_crossings_after_r2(self, capsys, tmp_path):
         # L_0 with four more negative full twists: 25 crossings, all kept by

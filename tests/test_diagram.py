@@ -22,10 +22,15 @@ from knotforge.diagram import (
 from knotforge import skein
 from knotforge.laurent import LaurentPoly
 
-from conftest import (TABLE_NAMES, class_table, is_planar, mirror, one_edit_codes,
-                      random_planar_diagrams, with_curls)
+from conftest import (TABLE_NAMES, class_table, is_planar, mirror, one_edit_labels,
+                      random_planar_diagrams, unchecked, with_curls)
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+# a valid code with no planar embedding, one edit from a planar one
+NON_PLANAR = "X(1,6,2,7) X(5,7,6,1) X(4,8,5,10) X(9,2,10,3) X(8,4,9,3)"
+NON_PLANAR_CROSSINGS = ((1, 6, 2, 7), (5, 7, 6, 1), (4, 8, 5, 10), (9, 2, 10, 3),
+                        (8, 4, 9, 3))
+NOT_PLANAR = "code is not planar: V - E + F != 2C over its slot rotation"
 # trefoil with an extra positive curl spliced into edge 1 (edge 1 split
 # into arcs 1, 2, 3; old labels >= 2 shifted by 2)
 STACKED_CURL = "X(1,2,2,3) X(3,6,4,7) X(5,8,6,1) X(7,4,8,5)"
@@ -199,7 +204,7 @@ class TestParse:
     @pytest.mark.parametrize("make, message", [
         (lambda: PDDiagram([(1, 2, 3)]), "crossing 0: expected 4 edge labels, got 3"),
         (lambda: parse_pd("loops=-1"),
-         "invalid PD code: free_loops must be non-negative"),
+         "line 1: invalid PD code: free_loops must be non-negative"),
         (lambda: parse_pd("loops=x"), "line 1, token 1: malformed loop count 'loops=x'"),
         # int() reads each of these; the format spells ASCII digits only
         (lambda: parse_pd("loops=1_0"),
@@ -213,7 +218,12 @@ class TestParse:
         (lambda: parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,\u0663)"),
          "line 1, token 3: non-integer label in 'X(5,2,6,\u0663)'"),
         (lambda: parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,-3)"),
-         "invalid PD code: edge labels must be positive integers, got -3"),
+         "line 1: invalid PD code: edge labels must be positive integers, got -3"),
+        # a code error names the first and last lines that hold a token
+        (lambda: parse_pd("# c\nloops=1\n\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,-3)\n# d\n"),
+         "lines 2-4: invalid PD code: edge labels must be positive integers, got -3"),
+        (lambda: parse_pd(NON_PLANAR), f"line 1: invalid PD code: {NOT_PLANAR}"),
+        (lambda: PDDiagram(NON_PLANAR_CROSSINGS), NOT_PLANAR),
     ])
     def test_refusal_text(self, make, message):
         with pytest.raises(PDError) as info:
@@ -232,24 +242,70 @@ class TestParse:
 
 class TestIsPlanar:
     # the test helper and the package's predicate count one outer face per
-    # connected piece of the graph
-    @pytest.mark.parametrize("code, planar", [
-        (TREFOIL, True),
-        ("X(3,1,4,2) X(2,4,1,3) X(7,5,8,6) X(6,8,5,7)", True),      # split two-Hopf
-        ("X(1,6,2,7) X(5,7,6,1) X(4,8,5,10) X(9,2,10,3) X(8,4,9,3)", False),
+    # connected piece of the graph; both read crossing tuples, so a code
+    # that PDDiagram refuses can be tested
+    @pytest.mark.parametrize("crossings, planar", [
+        (((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), True),                 # trefoil
+        (((3, 1, 4, 2), (2, 4, 1, 3), (7, 5, 8, 6), (6, 8, 5, 7)), True),   # split two-Hopf
+        (NON_PLANAR_CROSSINGS, False),
     ])
-    def test_euler_formula_per_piece(self, code, planar):
-        d = parse_pd(code)
-        assert is_planar(d) is planar
-        assert _planar(d.crossings) is planar
+    def test_euler_formula_per_piece(self, crossings, planar):
+        assert is_planar(crossings) is planar
+        assert _planar(crossings) is planar
 
     def test_package_predicate_equals_the_helper_on_fuzzed_codes(self, table):
-        # the helper is kept as the independent reference
+        # the helper is kept as the independent reference, on the codes of
+        # one_edit_codes's stream before PDDiagram refuses the non-planar ones
         planar = 0
-        for d in islice(one_edit_codes(table, 2401, 10, 1), 600):
-            assert _planar(d.crossings) is is_planar(d), d.render()
-            planar += is_planar(d)
+        for crossings, loops in islice(one_edit_labels(table, 2401, 10, 1), 600):
+            assert _planar(crossings) is is_planar(crossings), crossings
+            planar += is_planar(crossings)
         assert planar == 425
+
+
+class TestPlanarityRefusal:
+    """PDDiagram accepts a code exactly when the validator and the planarity
+    test both do, so parse_pd and every table entry refuse a non-planar
+    code; the builders do not test planarity."""
+
+    @pytest.mark.parametrize("make", [
+        lambda table: PDDiagram(NON_PLANAR_CROSSINGS),
+        lambda table: parse_pd(NON_PLANAR),
+        # CHANGES.md FOUND: a twist at a site whose edges share no face
+        lambda table: parse_pd(table.diagram("5_2").insert_full_twists((1, 4), 1).render()),
+    ])
+    def test_non_planar_codes_are_refused(self, table, make):
+        with pytest.raises(PDError, match=re.escape(NOT_PLANAR)):
+            make(table)
+
+    def test_split_diagrams_are_accepted(self):
+        d = parse_pd("X(3,1,4,2) X(2,4,1,3) X(7,5,8,6) X(6,8,5,7)")
+        assert d.component_count() == 4
+
+    def test_twists_are_not_tested(self, table):
+        # a twist at a site whose edges share no face is the one way left to
+        # build a non-planar diagram
+        d = table.diagram("5_2").insert_full_twists((1, 4), 1)
+        assert not is_planar(d.crossings)
+        assert _validate(d.crossings, d.free_loops) == (d._runs, d._records)
+
+    def test_constructor_is_validation_and_planarity(self, table):
+        accepted = refused = 0
+        for crossings, loops in islice(one_edit_labels(table, 2401, 10, 1), 2000):
+            try:
+                _validate(crossings, loops)
+            except PDError as exc:
+                with pytest.raises(PDError, match=re.escape(str(exc))):
+                    PDDiagram(crossings, loops)
+                continue
+            if is_planar(crossings):
+                accepted += 1
+                assert PDDiagram(crossings, loops).crossings == crossings
+            else:
+                refused += 1
+                with pytest.raises(PDError, match=re.escape(NOT_PLANAR)):
+                    PDDiagram(crossings, loops)
+        assert accepted > 1000 and refused > 300
 
 
 def _signs(d):
@@ -331,8 +387,11 @@ class TestRecords:
 
 class TestValidatorOutcomes:
     # SHA-256 of the outcomes below: any change to a check, a message, the
-    # order of the checks or the records of an accepted code changes it
-    DIGEST = "47147951442bf51a57c311cac37d843b83fb72726737654b90f59292f01e1efe"
+    # order of the checks or the records of an accepted code changes it.
+    # Recomputed when the constructor began to refuse non-planar codes: the
+    # outcomes of the earlier code, each accepted code that
+    # conftest.is_planar calls non-planar read as NOT_PLANAR.
+    DIGEST = "94fb48fda05534e4dca32fa09292d9727e1dfeab1d77dddb3f5cdd9182bd688f"
 
     def test_one_edit_fuzz_digest(self, table):
         bases = [table.diagram(name) for name in TABLE_NAMES]
@@ -340,7 +399,7 @@ class TestValidatorOutcomes:
         bases = [d for d in bases if d.n_crossings]
         rng = random.Random(2014)
         outcomes = []
-        accepted = 0
+        accepted = non_planar = 0
         for _ in range(20000):
             base = rng.choice(bases)
             xs = [list(x) for x in base.crossings]
@@ -359,10 +418,11 @@ class TestValidatorOutcomes:
                 d = PDDiagram(xs, base.free_loops)
             except PDError as exc:
                 outcomes.append(str(exc))
+                non_planar += str(exc) == NOT_PLANAR
             else:
                 accepted += 1
                 outcomes.append(f"{d.component_count()} {list(d._records)}")
-        assert accepted == 8221
+        assert (accepted, non_planar) == (5572, 2649)
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.DIGEST
 
@@ -399,7 +459,7 @@ class TestTrustedRebuild:
         # 12, 1)), smooths into a child with a two-edge run over at both its
         # crossings
         diagrams.append(PDDiagram(SHORT_RUN_CHILD))
-        assert is_planar(diagrams[-1])
+        assert is_planar(diagrams[-1].crossings)
         built.clear()
         for d in diagrams:
             skein.conway_jones(d)
@@ -447,7 +507,7 @@ class TestTrustedRebuild:
         ([(1, 4, 2, 3), (2, 4, 3, 1)], 1),
     ])
     def test_short_run_over_everywhere_is_validated(self, monkeypatch, crossings, index):
-        d = PDDiagram(crossings)
+        d = unchecked(crossings)
         calls = []
         validate = diagram_module._validate
         monkeypatch.setattr(diagram_module, "_validate",
@@ -589,11 +649,11 @@ class TestSmooth:
 
     def test_overlapping_glue_groups_merge(self):
         # both smoothing groups (1, 2) and (2, 1) name the same two edges,
-        # which become one loop
-        assert PDDiagram([(1, 2, 1, 2)]).smooth_crossing(0) == PDDiagram((), 1)
+        # which become one loop; these codes are not planar
+        assert unchecked([(1, 2, 1, 2)]).smooth_crossing(0) == PDDiagram((), 1)
         # the groups (1, 3) and (3, 2) share the one-edge over-loop 3, and
         # (2, 4) and (4, 1) share 4: either smoothing leaves one curl
-        d = PDDiagram([(1, 3, 2, 3), (2, 4, 1, 4)])
+        d = unchecked([(1, 3, 2, 3), (2, 4, 1, 4)])
         assert [d.smooth_crossing(i).render() for i in (0, 1)] == ["X(1,2,1,2)"] * 2
 
     def test_component_count_changes_by_one(self):
@@ -652,7 +712,7 @@ class TestReduceR1:
                 n_edges = 2 * d.n_crossings
                 x, y = rng.sample(range(1, n_edges + 1), 2)
                 cand = d.insert_full_twists((x, y), rng.choice((1, -1)))
-                if cand.n_crossings <= 12 and is_planar(cand):
+                if cand.n_crossings <= 12 and is_planar(cand.crossings):
                     d = cand
                 if rng.randrange(2):
                     d = d.switch_crossing(rng.randrange(d.n_crossings))
@@ -732,7 +792,7 @@ class TestSmoothR1:
     def test_pairs_that_share_a_one_edge_loop(self, crossings, index, code):
         # non-planar codes whose smoothings glue two pairs that share an
         # edge, so the four ids make one class
-        d = PDDiagram(crossings)
+        d = unchecked(crossings)
         assert self._check_children(d) == (2, 0, 0)
         assert diagram_module._smooth_reduced(d._records, index, d.free_loops).render() == code
 
@@ -782,7 +842,7 @@ class TestInsertFullTwists:
         for n in (1, -1, 2, -2):
             t = d.insert_full_twists((2, 4), n)
             assert t.n_crossings == 3 + 2 * abs(n)
-            assert is_planar(t)
+            assert is_planar(t.crossings)
             assert t.component_count() == 1
 
     def test_unlink_clasp(self):
@@ -813,7 +873,7 @@ class TestInsertFullTwists:
     def test_mirror_handedness_also_planar(self):
         d = parse_pd(TREFOIL)
         for n in (3, -3):
-            assert is_planar(d.insert_full_twists((2, 4), n))
+            assert is_planar(d.insert_full_twists((2, 4), n).crossings)
 
     def test_validity_on_random_diagrams(self):
         rng = random.Random(7)

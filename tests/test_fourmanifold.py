@@ -1,7 +1,6 @@
 """Intersection forms, fold-map conditions, defects, and genus invariants."""
 
 import dataclasses
-import itertools
 import json
 import random
 import re
@@ -9,7 +8,7 @@ from math import inf
 
 import pytest
 
-from conftest import signature_reference
+from conftest import brute_force_sg_k, double_config, handle_manifold, signature_reference
 from knotforge import fourmanifold as fm
 from knotforge.fourmanifold import (
     IntersectionForm,
@@ -413,20 +412,6 @@ class TestBuildSigmaClass:
 
 # -- fold-map existence -------------------------------------------------------
 
-def double_config(g: int):
-    """The double-manifold configuration: form <-1>+<1>, chi 4, F0 two
-    genus-g surfaces of self-intersection -1 and +1, F1 one genus-(1+2g)
-    null-homologous surface."""
-    m = ManifoldData(form=parse_block_form("<-1> + <1>"), euler=4,
-                     boundary_kind="closed")
-    f0 = SurfaceConfig((
-        SurfaceComponent(genus=g, cls=(1, 0)),
-        SurfaceComponent(genus=g, cls=(0, 1)),
-    ))
-    f1 = SurfaceConfig((SurfaceComponent(genus=1 + 2 * g, cls=(0, 0)),))
-    return m, f0, f1
-
-
 class TestSaeki:
     @pytest.mark.parametrize("g", [0, 1, 2, 3])
     def test_double_passes_all_five(self, g):
@@ -496,12 +481,6 @@ class TestSaeki:
 
 
 # -- defects ------------------------------------------------------------------
-
-def handle_manifold(p: int) -> ManifoldData:
-    kind = "homology-sphere-boundary" if abs(p) == 1 else "other-boundary"
-    return ManifoldData(form=parse_block_form(f"<{p}>"), euler=2,
-                        boundary_kind=kind)
-
 
 class TestTotalDefect:
     def test_prop44_configuration(self):
@@ -630,17 +609,6 @@ def catalog_of_genera(*maps, classes=((1,),), sings=("indefinite",)):
         admissible_classes=classes,
         allowed_singularities=sings,
     )
-
-
-def brute_force_sg_k(cat: MapCatalog, k: int):
-    best = inf
-    for config in cat.maps:
-        admissible = [c.genus for c in config.components
-                      if c.kind in cat.allowed_singularities
-                      and tuple(c.cls) in cat.admissible_classes]
-        for subset in itertools.combinations(admissible, k):
-            best = min(best, max(subset))
-    return best
 
 
 class TestSgExamples:

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from knotforge.laurent import LaurentPoly
 
+from conftest import polys
+
 F = Fraction
 
 
@@ -156,11 +158,6 @@ class TestMoment:
 
 
 # -- randomized ring laws and cross-path agreement ---------------------------
-
-# small coefficients make cancellations likely; huge ones exercise bignums
-coeffs = st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
-polys = st.dictionaries(st.integers(-8, 8), coeffs, max_size=6).map(LaurentPoly)
-
 
 @given(polys, polys)
 def test_add_commutes(a, b):

@@ -12,7 +12,7 @@ and the import statements that re-export a name are no use of it.
 import ast
 from pathlib import Path
 
-from test_tracer_targets import tracer_targets
+from conftest import tracer_targets
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "knotforge"
