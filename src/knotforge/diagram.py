@@ -140,7 +140,8 @@ class PDDiagram:
 
     Immutable; every operation returns a new diagram.  The constructor
     refuses a code that ``_validate`` refuses or that is not planar (see
-    ``_planar``); the builders skip both checks (see ``_trusted``).
+    ``_planar``).  The builders skip the planarity test and run
+    ``_validate`` only in ``_trusted``'s short-run fallback.
     """
 
     __slots__ = ("crossings", "free_loops", "_runs", "_records")
@@ -222,7 +223,8 @@ class PDDiagram:
         diagram).  The sign of n selects the handedness; n followed by -n
         at the same site cancels by Reidemeister-II moves.  The result is not
         tested for planarity: a site whose edges share no face gives a
-        non-planar diagram, which the constructor refuses.
+        non-planar diagram, returned unchecked, and parsing its ``render()``
+        raises PDError.
         """
         if not isinstance(site, (tuple, list)) or len(site) != 2:
             raise PDError(f"twist site must be a pair of edges, got {site!r}")

@@ -311,8 +311,8 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     The walk starts from d with its Reidemeister-I curls and
     Reidemeister-II bigons removed to a fixpoint.  Raises
     CrossingBudgetExceeded when that diagram has more than
-    DEFAULT_CROSSING_BUDGET crossings, or more free loops, whose loop-value
-    power (see _two_braid) takes time about cubic in their number.
+    DEFAULT_CROSSING_BUDGET crossings, or more free loops: V of N loops has
+    N + 1 terms of up to N bits, so even a closed form costs about N^2.
     """
     d = _reduced(d._records, list(range(2 * d.n_crossings + 1)), d.free_loops, True, d)
     for count, what in ((d.n_crossings, "crossings"), (d.free_loops, "free loops")):
