@@ -675,3 +675,81 @@ class TestReports:
         assert code == 0
         assert "tb = 0" in out
         assert "status: ok" in out
+
+
+def short_cls(raw):
+    # double_xk.json with F0's first class one coordinate short of the rank
+    raw["f0"]["components"][0]["cls"] = [1]
+
+
+# One run of each subcommand, its errors among them, with the exit code and
+# sha256 of stdout + NUL + stderr, in text and --json, with --no-timestamp.
+# Configs are named relative to the working directory, so that no path of
+# this checkout reaches a report.
+REPORT_DIGESTS = [
+    (("invariants", "--name", "5_2"), 0,
+     "3b791a738d84d8536b4dc26c7749e19875937e2b9dc52026518be21ec233448e",
+     "bfbe50523e7ef667ef5f2b3eef3cc1db95941a8dc1715d2abe6deb058ad87eb6"),
+    (("invariants", "--name", "hopf+"), 0,
+     "fd3d07fec164dba0cd939cbf306541446545eeef053f43d9183aacebeda4b20c",
+     "dd5766c4dcb49e3971a50fa4803750b295f8ddfd0a60298543521cbd94fbf97c"),
+    (("invariants", "--name", "11n63"), 0,
+     "caacf7bc104797cc162cf24d8a18b87fc272b7420c72e5547e9fc70dc8b88fba",
+     "d12f712b656bac48a2eec8928fcc0c29319022d6cb85d2b9e107e6a2b035dae6"),
+    (("verify-paper", "--nmax", "20"), 0,
+     "ca879c2c41f12c0b3c3d7b3a43425f0461280e1701daac6b3f82f3cb39975a97",
+     "b9ecd4de0227ec8ee6238ac38adb2bd5b61abd3e6acfee9d5705d1dc21dcd941"),
+    (("verify-paper", "--nmax", "1"), 2,
+     "88bc0fb2abcf2738d6e2e715bed1745f9dcde35831cc637eca252e19f06545d4",
+     "88bc0fb2abcf2738d6e2e715bed1745f9dcde35831cc637eca252e19f06545d4"),
+    (("saeki", "--config", "double_xk.json"), 0,
+     "96a7d5a4492dd2801ffa020444bcc3d983831c7bf29dcfbc2a09f2133be79389",
+     "c141582a3c789b7cc73b7c7dcd95df82219afd8cc29710e9cd436af061708f71"),
+    (("defect", "--config", "prop44.json"), 0,
+     "89a050bc193516743dd20a33034caa831d0c5b9f607fc4a3155c891db76cf4ad",
+     "fd4b83bbbd454e39450071456144abe3dbef879ef0ed2d48534c44f349f95d9f"),
+    (("defect", "--config", "double_xk.json"), 2,
+     "c430269be2ff4bc2dec9dd1f08d1d4b5a3085cca9ab4a72803db65d948c9a40a",
+     "c430269be2ff4bc2dec9dd1f08d1d4b5a3085cca9ab4a72803db65d948c9a40a"),
+    (("sg", "--catalog", "thm12.json", "--k", "1"), 0,
+     "3b0ba7e2eff409cb391445402580f98b53c701e673022dbabeb0fa7f04faa775",
+     "5366c35aaa32336255a2bbe168f937dd49711e220416befe345003227e90242a"),
+    (("sg", "--catalog", "thm12.json", "--k", "2"), 0,
+     "dfe6ccdd5ed7c2e7a4a1bf3dcc80fc5447a4bb32828c3c20a0685224a5f4bfc6",
+     "3d80997406293af9445f25deba92fad92a452d00031d414794664d08313bc67c"),
+    (("sg", "--catalog", "thm12.json", "--k", "0"), 2,
+     "8c26c2c1ed6c763fc153133b718f6aeb329a37984f7bd0c78846c9ee07ab80b9",
+     "8c26c2c1ed6c763fc153133b718f6aeb329a37984f7bd0c78846c9ee07ab80b9"),
+    (("tb", "--writhe", "0", "--cusps", "2"), 0,
+     "934b30c16e528cb99f4be3cbfd75cbb421df5cf15a509b9d59c229e3076b7b0e",
+     "771bad5810c9bc12123c41e1004a017d0a66d9c645d8a6c1ea8055647c046a9e"),
+    (("tb", "--writhe", "0", "--cusps", "3"), 2,
+     "47a481094a326b8286ab3045657335f74e26bd1ac9ee4386ee05d176616833f3",
+     "47a481094a326b8286ab3045657335f74e26bd1ac9ee4386ee05d176616833f3"),
+    (("saeki", "--config", "short_cls.json"), 2,
+     "cde697e15bf7a1365e785cef3fb4fdf25336474e0eecbe590a9f82995d886e64",
+     "cde697e15bf7a1365e785cef3fb4fdf25336474e0eecbe590a9f82995d886e64"),
+]
+
+
+class TestReportDigests:
+    """Every subcommand's whole report, pinned as bytes."""
+
+    @pytest.mark.parametrize("argv, code, text_digest, json_digest", REPORT_DIGESTS,
+                             ids=[" ".join(a) for a, *_ in REPORT_DIGESTS])
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    def test_report_digest(self, capsys, monkeypatch, tmp_path,
+                           argv, code, text_digest, json_digest, mode):
+        for name in ("double_xk.json", "prop44.json", "thm12.json"):
+            (tmp_path / name).write_text(
+                (resources.files("knotforge") / "data" / name).read_text())
+        raw = json.loads((tmp_path / "double_xk.json").read_text())
+        short_cls(raw)
+        (tmp_path / "short_cls.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        flags = ["--json"] if mode == "json" else []
+        got = cli.main([*flags, "--no-timestamp", *argv])
+        streams = capsys.readouterr()
+        digest = hashlib.sha256(
+            f"{streams.out}\0{streams.err}".encode()).hexdigest()
+        assert (got, digest) == (code, text_digest if mode == "text" else json_digest)
