@@ -6,11 +6,13 @@ unless --no-timestamp is given, so that identical inputs produce
 byte-identical reports when suppressed.
 
 Exit codes: 0 success, 1 failed checks, 2 input error, 3 resource budget.
+main builds the report a command fills, and a finished run exits by its verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -31,9 +33,9 @@ EXIT_BUDGET = 3
 class RunReport:
     """Accumulates named results and pass/fail checks for one command."""
 
-    def __init__(self, command: str, inputs: dict, timestamp: bool):
+    def __init__(self, command: str, timestamp: bool):
         self.command = command
-        self.inputs = inputs
+        self.inputs: dict = {}
         self.results: list[dict] = []
         self.checks: list[dict] = []
         self.timestamp = (
@@ -101,10 +103,8 @@ def _load_diagram(args):
     return family_mod.load_table(args.table).diagram(args.name)
 
 
-def cmd_invariants(args) -> tuple[RunReport, int]:
-    rep = RunReport("invariants",
-                    {"pd": args.pd or "", "name": args.name or ""},
-                    not args.no_timestamp)
+def cmd_invariants(args, rep: RunReport) -> None:
+    rep.inputs.update(pd=args.pd or "", name=args.name or "")
     d = _load_diagram(args)
     rep.result("components", d.component_count())
     rep.result("writhe", d.writhe())
@@ -112,13 +112,12 @@ def cmd_invariants(args) -> tuple[RunReport, int]:
     rep.result("conway", nabla.render("z"))
     rep.result("jones", vee.render("t"))
     if d.component_count() == 1:
-        for key, val in _invariants_from(nabla, vee).as_dict().items():
+        for key, val in dataclasses.asdict(_invariants_from(nabla, vee)).items():
             rep.result(key, val)
-    return rep, EXIT_OK
 
 
-def cmd_verify_paper(args) -> tuple[RunReport, int]:
-    rep = RunReport("verify-paper", {"nmax": args.nmax}, not args.no_timestamp)
+def cmd_verify_paper(args, rep: RunReport) -> None:
+    rep.inputs.update(nmax=args.nmax)
     if args.nmax < 2:
         raise ValueError("--nmax must be at least 2")
     fam = family_mod.verify_family(args.nmax, family_mod.load_table(args.table))
@@ -134,11 +133,10 @@ def cmd_verify_paper(args) -> tuple[RunReport, int]:
         verdict = distinguish(invariants[a], invariants[b])
         rep.check(f"distinguish[{a},{b}]", "distinguished", verdict["verdict"])
         rep.result(f"lambda2[{a},{b}]", verdict["lambda2_pair"])
-    return rep, EXIT_OK if rep.passing else EXIT_CHECK_FAILED
 
 
-def cmd_saeki(args) -> tuple[RunReport, int]:
-    rep = RunReport("saeki", {"config": args.config}, not args.no_timestamp)
+def cmd_saeki(args, rep: RunReport) -> None:
+    rep.inputs.update(config=args.config)
     cfg = fm.load_manifold_config(args.config)
     for key in ("f0", "f1"):
         if key not in cfg:
@@ -147,11 +145,10 @@ def cmd_saeki(args) -> tuple[RunReport, int]:
     rep.result("signature", report["signature"])
     for name, ok in report["conditions"].items():
         rep.check(name, True, ok)
-    return rep, EXIT_OK if rep.passing else EXIT_CHECK_FAILED
 
 
-def cmd_defect(args) -> tuple[RunReport, int]:
-    rep = RunReport("defect", {"config": args.config}, not args.no_timestamp)
+def cmd_defect(args, rep: RunReport) -> None:
+    rep.inputs.update(config=args.config)
     cfg = fm.load_manifold_config(args.config)
     for key in ("sigma0", "sigma1"):
         if key not in cfg:
@@ -164,12 +161,10 @@ def cmd_defect(args) -> tuple[RunReport, int]:
         rep.check("coset", True, fm.homology_sphere_coset_check(td, m.mu_coset))
     canonical = td.d == 0 and td.h in fm.CANONICAL_DEFECTS
     rep.result("canonical", canonical)
-    return rep, EXIT_OK if rep.passing else EXIT_CHECK_FAILED
 
 
-def cmd_sg(args) -> tuple[RunReport, int]:
-    rep = RunReport("sg", {"catalog": args.catalog, "k": args.k},
-                    not args.no_timestamp)
+def cmd_sg(args, rep: RunReport) -> None:
+    rep.inputs.update(catalog=args.catalog, k=args.k)
     if args.k < 1:
         raise ValueError("--k must be at least 1")
     catalogs = fm.load_catalog_config(args.catalog)
@@ -177,15 +172,12 @@ def cmd_sg(args) -> tuple[RunReport, int]:
         cat = catalogs[name]
         rep.result(f"sg^{args.k}[{name}]", fm.sg_k(cat, args.k))
         rep.result(f"sg[{name}]", fm.sg_plain(cat))
-    return rep, EXIT_OK
 
 
-def cmd_tb(args) -> tuple[RunReport, int]:
-    rep = RunReport("tb", {"writhe": args.writhe, "cusps": args.cusps},
-                    not args.no_timestamp)
+def cmd_tb(args, rep: RunReport) -> None:
+    rep.inputs.update(writhe=args.writhe, cusps=args.cusps)
     front = FrontDiagram(writhe=args.writhe, cusps=args.cusps)
     rep.result("tb", tb_from_front(front))
-    return rep, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    report = RunReport(args.subcommand, timestamp=not args.no_timestamp)
     try:
-        report, code = args.func(args)
+        args.func(args, report)
     except skein.CrossingBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -246,7 +239,7 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report.emit(args.json)
-    return code
+    return EXIT_OK if report.passing else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

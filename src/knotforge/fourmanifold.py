@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from math import inf
 from operator import mul
 
@@ -494,69 +494,65 @@ def sg_plain(cat: MapCatalog):
 
 # -- JSON configuration ------------------------------------------------------
 #
-# Each kind of JSON object is one table of key -> (shapes, default), with
-# its keys in the order the unknown-key message lists them.  A present value
-# must pass each named shape in turn; a value with no shape is checked by
-# the dataclass it feeds.  Unknown keys are refused, since a misspelt key
-# would otherwise be ignored and its default used.
+# The keys a manifold, surface config, component or catalog object may hold
+# are the fields of the dataclass it feeds, in field order, which is the
+# order the unknown-key message lists them in.  A field with no default is
+# required, and an absent key is left to the dataclass default.  A present
+# value must pass each shape _SHAPES names for its key in turn; a value
+# with no shape is checked by the dataclass it feeds.  Unknown keys are
+# refused, since a misspelt key would otherwise be ignored and its default
+# used.
 
-_REQUIRED = object()    # the key must be present
-_ABSENT = object()      # an absent key stays out of the fields
+# (test, the end of the message for a value that fails it)
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object, got {type}")
+_ARRAY = (lambda v: isinstance(v, list), "a JSON array, got {type}")
 
-
-# shape -> (test, the end of the message for a value that fails it)
+# JSON key -> the shapes its value must pass, in turn, whichever object holds it
 _SHAPES = {
-    "object": (lambda v: isinstance(v, dict), "a JSON object, got {type}"),
-    "array": (lambda v: isinstance(v, list), "a JSON array, got {type}"),
-    "arrays": (lambda v: all(isinstance(x, list) for x in v),
-               "an array of arrays, got {value!r}"),
-    "strings": (lambda v: all(isinstance(x, str) for x in v),
-                "an array of strings, got {value!r}"),
-    "form": (lambda v: isinstance(v, str) or (
-                 isinstance(v, list) and all(isinstance(row, list) for row in v)),
-             "a string or an array of arrays, got {value!r}"),
+    "form": ((lambda v: isinstance(v, str) or (
+                  isinstance(v, list) and all(isinstance(row, list) for row in v)),
+              "a string or an array of arrays, got {value!r}"),),
+    **dict.fromkeys(("components", "cls", "maps"), (_ARRAY,)),
+    "admissible_classes": (_ARRAY, (lambda v: all(isinstance(x, list) for x in v),
+                                    "an array of arrays, got {value!r}")),
+    "allowed_singularities": (_ARRAY, (lambda v: all(isinstance(x, str) for x in v),
+                                       "an array of strings, got {value!r}")),
+    "catalogs": (_OBJECT,),
 }
 
-_MANIFOLD = {"form": (("form",), _REQUIRED), "euler": ((), _REQUIRED),
-             "boundary_kind": ((), _REQUIRED), "mu_coset": ((), None)}
-_SURFACE_CONFIG = {"components": (("array",), ())}
-_COMPONENT = {"genus": ((), _REQUIRED), "orientable": ((), True),
-              "kind": ((), "indefinite"), "cls": (("array",), ())}
-_CATALOG = {"maps": (("array",), ()),
-            "admissible_classes": (("array", "arrays"), ()),
-            "allowed_singularities": (("array", "strings"), SINGULARITY_KINDS)}
-_CONFIG_FILE = {"manifold": ((), _REQUIRED), **dict.fromkeys(
-    ("f0", "f1", "sigma0", "sigma1", "comment"), ((), _ABSENT))}
-_CATALOG_FILE = {"catalogs": (("object",), _REQUIRED), "comment": ((), _ABSENT)}
-_SINGLE_CATALOG_FILE = {**_CATALOG, "comment": ((), _ABSENT)}
+# the top-level keys of each kind of file -> whether the key is required
+_CONFIG_FILE = {"manifold": True, **dict.fromkeys(
+    ("f0", "f1", "sigma0", "sigma1", "comment"), False)}
+_CATALOG_FILE = {"catalogs": True, "comment": False}
 
 
-def _require_shape(value, shape: str, subject: str):
-    test, phrase = _SHAPES[shape]
+def _keys(cls) -> dict[str, bool]:
+    """Each field of the dataclass cls -> whether it has no default nor factory."""
+    return {f.name: f.default is f.default_factory is MISSING for f in fields(cls)}
+
+
+def _require_shape(value, shape: tuple, subject: str):
+    test, phrase = shape
     if not test(value):
         raise ValueError(f"{subject} must be "
                          + phrase.format(type=type(value).__name__, value=value))
 
 
-def _read(obj, table: dict, what: str) -> dict:
-    """The fields of obj, a JSON object of the kind table describes, with
-    defaults filled in; each error names the key and what."""
-    _require_shape(obj, "object", what)
+def _read(obj, keys: dict[str, bool], what: str) -> dict:
+    """The keys (key -> required) obj holds but a comment, which nothing reads,
+    with their values; errors name what."""
+    _require_shape(obj, _OBJECT, what)
     for key in obj:
-        if key not in table:
+        if key not in keys:
             raise ValueError(f"unknown key {key!r} in {what} "
-                             f"(allowed: {', '.join(table)})")
-    fields = {}
-    for key, (shapes, default) in table.items():
+                             f"(allowed: {', '.join(keys)})")
+    for key, required in keys.items():
         if key in obj:
-            fields[key] = obj[key]
-            for shape in shapes:
+            for shape in _SHAPES.get(key, ()):
                 _require_shape(obj[key], shape, f"{key!r} of {what}")
-        elif default is _REQUIRED:
+        elif required:
             raise ValueError(f"missing key {key!r} in {what}")
-        elif default is not _ABSENT:
-            fields[key] = default
-    return fields
+    return {key: obj[key] for key in keys if key in obj and key != "comment"}
 
 
 def _build(what: str, make, *args, **kwargs):
@@ -567,20 +563,27 @@ def _build(what: str, make, *args, **kwargs):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _surface_config(obj, what: str) -> SurfaceConfig:
-    components = _read(obj, _SURFACE_CONFIG, what)["components"]
-    parts = [(f"component {i} of {what}", c) for i, c in enumerate(components)]
-    return SurfaceConfig(tuple(
-        _build(part, SurfaceComponent, **_read(c, _COMPONENT, part))
-        for part, c in parts))
+def _load_json(path: str):
+    """The JSON value in the file at path; too deep a nesting is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _catalog(obj, what: str, table: dict = _CATALOG) -> MapCatalog:
-    fields = _read(obj, table, what)
-    fields.pop("comment", None)
-    fields["maps"] = tuple(_surface_config(c, f"map {i} of {what}")
-                           for i, c in enumerate(fields["maps"]))
-    return _build(what, MapCatalog, **fields)
+# JSON key -> (the name of an entry of its array, the dataclass it is read into)
+_ENTRIES = {"components": ("component", SurfaceComponent), "maps": ("map", SurfaceConfig)}
+
+
+def _object(cls, obj, what: str, **file_keys: bool):
+    """obj read into the dataclass cls; file_keys are top-level keys it may also hold."""
+    found = _read(obj, {**_keys(cls), **file_keys}, what)
+    for key, (entry, entry_cls) in _ENTRIES.items():
+        if key in found:
+            found[key] = tuple(_object(entry_cls, c, f"{entry} {i} of {what}")
+                               for i, c in enumerate(found[key]))
+    return _build(what, cls, **found)
 
 
 def load_manifold_config(path: str) -> dict:
@@ -588,19 +591,17 @@ def load_manifold_config(path: str) -> dict:
 
     Returns a dict with keys "manifold" (ManifoldData) and every surface
     configuration present among "f0", "f1", "sigma0", "sigma1".  An
-    unknown key, a missing required key, a field of the wrong JSON shape or
-    a refused value anywhere in the file is a ValueError naming its object.
+    unknown key, a missing required key, a field of the wrong JSON shape, a
+    refused value anywhere in the file or nesting too deep to parse is a
+    ValueError naming its object or the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        fields = _read(json.load(fh), _CONFIG_FILE, "config")
-    manifold = _read(fields.pop("manifold"), _MANIFOLD, "manifold")
-    form = manifold["form"]
-    make_form = parse_block_form if isinstance(form, str) else IntersectionForm
-    manifold["form"] = _build("'form' of manifold", make_form, form)
-    fields.pop("comment", None)
+    config = _read(_load_json(path), _CONFIG_FILE, "config")
+    manifold = _read(config.pop("manifold"), _keys(ManifoldData), "manifold")
+    make_form = parse_block_form if isinstance(manifold["form"], str) else IntersectionForm
+    manifold["form"] = _build("'form' of manifold", make_form, manifold["form"])
     return {"manifold": _build("manifold", ManifoldData, **manifold),
-            **{key: _surface_config(c, f"surface config {key!r}")
-               for key, c in fields.items()}}
+            **{key: _object(SurfaceConfig, c, f"surface config {key!r}")
+               for key, c in config.items()}}
 
 
 def load_catalog_config(path: str) -> dict[str, MapCatalog]:
@@ -608,13 +609,13 @@ def load_catalog_config(path: str) -> dict[str, MapCatalog]:
 
     A file may hold several catalogs under a "catalogs" mapping (one per
     manifold in a comparison) or a single anonymous catalog at top level.
-    An unknown key, a missing required key, a field of the wrong JSON shape
-    or a refused value anywhere in the file is a ValueError naming its object.
+    An unknown key, a missing required key, a field of the wrong JSON shape,
+    a refused value anywhere in the file or nesting too deep to parse is a
+    ValueError naming its object or the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     if isinstance(raw, dict) and "catalogs" in raw:
         catalogs = _read(raw, _CATALOG_FILE, "catalog file")["catalogs"]
-        return {name: _catalog(c, f"catalog {name!r}")
+        return {name: _object(MapCatalog, c, f"catalog {name!r}")
                 for name, c in catalogs.items()}
-    return {"catalog": _catalog(raw, "catalog file", _SINGLE_CATALOG_FILE)}
+    return {"catalog": _object(MapCatalog, raw, "catalog file", comment=False)}

@@ -43,16 +43,6 @@ class SurgeryInvariants:
     lambda1: Fraction
     lambda2: Fraction
 
-    def as_dict(self) -> dict:
-        return {
-            "a2": self.a2,
-            "c4": self.c4,
-            "v2": str(self.v2),
-            "v3": str(self.v3),
-            "lambda1": str(self.lambda1),
-            "lambda2": str(self.lambda2),
-        }
-
 
 def c4(conway_poly: LaurentPoly) -> int:
     """The z^4 coefficient of a Conway polynomial; -n on the twist family."""

@@ -343,12 +343,13 @@ def jones_bracket_oracle(d: PDDiagram) -> LaurentPoly:
     A-smoothings, merges); each class adds (-A^2 - A^-2)^(loops - 1) times
     its count, shifted by A^(#A - #B).  The bracket is writhe-normalized
     and A is substituted by a quarter power of t (see _A_TO_T_QUARTERS).
+    Budgets: BRACKET_ORACLE_BUDGET crossings, DEFAULT_CROSSING_BUDGET free loops.
     """
-    if d.n_crossings > BRACKET_ORACLE_BUDGET:
-        raise CrossingBudgetExceeded(
-            f"bracket oracle limited to {BRACKET_ORACLE_BUDGET} crossings, "
-            f"got {d.n_crossings}"
-        )
+    for count, what, budget in ((d.n_crossings, "crossings", BRACKET_ORACLE_BUDGET),
+                                (d.free_loops, "free loops", DEFAULT_CROSSING_BUDGET)):
+        if count > budget:
+            raise CrossingBudgetExceeded(
+                f"bracket oracle limited to {budget} {what}, got {count}")
     n = d.n_crossings
     n_edges = 2 * n
     # (B-smoothing, A-smoothing) of each crossing, indexed by its state bit

@@ -116,6 +116,15 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert cli.main(["saeki", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["saeki", "--config"], ["defect", "--config"], ["sg", "--k", "1", "--catalog"]])
+    def test_input_error_on_deeply_nested_config(self, capsys, tmp_path, argv):
+        # too deep for the JSON parser, which raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert cli.main([*argv, str(deep)]) == 2
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to read\n"
+
     def test_input_error_on_missing_config_section(self, tmp_path):
         cfg = tmp_path / "partial.json"
         cfg.write_text(json.dumps({

@@ -2,7 +2,9 @@
 config key tables list the keys the loaders read."""
 
 import contextlib
+import dataclasses
 import io
+import json
 import re
 from pathlib import Path
 
@@ -29,9 +31,10 @@ def test_quick_tour_prints_its_comments():
     assert out.getvalue().splitlines() == expected
 
 
-def readme_key_tables() -> dict[str, list[str]]:
-    """Object -> the backquoted keys in its rows of the Object/Key/Default tables."""
-    tables: dict[str, list[str]] = {}
+def readme_key_tables() -> dict[str, dict[str, str]]:
+    """Object -> each backquoted key in its rows of the Object/Key/Default
+    tables -> the row's Default cell."""
+    tables: dict[str, dict[str, str]] = {}
     in_table = False
     for line in README.read_text(encoding="utf-8").splitlines():
         cells = [cell.strip() for cell in line.split("|")[1:-1]]
@@ -42,16 +45,38 @@ def readme_key_tables() -> dict[str, list[str]]:
         elif in_table and cells[0] != "---":
             # a row with an empty Object cell continues the object above it
             obj = cells[0].strip("`") or obj
-            tables.setdefault(obj, []).extend(re.findall(r"`(\w+)`", cells[1]))
+            tables.setdefault(obj, {}).update(
+                dict.fromkeys(re.findall(r"`(\w+)`", cells[1]), cells[2]))
     return tables
 
 
+# the dataclass each object of the manifold and catalog configs is read into
+DATACLASSES = {"manifold": fm.ManifoldData, "surface config": fm.SurfaceConfig,
+               "component": fm.SurfaceComponent, "catalog": fm.MapCatalog}
+
+
 def test_key_tables_list_the_schema_keys():
-    assert readme_key_tables() == {
+    tables = readme_key_tables()
+    assert {obj: list(keys) for obj, keys in tables.items()} == {
         "config file": list(fm._CONFIG_FILE),
-        "manifold": list(fm._MANIFOLD),
-        "surface config": list(fm._SURFACE_CONFIG),
-        "component": list(fm._COMPONENT),
+        **{obj: [f.name for f in dataclasses.fields(cls)]
+           for obj, cls in DATACLASSES.items()},
         "catalog file": list(fm._CATALOG_FILE),
-        "catalog": list(fm._CATALOG),
     }
+
+
+def test_default_column_is_the_dataclass_defaults():
+    tables = readme_key_tables()
+    for obj, cls in DATACLASSES.items():
+        for f in dataclasses.fields(cls):
+            cell = tables[obj][f.name]
+            if cell == "required":
+                assert f.default is dataclasses.MISSING, (obj, f.name)
+            elif cell == "absent (unknown)":
+                assert f.default is None, (obj, f.name)
+            else:
+                # a JSON value in backquotes; a JSON array feeds a tuple or frozenset
+                value = json.loads(cell.strip("`"))
+                if isinstance(value, list):
+                    value = type(f.default)(value)
+                assert value == f.default, (obj, f.name)

@@ -669,6 +669,14 @@ class TestOracle:
         with pytest.raises(CrossingBudgetExceeded):
             jones_bracket_oracle(d)
 
+    def test_free_loop_budget(self):
+        # the walk's budget, since N free loops cost the state sum about N^3 too
+        loops = parse_pd("loops=24")
+        assert jones_bracket_oracle(loops) == jones(loops) == LOOP ** 23
+        with pytest.raises(CrossingBudgetExceeded,
+                           match="bracket oracle limited to 24 free loops, got 25"):
+            jones_bracket_oracle(parse_pd("loops=25"))
+
     # digest of the rendered V, in order, over the 7 table entries, their
     # mirrors, L_0 and 300 random_planar_diagrams(seed=1409), each with 0, 1
     # and 2 extra free loops; 945 values, pinned before merge counting
