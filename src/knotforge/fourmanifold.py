@@ -539,8 +539,8 @@ def _require_shape(value, shape: tuple, subject: str):
 
 
 def _read(obj, keys: dict[str, bool], what: str) -> dict:
-    """The keys (key -> required) obj holds but a comment, which nothing reads,
-    with their values; errors name what."""
+    """obj's entries among keys (key -> required), in their order, but for a
+    comment, which nothing reads; each error names the key and what."""
     _require_shape(obj, _OBJECT, what)
     for key in obj:
         if key not in keys:

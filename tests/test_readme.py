@@ -31,10 +31,10 @@ def test_quick_tour_prints_its_comments():
     assert out.getvalue().splitlines() == expected
 
 
-def readme_key_tables() -> dict[str, dict[str, str]]:
-    """Object -> each backquoted key in its rows of the Object/Key/Default
-    tables -> the row's Default cell."""
-    tables: dict[str, dict[str, str]] = {}
+def readme_key_tables() -> dict[str, list[tuple[str, str]]]:
+    """Object -> (each backquoted key in its rows of the Object/Key/Default
+    tables, the row's Default cell)."""
+    tables: dict[str, list[tuple[str, str]]] = {}
     in_table = False
     for line in README.read_text(encoding="utf-8").splitlines():
         cells = [cell.strip() for cell in line.split("|")[1:-1]]
@@ -45,8 +45,8 @@ def readme_key_tables() -> dict[str, dict[str, str]]:
         elif in_table and cells[0] != "---":
             # a row with an empty Object cell continues the object above it
             obj = cells[0].strip("`") or obj
-            tables.setdefault(obj, {}).update(
-                dict.fromkeys(re.findall(r"`(\w+)`", cells[1]), cells[2]))
+            tables.setdefault(obj, []).extend(
+                (key, cells[2]) for key in re.findall(r"`(\w+)`", cells[1]))
     return tables
 
 
@@ -57,7 +57,7 @@ DATACLASSES = {"manifold": fm.ManifoldData, "surface config": fm.SurfaceConfig,
 
 def test_key_tables_list_the_schema_keys():
     tables = readme_key_tables()
-    assert {obj: list(keys) for obj, keys in tables.items()} == {
+    assert {obj: [key for key, _ in rows] for obj, rows in tables.items()} == {
         "config file": list(fm._CONFIG_FILE),
         **{obj: [f.name for f in dataclasses.fields(cls)]
            for obj, cls in DATACLASSES.items()},
@@ -68,8 +68,9 @@ def test_key_tables_list_the_schema_keys():
 def test_default_column_is_the_dataclass_defaults():
     tables = readme_key_tables()
     for obj, cls in DATACLASSES.items():
+        defaults = dict(tables[obj])
         for f in dataclasses.fields(cls):
-            cell = tables[obj][f.name]
+            cell = defaults[f.name]
             if cell == "required":
                 assert f.default is dataclasses.MISSING, (obj, f.name)
             elif cell == "absent (unknown)":
