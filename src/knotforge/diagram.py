@@ -210,8 +210,11 @@ class PDDiagram:
         ``_reduced``).  Bigons are kept.  A diagram without curls is returned
         as it is.
         """
-        return _reduced(self._records, list(range(2 * len(self.crossings) + 1)),
-                        self.free_loops, False, self)
+        n_ids = 2 * len(self.crossings) + 1
+        named, parent = _reduced(self._records, list(range(n_ids)), False)
+        if len(named) == len(self.crossings):
+            return self
+        return _relabel(named, self.free_loops, parent)
 
     def insert_full_twists(self, site: tuple[int, int], n: int) -> "PDDiagram":
         """Insert n full twists of the two strands carrying the given edges.
@@ -373,19 +376,20 @@ def _bigon(named: list[tuple[int, ...]], head: list[int], k: int) -> int:
     return -1
 
 
-def _reduced(recs: Sequence[tuple[int, ...]], parent: list[int], free_loops: int,
-             bigons: bool, same: "PDDiagram | None" = None) -> PDDiagram:
-    """The diagram of recs, named by the class table parent, with free_loops
-    free loops, after its Reidemeister-I curls and, when ``bigons`` is set,
-    its Reidemeister-II bigons are removed to a fixpoint, in one relabel.
-    ``same``, if given, is the diagram whose records recs are; it is
-    returned when none goes.
+def _reduced(recs: Sequence[tuple[int, ...]], parent: list[int], bigons: bool
+             ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The records of recs that are kept after their Reidemeister-I curls
+    and, when ``bigons`` is set, their Reidemeister-II bigons are removed to
+    a fixpoint, written in class names, and the class table that names them.
+    No diagram is built: ``_relabel`` of the two, with the free loops of
+    recs, is the reduced diagram.
 
     ``parent`` is a flat class table over edge ids (see ``_smoothing``):
     every id points at its class's name, its smallest id.  So one list index
-    reads a class name.  After the removals the ids that point at
-    themselves name the classes left, and the records kept, written in
-    those names, go to ``_relabel``.
+    reads a class name.  The removals glue classes in ``parent`` itself,
+    which is returned.  After them the ids that point at themselves name
+    the classes left; a class that no kept record touches is a free loop.
+    When nothing is removed, every record is kept, in order.
 
     A curl is a crossing where the strand leaving under comes back over, or
     the strand leaving over comes back under.  A bigon is a pair of
@@ -429,13 +433,13 @@ def _reduced(recs: Sequence[tuple[int, ...]], parent: list[int], free_loops: int
     # ascending, so already a heap
     pairs = [k for k in range(i) if _bigon(named, head, k) >= 0] if bigons else []
     if not curls and not pairs:
-        return same if same is not None else _relabel(named, free_loops, parent)
+        return named, parent
     gone = [False] * i
 
     def glue(c_in: int, mid: int, c_out: int) -> None:
         # a strand enters removed crossings on c_in, runs through mid and
         # leaves by c_out; a strand that closes on itself (c_in == c_out)
-        # has no ends left, and the relabel makes it a free loop
+        # has no ends left, so no kept record touches its class: a free loop
         low = c_in if c_in < c_out else c_out
         if mid < low:
             low = mid
@@ -492,18 +496,17 @@ def _reduced(recs: Sequence[tuple[int, ...]], parent: list[int], free_loops: int
                 glue(k_in, k_out, j_out)
             else:
                 glue(j_in, j_out, k_out)
-    return _relabel([r for r, removed in zip(named, gone) if not removed],
-                    free_loops, parent)
+    return [r for r, removed in zip(named, gone) if not removed], parent
 
 
-def _smooth_reduced(recs: Sequence[tuple[int, ...]], index: int,
-                    free_loops: int) -> PDDiagram:
+def _smooth_reduced(recs: Sequence[tuple[int, ...]], index: int
+                    ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The skein walk's smoothing child: the smoothing of crossing index of
-    the strand records recs, with free_loops free loops, with its curls and
-    bigons removed by ``_reduced`` under the smoothing's flat class table
-    (see ``_smoothing``)."""
+    the strand records recs with its curls and bigons removed, as the
+    records kept and their class table from ``_reduced`` under the
+    smoothing's flat class table (see ``_smoothing``)."""
     return _reduced(recs[:index] + recs[index + 1:],
-                    _smoothing(recs[index], 2 * len(recs)), free_loops, True)
+                    _smoothing(recs[index], 2 * len(recs)), True)
 
 
 def _relabel(named: list[tuple[int, ...]], free_loops: int,

@@ -564,10 +564,20 @@ def _build(what: str, make, *args, **kwargs):
 
 
 def _load_json(path: str):
-    """The JSON value in the file at path; too deep a nesting is a ValueError."""
+    """The JSON value in the file at path; too deep a nesting, or a key
+    given twice in one object, is a ValueError naming the file."""
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: JSON key {key!r} given twice in one object")
+            obj[key] = value
+        return obj
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 

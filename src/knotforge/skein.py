@@ -28,9 +28,9 @@ by two edges running opposite ways, so that smoothing either turns the
 other into a curl.  On a planar code, smoothing any crossing of a region
 leaves the others curls, switched or not, so every such child is one link
 after Reidemeister-I moves (Lickorish, An Introduction to Knot Theory,
-GTM 175).  A node therefore builds one child for a run of crossings of
+GTM 175).  A node therefore reduces one child for a run of crossings of
 one region down its chain and takes it over for the rest of the run, so
-L_n builds 14 children for every n >= 1.  This is an isotopy argument,
+L_n reduces 14 children for every n >= 1.  This is an isotopy argument,
 and it holds on every diagram of the walk: PDDiagram refuses a
 non-planar code, and smoothing, R1 and R2 keep a code planar.
 
@@ -38,23 +38,27 @@ On entry the root loses its curls and bigons to a fixpoint, as every
 smoothing child does, and the crossing budget counts the crossings left,
 and apart from them the free loops; so every node of the walk has no
 Reidemeister-I curl and no Reidemeister-II bigon.  Curls go first, then
-bigons in record order (see diagram._reduced, which also relabels each
-child once).  PDDiagram.reduce_r1 keeps bigons, and the walk does not
-call it.  A switch keeps the curl test (under-out is over-in, or
-under-in is over-out), so the working records of a node stay curl-free;
-the smoothing child loses the bigons that smoothing exposes and those
-that switches left in the records.
+bigons in record order (see diagram._reduced, which returns the records
+kept, written in class names, with their class table).
+PDDiagram.reduce_r1 keeps bigons, and the walk does not call it.  A
+switch keeps the curl test (under-out is over-in, or under-in is
+over-out), so the working records of a node stay curl-free; the
+smoothing child loses the bigons that smoothing exposes and those that
+switches left in the records.
 
-There is one walk.  A leaf is a diagram whose value is read, not walked:
-a closed 2-braid sigma_1^(s k), the (2, k) torus link of crossing sign s,
-with free loops (see _closed_two_braid), or a crossingless one, since the
-c-component unlink is sigma_1^1 with c - 1 free loops.  Leaves read one
-table keyed by (k, s, free loops), filled by the skein recurrence of the
-2-braids (see _two_braid), and are not memoised.  Every other diagram is
-a node.  A node adds the terms of each smoothing child, shifted by the
-switches before it, and of the unlink at the end of its chain into one
-(nabla, V) pair, in one pass (see _sum_chain).  conway_jones returns the
-pair; conway and jones project it.  Each call starts from a fresh memo.
+There is one walk.  A leaf is a reduced diagram whose value is read from
+its records in class names, before any diagram is built: a closed 2-braid
+sigma_1^(s k), the (2, k) torus link of crossing sign s, with free loops,
+or a crossingless one, since the c-component unlink is sigma_1^1 with
+c - 1 free loops (see _leaf).  Leaves read one table keyed by (k, s, free
+loops), filled by the skein recurrence of the 2-braids (see _two_braid),
+and are not memoised.  Every other diagram is a node, the one kind that
+is relabelled into a PDDiagram, for its memo key and its switch chain;
+L_n builds 2 of its 14 children.  A node adds the terms of each
+smoothing child, shifted by the switches before it, and of the unlink at
+the end of its chain into one (nabla, V) pair, in one pass (see
+_sum_chain).  conway_jones returns the pair; conway and jones project
+it.  Each call starts from a fresh memo.
 
 The oracle, jones_bracket_oracle, is the Kauffman bracket as a plain sum
 over all 2^N states, one state at a time.  A state unions the edge pairs
@@ -68,8 +72,9 @@ writhe and the component count, and keeps nothing between calls.
 from __future__ import annotations
 
 from math import comb
+from operator import eq
 
-from .diagram import PDDiagram, _reduced, _smooth_reduced
+from .diagram import PDDiagram, _reduced, _relabel, _smooth_reduced
 from .laurent import LaurentPoly, _from_terms
 
 __all__ = [
@@ -182,27 +187,44 @@ def _resolution_order(recs) -> list[tuple[int, int]]:
     return [(i, find(i)) for _, _, i in keyed]
 
 
-def _closed_two_braid(d: PDDiagram) -> "tuple[int, int] | None":
-    """(k, s) when d, a diagram with crossings, is the closed 2-braid
-    sigma_1^(s k) up to relabelling, else None; only d's records are read.
+def _loops_left(named, parent: list[int], free_loops: int) -> int:
+    """The free loops of the diagram that ``_relabel`` builds from records
+    named in the classes of parent: free_loops, and every class that no
+    record touches.  A record touches four classes, each once in and once
+    out, so the records touch 2 len(named) classes."""
+    # id 0 points at itself and names no class
+    return free_loops + sum(map(eq, parent, range(len(parent)))) - 1 - 2 * len(named)
 
-    Every crossing has sign s, and both strands leaving one enter the next,
-    the under one entering over.  So from crossing 0 the walk steps to the
-    crossing o_out enters under, checks that u_out enters it over, and must
-    first come back after k steps; a split union of 2-braids comes back early.
+
+def _leaf(named, size: int, loops: int) -> "tuple[LaurentPoly, LaurentPoly] | None":
+    """(nabla, V) of a reduced diagram when it is a leaf, else None; the
+    diagram is given by its records written in class names below size and
+    its loops free loops (see ``_loops_left``), and no diagram is built.
+
+    With no record left it is the unlink of loops components.  Otherwise it
+    is a leaf when it is the closed 2-braid sigma_1^(s k) up to relabelling:
+    every crossing has sign s, and both strands leaving one enter the next,
+    the under one entering over.  So from record 0 the walk steps to the
+    record that o_out enters under, checks that u_out enters it over, and
+    must first come back after k steps; a split union of 2-braids comes back
+    early.  A relabelling maps classes to labels one to one and keeps the
+    order of the records, so the walk reads the same steps as on the
+    relabelled diagram.
     """
-    recs = d._records
-    k, s = len(recs), recs[0][4]
-    under = [(0, 0)] * (2 * k + 1)  # under[e]: the record e enters under, else (0, 0)
-    for r in recs:
+    if not named:
+        return _two_braid(1, 1, loops - 1)
+    first = named[0]
+    k, s = len(named), first[4]
+    under = [(0, 0)] * size  # under[e]: the record e enters under, else (0, 0)
+    for r in named:
         under[r[0]] = r
-    r = recs[0]
+    r = first
     for step in range(1, k + 1):
         _, _, u_out, o_out, sign = r
         r = under[o_out]
-        if sign != s or r[1] != u_out or (r is recs[0]) != (step == k):
+        if sign != s or r[1] != u_out or (r is first) != (step == k):
             return None
-    return k, s
+    return _two_braid(k, s, loops)
 
 
 def _two_braid(k: int, s: int, loops: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -230,25 +252,22 @@ def _two_braid(k: int, s: int, loops: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly]:
-    """(nabla, V) of d, which has no Reidemeister-I curl and no bigon.
+    """(nabla, V) of d, a node: a diagram with no Reidemeister-I curl and no
+    bigon that ``_leaf`` does not read.
 
-    A leaf, crossingless or a closed 2-braid, returns its ``_two_braid``
-    value at once.  Otherwise the crossings of ``_resolution_order`` are
-    switched one by one in a working copy of d's records, and each is
-    smoothed, in the state its predecessors' switches left, into a child
-    that the walk evaluates.  The switched diagram at the end is
-    descending, an unlink, and ``_sum_chain`` folds it with the children.
-    Every child has fewer crossings than d.
+    The crossings of ``_resolution_order`` are switched one by one in a
+    working copy of d's records, and each is smoothed, in the state its
+    predecessors' switches left, into a child: its records kept by
+    ``_smooth_reduced``, in class names.  A child that ``_leaf`` reads is
+    not built; any other is relabelled into a diagram that the walk
+    evaluates.  The switched diagram at the end is descending, an unlink,
+    and ``_sum_chain`` folds it with the children.  Every child has fewer
+    crossings than d.
 
     A crossing takes over the value of the child built last when that
     child smoothed a crossing of its twist region and every switch made
     since lay in the region too (see the module docstring).
     """
-    if not d.crossings:
-        return _two_braid(1, 1, d.component_count() - 1)
-    braid = _closed_two_braid(d)
-    if braid is not None:
-        return _two_braid(*braid, d.free_loops)
     key = canonical_code(d)
     cached = memo.get(key)
     if cached is not None:
@@ -259,7 +278,10 @@ def _skein_eval(d: PDDiagram, memo: SkeinMemo) -> tuple[LaurentPoly, LaurentPoly
     last = -1
     for i, region in _resolution_order(recs):
         if region != last:
-            child = _skein_eval(_smooth_reduced(recs, i, loops), memo)
+            named, parent = _smooth_reduced(recs, i)
+            child = _leaf(named, len(parent), _loops_left(named, parent, loops))
+            if child is None:
+                child = _skein_eval(_relabel(named, loops, parent), memo)
             last = region
         chain.append((recs[i][4], child))
         recs[i] = recs[i].switched()
@@ -313,13 +335,21 @@ def conway_jones(d: PDDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     CrossingBudgetExceeded when that diagram has more than
     DEFAULT_CROSSING_BUDGET crossings, or more free loops: V of N loops has
     N + 1 terms of up to N bits, so even a closed form costs about N^2.
+    The budget is checked before the reduced records are read as a leaf;
+    only a node is built, and d itself when nothing was removed.
     """
-    d = _reduced(d._records, list(range(2 * d.n_crossings + 1)), d.free_loops, True, d)
-    for count, what in ((d.n_crossings, "crossings"), (d.free_loops, "free loops")):
+    named, parent = _reduced(d._records, list(range(2 * d.n_crossings + 1)), True)
+    loops = _loops_left(named, parent, d.free_loops)
+    for count, what in ((len(named), "crossings"), (loops, "free loops")):
         if count > DEFAULT_CROSSING_BUDGET:
             raise CrossingBudgetExceeded(f"diagram has {count} {what} after reduction, "
                                          f"budget is {DEFAULT_CROSSING_BUDGET}")
-    return _skein_eval(d, SkeinMemo())
+    val = _leaf(named, len(parent), loops)
+    if val is None:
+        if len(named) < d.n_crossings:
+            d = _relabel(named, d.free_loops, parent)
+        val = _skein_eval(d, SkeinMemo())
+    return val
 
 
 def conway(d: PDDiagram) -> LaurentPoly:

@@ -223,6 +223,15 @@ def unchecked(crossings, free_loops: int = 0) -> PDDiagram:
     return d
 
 
+def reduced_child(recs, index: int, free_loops: int) -> PDDiagram:
+    """The skein walk's reduced smoothing child of crossing index of the
+    strand records recs, with free_loops free loops, as a diagram: the
+    records ``_smooth_reduced`` keeps, relabelled.  Both are looked up on
+    the module, so that a test patching them sees every child built here."""
+    named, parent = knotforge.diagram._smooth_reduced(recs, index)
+    return knotforge.diagram._relabel(named, free_loops, parent)
+
+
 def with_curls(d: PDDiagram, count: int) -> PDDiagram:
     """d with count positive curls spliced into edge 1, one after another."""
     if d.n_crossings == 0 or count < 1:
@@ -241,6 +250,80 @@ def with_curls(d: PDDiagram, count: int) -> PDDiagram:
              for j in range(count)]
     # every id is its own class
     return _relabel(recs, d.free_loops, list(range(ids[-1] + 1)))
+
+
+def braid_closure(strands: int, word) -> PDDiagram:
+    """The closure of a positive braid, parsed from PD text written here.
+
+    word lists generators i, each sigma_i for 1 <= i < strands.  The braid
+    runs down the page and sigma_i takes the strand at position i over the
+    one at i + 1; counterclockwise from the under-strand's entry (top
+    right) come the over-strand's entry (top left) and the two exits, so
+    every crossing is positive in this package's convention, and the
+    closure of sigma_1^3 is the table trefoil.  The bottom of each position
+    is joined to its top around one side, and edges are numbered along each
+    component in turn.  A position that no generator touches would be a
+    free loop, which the text cannot hold, and is refused.
+    """
+    pos = list(range(strands))      # the segment id running down each position
+    fresh = strands
+    recs = []                       # (u_in, o_in, u_out, o_out) in segment ids
+    for i in word:
+        if not 1 <= i < strands:
+            raise ValueError(f"generator {i} out of range for {strands} strands")
+        over, under = pos[i - 1], pos[i]
+        recs.append((under, over, fresh, fresh + 1))
+        pos[i - 1], pos[i] = fresh, fresh + 1
+        fresh += 2
+    if any(pos[p] == p for p in range(strands)):
+        raise ValueError("every position needs a generator")
+    # the closure makes the segment leaving each position's bottom the one
+    # entering its top
+    top = {pos[p]: p for p in range(strands)}
+    recs = [tuple(top.get(e, e) for e in r) for r in recs]
+    succ = {}
+    for u_in, o_in, u_out, o_out in recs:
+        succ[u_in], succ[o_in] = u_out, o_out
+    label = {}
+    for start in sorted(succ):
+        e = start
+        while e not in label:
+            label[e] = len(label) + 1
+            e = succ[e]
+    return knotforge.diagram.parse_pd(" ".join(
+        "X({},{},{},{})".format(*(label[e] for e in r)) for r in recs))
+
+
+def connected_sum(*knots: PDDiagram) -> PDDiagram:
+    """The connected sum of knot diagrams, parsed from PD text written here.
+
+    Each knot's code, its labels shifted past those before it, is spliced
+    in at the last edge of the sum so far: that edge now enters where the
+    knot's own last edge entered, and the knot's last edge enters where it
+    did, so the labels run once round the whole sum.  Splicing keeps the
+    rotation at every crossing, and PDDiagram checks the code it is given.
+    """
+    def entry(crossings, edge, after):
+        # the slot at which edge enters: the slot opposite it holds after
+        for i, x in enumerate(crossings):
+            for j in range(4):
+                if x[j] == edge and x[(j + 2) % 4] == after:
+                    return i, j
+        raise ValueError(f"edge {edge} enters no crossing")
+
+    code = []
+    for k in knots:
+        if k.component_count() != 1 or not k.n_crossings:
+            raise ValueError(f"not a knot with crossings: {k.render()!r}")
+        shift = 2 * len(code)
+        part = [[e + shift for e in x] for x in k.crossings]
+        if code:
+            last, total = shift, shift + 2 * k.n_crossings
+            i, j = entry(code, last, 1)
+            m, n = entry(part, total, shift + 1)
+            code[i][j], part[m][n] = total, last
+        code += part
+    return knotforge.diagram.parse_pd(" ".join("X({},{},{},{})".format(*x) for x in code))
 
 
 def class_table(size: int, groups) -> list[int]:

@@ -125,6 +125,25 @@ class TestExitCodes:
         assert cli.main([*argv, str(deep)]) == 2
         assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to read\n"
 
+    @pytest.mark.parametrize("argv, filename, key, old, new", [
+        (["saeki", "--config"], "double_xk.json", "euler",
+         '"euler": 4,', '"euler": 4, "euler": 5,'),
+        (["defect", "--config"], "prop44.json", "euler",
+         '"euler": 2,', '"euler": 2, "euler": 3,'),
+        (["sg", "--k", "1", "--catalog"], "thm12.json", "x1", '"x1": {', '"x1": {}, "x1": {'),
+    ], ids=["saeki-manifold-key", "defect-manifold-key", "sg-catalog-name"])
+    def test_input_error_on_a_key_given_twice(self, capsys, tmp_path, argv, filename,
+                                              key, old, new):
+        # the JSON parser keeps the last of two equal keys, so without the
+        # check saeki ran with euler 5 and failed a check (exit 1)
+        text = (resources.files("knotforge") / "data" / filename).read_text()
+        assert text.count(old) == 1
+        path = tmp_path / filename
+        path.write_text(text.replace(old, new))
+        assert cli.main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: JSON key {key!r} given twice in one object\n")
+
     def test_input_error_on_missing_config_section(self, tmp_path):
         cfg = tmp_path / "partial.json"
         cfg.write_text(json.dumps({

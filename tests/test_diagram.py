@@ -23,7 +23,7 @@ from knotforge import skein
 from knotforge.laurent import LaurentPoly
 
 from conftest import (TABLE_NAMES, class_table, is_planar, mirror, one_edit_labels,
-                      random_planar_diagrams, unchecked, with_curls)
+                      random_planar_diagrams, reduced_child, unchecked, with_curls)
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 # a valid code with no planar embedding, one edit from a planar one
@@ -433,8 +433,9 @@ class TestTrustedRebuild:
 
     def test_every_rebuild_of_the_skein_walk_matches_the_validator(
             self, table, monkeypatch):
-        built, validated = [], []
+        built, validated, loops, roots = [], [], [], []
         validate, trusted = diagram_module._validate, diagram_module._trusted
+        skein_eval, smooth, reduced = skein._skein_eval, skein._smooth_reduced, skein._reduced
 
         def counting_validate(crossings, free_loops):
             validated.append(crossings)
@@ -446,8 +447,33 @@ class TestTrustedRebuild:
             built.append((d, len(validated) > before))
             return d
 
+        def evaluating(d, memo):
+            loops.append(d.free_loops)
+            try:
+                return skein_eval(d, memo)
+            finally:
+                loops.pop()
+
+        def smoothing(recs, i):
+            # the walk builds a node child only; every child is built here,
+            # with the free loops of its node, leaves included
+            named, parent = smooth(recs, i)
+            diagram_module._relabel(named, loops[-1], parent)
+            return named, parent
+
+        def reducing_root(recs, parent, bigons):
+            # and so is every root that loses crossings, as the walk builds
+            # one that is a node
+            named, parent = reduced(recs, parent, bigons)
+            if len(named) < len(recs):
+                diagram_module._relabel(named, roots[-1].free_loops, parent)
+            return named, parent
+
         monkeypatch.setattr(diagram_module, "_validate", counting_validate)
         monkeypatch.setattr(diagram_module, "_trusted", checked_trusted)
+        monkeypatch.setattr(skein, "_skein_eval", evaluating)
+        monkeypatch.setattr(skein, "_smooth_reduced", smoothing)
+        monkeypatch.setattr(skein, "_reduced", reducing_root)
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
         diagrams += random_planar_diagrams(seed=23, count=300, max_crossings=10)
@@ -462,6 +488,7 @@ class TestTrustedRebuild:
         assert is_planar(diagrams[-1].crossings)
         built.clear()
         for d in diagrams:
+            roots.append(d)
             skein.conway_jones(d)
         walked = len(built)
         mirrors = [mirror(d) for d in diagrams]
@@ -747,7 +774,7 @@ class TestSmoothR1:
         children that lose a bigon."""
         stacked = bigons = 0
         for i in range(d.n_crossings):
-            child = diagram_module._smooth_reduced(d._records, i, d.free_loops)
+            child = reduced_child(d._records, i, d.free_loops)
             smoothed = d.smooth_crossing(i)
             uncurled = smoothed.reduce_r1()
             ref = full_reduce(smoothed)
@@ -794,7 +821,7 @@ class TestSmoothR1:
         # edge, so the four ids make one class
         d = unchecked(crossings)
         assert self._check_children(d) == (2, 0, 0)
-        assert diagram_module._smooth_reduced(d._records, index, d.free_loops).render() == code
+        assert reduced_child(d._records, index, d.free_loops).render() == code
 
     @pytest.mark.parametrize("name, count", [("unknot", 1), ("trefoil", 0),
                                              ("trefoil", -1)])

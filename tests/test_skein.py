@@ -17,7 +17,8 @@ from knotforge.skein import (
     BRACKET_ORACLE_BUDGET,
     CrossingBudgetExceeded,
     SkeinMemo,
-    _closed_two_braid,
+    _leaf,
+    _loops_left,
     _resolution_order,
     _sum_chain,
     _two_braid,
@@ -29,13 +30,16 @@ from knotforge.skein import (
 
 from conftest import (
     TABLE_NAMES,
+    braid_closure,
     bracket_state_sum_reference,
+    connected_sum,
     is_planar,
     mirror,
     one_edit_codes,
     one_edit_labels,
     polys,
     random_planar_diagrams,
+    reduced_child,
     unchecked,
     with_curls,
 )
@@ -330,18 +334,21 @@ class TestWalkRebuilds:
     """Each skein child is built with at most one relabel and no validation."""
 
     def test_children_of_the_twist_family(self, table, monkeypatch):
-        calls = {"relabel": 0, "fallback": 0}
+        # a node is built between its _leaf read and its _skein_eval entry;
+        # a relabel made anywhere else is stray
+        calls = {"relabel": 0, "fallback": 0, "stray": 0, "mark": 0}
+        building, depth = [False], [0]
         in_trusted = []
-        per_switch, per_smoothing = [], []
+        per_switch, per_node, children = [], [], []
         relabel, validate, trusted = (
             diagram_module._relabel, diagram_module._validate, diagram_module._trusted)
         switch, smooth = PDDiagram.switch_crossing, skein_module._smooth_reduced
+        leaf, skein_eval = skein_module._leaf, skein_module._skein_eval
 
-        def counting(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
+        def counting_relabel(*args):
+            calls["relabel"] += 1
+            calls["stray"] += not building[0]
+            return relabel(*args)
 
         def checked_validate(*args):
             # the only validation left in the walk is the short-run fallback
@@ -356,32 +363,60 @@ class TestWalkRebuilds:
             finally:
                 in_trusted.pop()
 
-        def counted(fn, log):
-            def child(*args):
-                before = calls["relabel"]
-                d = fn(*args)
-                log.append(calls["relabel"] - before)
-                return d
-            return child
+        def counted_switch(*args):
+            before = calls["relabel"]
+            d = switch(*args)
+            per_switch.append(calls["relabel"] - before)
+            return d
+
+        def smoothing(*args):
+            children.append(None)
+            return smooth(*args)
+
+        def reading(*args):
+            val = leaf(*args)
+            building[0] = val is None
+            calls["mark"] = calls["relabel"]
+            return val
+
+        def evaluating(d, memo):
+            assert building[0]
+            building[0] = False
+            per_node.append((depth[0], calls["relabel"] - calls["mark"]))
+            depth[0] += 1
+            try:
+                return skein_eval(d, memo)
+            finally:
+                depth[0] -= 1
 
         base = table.diagram("11n63")
         diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(6)]
         # the roots of L_0 and L_1 lose bigons, so each takes one relabel
-        roots = sum(reduce_root(d) is not d for d in diagrams)
-        assert roots == 2
-        monkeypatch.setattr(diagram_module, "_relabel", counting("relabel", relabel))
+        roots = [reduce_root(d) is not d for d in diagrams]
+        assert sum(roots) == 2
+        monkeypatch.setattr(diagram_module, "_relabel", counting_relabel)
+        monkeypatch.setattr(skein_module, "_relabel", counting_relabel)
         monkeypatch.setattr(diagram_module, "_validate", checked_validate)
         monkeypatch.setattr(diagram_module, "_trusted", marked_trusted)
-        monkeypatch.setattr(PDDiagram, "switch_crossing", counted(switch, per_switch))
-        monkeypatch.setattr(skein_module, "_smooth_reduced", counted(smooth, per_smoothing))
+        monkeypatch.setattr(PDDiagram, "switch_crossing", counted_switch)
+        monkeypatch.setattr(skein_module, "_smooth_reduced", smoothing)
+        monkeypatch.setattr(skein_module, "_leaf", reading)
+        monkeypatch.setattr(skein_module, "_skein_eval", evaluating)
         for n, d in enumerate(diagrams):
             assert conway_jones(d) == (conway_family(n), jones_family(n))
         # the walk switches its working records, so it builds no switch
-        # child; each smoothing child takes one relabel, and none of them
-        # has a short run for the validator
+        # child; each node child takes one relabel and each leaf child none,
+        # a root one when it loses crossings, and none of them has a short
+        # run for the validator
         assert per_switch == []
-        assert per_smoothing and set(per_smoothing) == {1}
-        assert calls["relabel"] == len(per_smoothing) + roots
+        assert [r for d, r in per_node if d == 0] == roots
+        node_children = [r for d, r in per_node if d > 0]
+        assert node_children and set(node_children) == {1}
+        # L_0 reduces 2 children, both leaves, and each of L_1..L_5 reduces
+        # 14 and builds 2
+        assert (len(children), len(node_children)) == (2 + 5 * 14, 5 * 2)
+        assert calls["stray"] == 0
+        assert calls["relabel"] == len(node_children) + sum(roots)
         assert calls["fallback"] == 0
 
     @pytest.mark.parametrize("n", [*range(8, 15), 20, 50, 100])
@@ -419,7 +454,15 @@ def taken_over_children(diagrams, monkeypatch):
     skein_eval = skein_module._skein_eval
     order_of = skein_module._resolution_order
     smooth = skein_module._smooth_reduced
+    leaf = skein_module._leaf
     frames, nodes = [], []
+
+    def reading(*args):
+        # a child read as a leaf; the root's read comes before any frame
+        val = leaf(*args)
+        if val is not None and frames:
+            frames[-1]["values"].append(val)
+        return val
 
     def evaluating(d, memo):
         frames.append({"d": d, "order": None, "built": [], "values": []})
@@ -438,15 +481,16 @@ def taken_over_children(diagrams, monkeypatch):
         frames[-1]["order"] = order
         return order
 
-    def smoothing(recs, i, loops):
+    def smoothing(recs, i):
         frames[-1]["built"].append(i)
-        return smooth(recs, i, loops)
+        return smooth(recs, i)
 
     logs = []
     with monkeypatch.context() as m:
         m.setattr(skein_module, "_skein_eval", evaluating)
         m.setattr(skein_module, "_resolution_order", ordering)
         m.setattr(skein_module, "_smooth_reduced", smoothing)
+        m.setattr(skein_module, "_leaf", reading)
         m.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", 10 ** 6)
         for d in diagrams:
             conway_jones(d)
@@ -456,6 +500,7 @@ def taken_over_children(diagrams, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(skein_module, "_resolution_order",
                   lambda recs: [(i, i) for i, _ in order_of(recs)])
+        m.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", 10 ** 6)
         for walk in logs:
             pairs = []
             for node in walk:
@@ -469,7 +514,7 @@ def taken_over_children(diagrams, monkeypatch):
                     if i in built:
                         last = built[i]
                     else:
-                        fresh = skein_eval(smooth(recs, i, loops), SkeinMemo())
+                        fresh = conway_jones(reduced_child(recs, i, loops))
                         pairs.append((last, fresh))
                     recs[i] = recs[i].switched()
             out.append(pairs)
@@ -867,22 +912,33 @@ def _curl_closing_by_smoothing(d):
 
 def test_every_node_is_curl_and_bigon_free(table, monkeypatch):
     # the root and every smoothing child are reduced to a fixpoint, so the
-    # root's reduction finds nothing to remove at any node the walk visits
-    nodes = []
-    skein_eval = skein_module._skein_eval
+    # root's reduction finds nothing to remove in the records that the walk
+    # reads as a leaf or not, roots and children, nor at any node it builds
+    nodes, reads = [], []
+    skein_eval, leaf = skein_module._skein_eval, skein_module._leaf
 
     def recording(d, memo):
         nodes.append(d)
         return skein_eval(d, memo)
 
+    def reading(named, size, loops):
+        val = leaf(named, size, loops)
+        reads.append((list(named), size, val is not None))
+        return val
+
     monkeypatch.setattr(skein_module, "_skein_eval", recording)
+    monkeypatch.setattr(skein_module, "_leaf", reading)
     base = table.diagram("11n63")
     diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(8)]
     diagrams += random_planar_diagrams(seed=67, count=200, max_crossings=10)
     diagrams += random_planar_diagrams(seed=68, count=200, max_crossings=10)
     for d in diagrams:
         conway_jones(d)
-    assert len(nodes) > 500
+    leaves = sum(is_leaf for _, _, is_leaf in reads)
+    assert len(reads) > 500 and 0 < leaves < len(reads)
+    for named, size, _ in reads:
+        # class names point at themselves, so the identity table names them
+        assert diagram_module._reduced(named, list(range(size)), True)[0] == named
     for d in nodes:
         assert reduce_root(d) is d, d.render()
 
@@ -893,9 +949,9 @@ def test_no_walk_reduces_curls_alone(table, monkeypatch):
     passes = []
     reduced = diagram_module._reduced
 
-    def recording(recs, parent, free_loops, bigons, same=None):
+    def recording(recs, parent, bigons):
         passes.append(bigons)
-        return reduced(recs, parent, free_loops, bigons, same)
+        return reduced(recs, parent, bigons)
 
     # skein imports the name for the root's reduction
     monkeypatch.setattr(diagram_module, "_reduced", recording)
@@ -911,9 +967,12 @@ def test_no_walk_reduces_curls_alone(table, monkeypatch):
 
 def reduce_root(d):
     """d as conway_jones walks it: its curls and bigons removed to a
-    fixpoint."""
-    return diagram_module._reduced(d._records, list(range(2 * d.n_crossings + 1)),
-                                   d.free_loops, True, d)
+    fixpoint, relabelled, or d itself when none goes."""
+    named, parent = diagram_module._reduced(
+        d._records, list(range(2 * d.n_crossings + 1)), True)
+    if len(named) == d.n_crossings:
+        return d
+    return diagram_module._relabel(named, d.free_loops, parent)
 
 
 def _walk_by_switch_children(d):
@@ -926,7 +985,7 @@ def _walk_by_switch_children(d):
         c = d.component_count()
         return (ONE if c == 1 else ZERO, LOOP ** (c - 1))
     i, _ = order[0]
-    smoothed = diagram_module._smooth_reduced(d._records, i, d.free_loops)
+    smoothed = reduced_child(d._records, i, d.free_loops)
     return _combine_by_operators(d._records[i].sign,
                                  _walk_by_switch_children(d.switch_crossing(i)),
                                  _walk_by_switch_children(smoothed))
@@ -1022,6 +1081,19 @@ def two_braid_reference(d):
     return None
 
 
+def read_leaf(d):
+    """What ``_leaf`` reads from d's records, whose labels name their own
+    classes: a value, or None for a node."""
+    return _leaf(d._records, 2 * d.n_crossings + 1, d.free_loops)
+
+
+def leaf_reference(d):
+    """Reference for ``read_leaf`` of a d with crossings: the 2-braid table's
+    value of ``two_braid_reference``, or None."""
+    braid = two_braid_reference(d)
+    return None if braid is None else _two_braid(*braid, d.free_loops)
+
+
 class TestClosedTwoBraidLeaf:
     """Closed 2-braids sigma_1^(s k) with free loops are leaves of the walk:
     their value comes from the T(2, k) skein recurrence, without children,
@@ -1037,8 +1109,8 @@ class TestClosedTwoBraidLeaf:
 
     def test_hopf_link_and_trefoil(self, table):
         hopf, trefoil = table.diagram("hopf+"), table.diagram("trefoil")
-        assert (_closed_two_braid(hopf), _closed_two_braid(trefoil)) == (
-            (2, 1), (3, 1))
+        assert (read_leaf(hopf), read_leaf(trefoil)) == (
+            _two_braid(2, 1, 0), _two_braid(3, 1, 0))
         assert _two_braid(2, 1, 0) == (
             -Z, LaurentPoly.from_exponents({F(-1, 2): 1, F(-5, 2): 1}))
         assert _two_braid(3, 1, 0) == (
@@ -1054,7 +1126,8 @@ class TestClosedTwoBraidLeaf:
                     for _ in range(2):
                         d = PDDiagram(self._relabelled(k, s, rng), loops)
                         assert is_planar(d.crossings) and reduce_root(d) is d
-                        assert _closed_two_braid(d) == two_braid_reference(d) == (k, s)
+                        assert two_braid_reference(d) == (k, s)
+                        assert read_leaf(d) == _two_braid(k, s, loops)
                         value = conway_jones(d)
                         assert value == _walk_by_switch_children(d), d.render()
                         assert value[1] == jones_bracket_oracle(d), d.render()
@@ -1079,7 +1152,7 @@ class TestClosedTwoBraidLeaf:
                 for first_over_at_even in (True, False):
                     d = PDDiagram(code_of(antiparallel_records(k, s, first_over_at_even)))
                     assert reduce_root(d) is d
-                    assert _closed_two_braid(d) is None and two_braid_reference(d) is None
+                    assert read_leaf(d) is None and two_braid_reference(d) is None
                     value = conway_jones(d)
                     assert value == _walk_by_switch_children(d), d.render()
                     assert value[1] == jones_bracket_oracle(d), d.render()
@@ -1105,7 +1178,7 @@ class TestClosedTwoBraidLeaf:
                     # a Hopf link has two components, a trefoil one
                     assert d.component_count() == 4 - k1 % 2 - k2 % 2 + loops
                     assert reduce_root(d) is d
-                    assert _closed_two_braid(d) is None and two_braid_reference(d) is None
+                    assert read_leaf(d) is None and two_braid_reference(d) is None
                     value = conway_jones(d)
                     assert value == _walk_by_switch_children(d), d.render()
                     assert value[1] == jones_bracket_oracle(d), d.render()
@@ -1131,11 +1204,184 @@ class TestClosedTwoBraidLeaf:
                     except PDError:
                         continue
                     neighbours += 1
-                    assert _closed_two_braid(d) is None and two_braid_reference(d) is None
+                    assert read_leaf(d) is None and two_braid_reference(d) is None
                     r = reduce_root(d)
                     if r.n_crossings:
-                        assert _closed_two_braid(r) == two_braid_reference(r), r.render()
-                        reduced_hits += _closed_two_braid(r) is not None
+                        assert read_leaf(r) == leaf_reference(r), r.render()
+                        reduced_hits += read_leaf(r) is not None
                         assert conway_jones(d) == _walk_by_switch_children(r), d.render()
         # some neighbours reduce to a shorter closed 2-braid, which is a leaf
         assert (neighbours, reduced_hits) == (102, 28)
+
+
+class TestLeafReader:
+    """``_leaf`` reads a leaf from records in class names, before any
+    diagram is built, as the recursion through switch children values the
+    diagram that ``_relabel`` builds from the same records."""
+
+    def test_every_leaf_the_walk_reads(self, table, monkeypatch):
+        reduced, smooth, leaf = (
+            skein_module._reduced, skein_module._smooth_reduced, skein_module._leaf)
+        last, leaves, read = [], {}, []
+
+        def reducing(*args):
+            last[:] = reduced(*args)
+            return last[0], last[1]
+
+        def smoothing(*args):
+            last[:] = smooth(*args)
+            return last[0], last[1]
+
+        def reading(named, size, loops):
+            val = leaf(named, size, loops)
+            assert (named, size) == (last[0], len(last[1]))
+            if val is not None:
+                read.append(None)
+                key = (tuple(named), tuple(last[1]), loops)
+                assert leaves.setdefault(key, val) == val
+            return val
+
+        monkeypatch.setattr(skein_module, "_reduced", reducing)
+        monkeypatch.setattr(skein_module, "_smooth_reduced", smoothing)
+        monkeypatch.setattr(skein_module, "_leaf", reading)
+        monkeypatch.setattr(skein_module, "DEFAULT_CROSSING_BUDGET", 37)
+        base = table.diagram("11n63")
+        diagrams = [base.insert_full_twists((3, 25), n - 2) for n in range(15)]
+        diagrams += random_planar_diagrams(seed=71, count=200, max_crossings=10)
+        diagrams += random_planar_diagrams(seed=72, count=200, max_crossings=10)
+        for d in diagrams:
+            conway_jones(d)
+        monkeypatch.undo()
+        free_classes = crossingless = 0
+        for (named, parent, loops), val in leaves.items():
+            parent = list(parent)
+            # the classes no record touches become free loops of the diagram
+            free = _loops_left(named, parent, 0)
+            d = diagram_module._relabel(list(named), loops - free, parent)
+            assert d.free_loops == loops and d.n_crossings == len(named)
+            assert val == _walk_by_switch_children(d), d.render()
+            free_classes += free > 0 and len(named) > 0
+            crossingless += not named
+        # 643 reads of 145 distinct leaves: 31 with crossings and free
+        # classes, 49 crossingless
+        assert len(read) > 500 and len(leaves) > 100
+        assert free_classes > 20 and crossingless > 20
+
+    def test_class_names_need_not_be_labels(self):
+        # one closed 2-braid, and a split union of two, written in sparse
+        # class names of a larger table: the first reads as the 2-braid, the
+        # second as no leaf
+        rng = random.Random(3701)
+        checked = 0
+        for k1, k2 in ((2, 2), (3, 3), (2, 3), (3, 4), (5, 2)):
+            for s1 in (1, -1):
+                for s2 in (1, -1):
+                    one = two_braid_records(k1, s1)
+                    other = [(a + 2 * k1, b + 2 * k1, c + 2 * k1, e + 2 * k1, s)
+                             for a, b, c, e, s in two_braid_records(k2, s2)]
+                    size = 6 * (k1 + k2) + 1
+                    names = [0] + sorted(rng.sample(range(1, size), 2 * (k1 + k2)))
+                    union = [tuple(names[e] for e in r[:4]) + (r[4],) for r in one + other]
+                    rng.shuffle(union)
+                    first = {names[e] for e in range(1, 2 * k1 + 1)}
+                    loops = checked % 3
+                    assert _leaf([r for r in union if r[0] in first], size,
+                                 loops) == _two_braid(k1, s1, loops)
+                    assert _leaf(union, size, loops) is None
+                    checked += 1
+        assert checked == 20
+
+
+class TestTorusKnots:
+    """Closures of positive braids (conftest.braid_closure) through the walk:
+    every crossing is positive in this package's convention, so V is Jones's
+    closed form for the torus knot T(p, q) with t -> 1/t."""
+
+    @staticmethod
+    def _mirrored_closed_form(p, q):
+        """V(T(p, q))(1/t): t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q))
+        / (1 - t^2), the quotient taken exactly, then every exponent negated."""
+        num = [0] * (p + q + 1)
+        for e, c in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+            num[e] += c
+        quotient = []
+        for e in range(p + q - 1):
+            quotient.append(num[e] + (quotient[e - 2] if e >= 2 else 0))
+        shift = (p - 1) * (q - 1) // 2
+        return LaurentPoly.from_exponents(
+            {-(e + shift): c for e, c in enumerate(quotient) if c})
+
+    def test_two_strand_torus_knots(self):
+        for q in range(3, 24, 2):
+            d = braid_closure(2, [1] * q)
+            assert read_leaf(d) is not None
+            assert jones(d) == self._mirrored_closed_form(2, q), q
+
+    @pytest.mark.parametrize("k", [4, 5, 7, 8, 10, 11])
+    def test_three_strand_torus_knots(self, k):
+        d = braid_closure(3, [1, 2] * k)
+        assert d.component_count() == 1
+        assert jones(d) == self._mirrored_closed_form(3, k)
+
+    def test_two_braid_past_the_budget_is_refused(self):
+        # a leaf, but the budget is checked before any leaf is read
+        d = braid_closure(2, [1] * 25)
+        assert read_leaf(d) is not None
+        with pytest.raises(CrossingBudgetExceeded,
+                           match="25 crossings after reduction, budget is 24"):
+            conway_jones(d)
+
+    def test_node_counts(self, monkeypatch):
+        # memo hits + misses of one walk each; leaves are read before the
+        # walk builds a diagram, so reading them earlier moves no count
+        memos = []
+
+        class CountedMemo(SkeinMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(skein_module, "SkeinMemo", CountedMemo)
+        for k in (7, 10, 11):
+            conway_jones(braid_closure(3, [1, 2] * k))
+        assert [(m.hits, m.misses) for m in memos] == [(25, 61), (425, 363), (963, 619)]
+
+
+class TestConnectedSums:
+    """Conway and Jones are multiplicative under connected sum; sums of
+    table knots (conftest.connected_sum) within the budget walk nodes and
+    leaves both, and hit the memo."""
+
+    SUMS = [("5_2",) * 4, ("trefoil",) * 4, ("trefoil", "5_2", "9_45"),
+            ("11n63", "9_45"), ("5_2", "trefoil", "trefoil", "9_45"),
+            ("11n63", "trefoil", "trefoil"), ("9_45", "9_45")]
+
+    def test_sums_multiply(self, table, monkeypatch):
+        memos, reads = [], []
+        leaf = skein_module._leaf
+
+        class CountedMemo(SkeinMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        def reading(*args):
+            val = leaf(*args)
+            reads.append(val is None)
+            return val
+
+        monkeypatch.setattr(skein_module, "SkeinMemo", CountedMemo)
+        monkeypatch.setattr(skein_module, "_leaf", reading)
+        for names in self.SUMS:
+            knots = [table.diagram(name) for name in names]
+            d = connected_sum(*knots)
+            assert d.n_crossings == sum(k.n_crossings for k in knots) <= 24
+            memos.clear()
+            reads.clear()
+            nabla, v = conway_jones(d)
+            assert memos[0].hits > 0 and 0 < sum(reads) < len(reads), names
+            want_nabla, want_v = ONE, ONE
+            for k in knots:
+                k_nabla, k_v = conway_jones(k)
+                want_nabla, want_v = want_nabla * k_nabla, want_v * k_v
+            assert (nabla, v) == (want_nabla, want_v), names
